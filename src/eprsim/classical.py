@@ -175,6 +175,9 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
             generator_id="mixture(" + ",".join(e.generator_id for _, e in parts) + ")",
         )
     if kind in ("thermal", "correlated_lo"):
+        for key in ("nbar", "nbar_lo"):
+            if key in params and not (math.isfinite(params[key]) and params[key] >= 0.0):
+                raise StateError(f"{key} must be finite and >= 0, got {params[key]!r}")
         a1s, a2s, b1s, b2s = [], [], [], []
         for a1, a2, b1, b2 in _gen_chunks(kind, params, n, seed):
             a1s.append(a1)

@@ -105,6 +105,11 @@ class CorrelationAmplitudes:
     denominator: float = 2.0
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.a1, self.a2, self.xi, self.zeta)):
+            raise StateError(
+                f"amplitudes and phases must be finite, got "
+                f"({self.a1}, {self.a2}, {self.xi}, {self.zeta})"
+            )
         if self.a1 < 0.0 or self.a2 < 0.0:
             raise StateError(f"amplitudes must be nonnegative, got ({self.a1}, {self.a2})")
         if self.m1 is None:

@@ -52,4 +52,4 @@ class ZeroDenominator(EprSimError):
 
 
 class OptimizerShortfall(EprSimError):
-    """Numeric Bell maximization fell below the analytic value: a bug."""
+    """Closed-form Bell maximum below the analytic value or beaten by the grid: a bug."""

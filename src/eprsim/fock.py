@@ -20,6 +20,7 @@ Conventions
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -282,7 +283,10 @@ def coherent_cutoff(alpha_mag: float) -> int:
     every lam reached at desk scale.
     """
     a = abs(alpha_mag)
-    return math.ceil(a * a + 8.0 * a + 10.0)
+    size = a * a + 8.0 * a + 10.0
+    if not math.isfinite(size):
+        raise CutoffError(f"no finite cutoff for coherent amplitude |alpha| = {a!r}")
+    return math.ceil(size)
 
 
 def _poisson_tail(lam: float, cutoff: int) -> float:
@@ -307,6 +311,8 @@ def make_coherent(layout: ModeLayout, alphas: Sequence[complex]) -> MultiModeSta
     if len(alphas) != layout.n_modes:
         raise StateError(f"{len(alphas)} amplitudes for {layout.n_modes} modes")
     alphas = [complex(a) for a in alphas]
+    if not all(cmath.isfinite(a) for a in alphas):
+        raise StateError(f"coherent amplitudes must be finite, got {alphas}")
     lam = math.fsum(abs(a) ** 2 for a in alphas)
     tail = _poisson_tail(lam, layout.cutoff)
     if tail > TAIL_TOL:

@@ -6,9 +6,11 @@ The CHSH quantity uses the sign pattern
 
 With the two-cosine correlation E = A1 cos(t1 - t2 + xi)
 + A2 cos(t1 + t2 + zeta) the maximum of |B| over all settings is
-2 sqrt(2) sqrt(A1^2 + A2^2). ``bell_max`` finds it by a brute grid search
-over the four phases plus local refinement, and checks the search against
-that closed form — falling short signals a bug, not a physics result.
+2 sqrt(2) sqrt(A1^2 + A2^2) (Clauser-Horne-Shimony-Holt 1969, Tsirelson
+1980). ``bell_max`` computes the optimal phases in closed form, evaluates B
+there, and checks that value from both sides: it must reach the analytic
+maximum, and no point of a grid over the four phases may beat it. Failing
+either check signals a bug, not a physics result.
 
 Bounds on the amplitude pair (first quadrant):
     stochastic-field:  A1 <= 1/2 and A2 <= 1/2
@@ -19,11 +21,11 @@ Bounds on the amplitude pair (first quadrant):
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .correlation import CorrelationAmplitudes, amplitudes, predict_E
 from .errors import OptimizerShortfall, StateError
@@ -97,45 +99,64 @@ def bell_B(source, settings: BellSettings) -> float:
     )
 
 
-def _b_grid(amps: CorrelationAmplitudes, n: int) -> tuple[float, np.ndarray]:
-    """Best B on an n^4 grid over the settings torus."""
+def _optimal_settings(amps: CorrelationAmplitudes) -> BellSettings:
+    """The phases that maximize B, in closed form.
+
+    E(t1, t2) = Re[e^{i t1} w(t2)] with w(t) = A1 e^{i(xi - t)} + A2 e^{i(zeta + t)},
+    so B = Re[e^{i t1} (w(t2) + w(t2'))] + Re[e^{i t1'} (w(t2') - w(t2))] and
+    t1, t1' undo the phases of the two sums. At t2 = delta, t2' = delta - pi/2
+    with delta = (xi - zeta)/2 the values w(t2), w(t2') are orthogonal with
+    squared norms (A1 + A2)^2 and (A1 - A2)^2, so both sums have modulus
+    sqrt(2 (A1^2 + A2^2)).
+    """
+
+    def w(t: float) -> complex:
+        return amps.a1 * cmath.exp(1j * (amps.xi - t)) + amps.a2 * cmath.exp(1j * (amps.zeta + t))
+
+    t2 = 0.5 * (amps.xi - amps.zeta)
+    t2p = t2 - 0.5 * math.pi
+    u, v = w(t2), w(t2p)
+    return BellSettings(-cmath.phase(u + v), math.pi - cmath.phase(u - v), t2, t2p)
+
+
+def _b_grid(amps: CorrelationAmplitudes, n: int) -> float:
+    """Best B on the n^4 grid over the settings torus, in O(n^3).
+
+    B = [E(t1, t2) + E(t1, t2')] + [E(t1', t2') - E(t1', t2)], so for each
+    (t2, t2') the best t1 and the best t1' are found separately.
+    """
     t = 2.0 * math.pi * np.arange(n) / n
     e = amps.a1 * np.cos(t[:, None] - t[None, :] + amps.xi) + amps.a2 * np.cos(
         t[:, None] + t[None, :] + amps.zeta
     )  # e[i, k] = E(t_i, t_k)
-    b = (
-        e[:, None, :, None]    # E(t1, t2)
-        - e[None, :, :, None]  # E(t1', t2)
-        + e[:, None, None, :]  # E(t1, t2')
-        + e[None, :, None, :]  # E(t1', t2')
-    )
-    flat = int(np.argmax(b))  # first maximum = lexicographically smallest settings
-    i, j, k, l = np.unravel_index(flat, b.shape)
-    return float(b[i, j, k, l]), np.array([t[i], t[j], t[k], t[l]])
+    plus = (e[:, :, None] + e[:, None, :]).max(axis=0)   # [k, l]: E(t1, t_k) + E(t1, t_l)
+    minus = (e[:, None, :] - e[:, :, None]).max(axis=0)  # [k, l]: E(t1', t_l) - E(t1', t_k)
+    return float((plus + minus).max())
 
 
 def bell_max(source, grid_points: int = 24) -> BellMaxResult:
-    """Maximize B over settings; verified against 2 sqrt(2) |A|."""
+    """Maximize B over settings; checked against 2 sqrt(2) |A| and a grid.
+
+    ``b_max`` is B evaluated at the closed-form settings, not the analytic
+    value itself. It must reach ``analytic`` and no point of the
+    ``grid_points``^4 grid may beat it, each within ``SHORTFALL_TOL``; the
+    comparisons are written so that NaN fails them.
+    """
     amps = _coerce_amps(source)
     analytic = 2.0 * math.sqrt(2.0) * math.hypot(amps.a1, amps.a2)
-    _, x0 = _b_grid(amps, grid_points)
-
-    def neg_b(x):
-        return -bell_B(amps, BellSettings(*x))
-
-    res = minimize(
-        neg_b,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000, "maxfev": 8000},
-    )
-    b_best = -float(res.fun)
-    if b_best < analytic - SHORTFALL_TOL:
+    settings = _optimal_settings(amps)
+    b_max = float(bell_B(amps, settings))
+    grid = _b_grid(amps, grid_points)
+    problems = []
+    if not b_max >= analytic - SHORTFALL_TOL:
+        problems.append(f"falls below the analytic maximum {analytic!r}")
+    if not grid <= b_max + SHORTFALL_TOL:
+        problems.append(f"is beaten by the {grid_points}^4 grid maximum {grid!r}")
+    if problems:
         raise OptimizerShortfall(
-            f"numeric Bell maximum {b_best!r} fell below analytic {analytic!r}"
+            f"closed-form Bell value {b_max!r} at {settings} " + " and ".join(problems)
         )
-    settings = BellSettings(*(float(v) for v in res.x))
-    return BellMaxResult(b_max=b_best, settings=settings, analytic=analytic)
+    return BellMaxResult(b_max=b_max, settings=settings, analytic=analytic)
 
 
 def classify(amps: CorrelationAmplitudes, state_b_max: float) -> InequalityReport:

@@ -3,7 +3,7 @@
 Builders return states on the standard layouts: four analyzer arms
 (a1, b1, a2, b2) for the single-photon entangled pair and the two-photon
 network, two signal arms (a1, a2) for the states measured against local
-oscillators. Names accepted by the CLI are the keys of ``ZOO_BUILDERS``.
+oscillators. Names accepted by the CLI are listed in ``ZOO_NAMES``.
 """
 
 from __future__ import annotations
@@ -56,6 +56,12 @@ class CatParams:
 
     alpha: complex
     phi: float
+
+    def __post_init__(self) -> None:
+        if not (cmath.isfinite(complex(self.alpha)) and math.isfinite(self.phi)):
+            raise StateError(
+                f"cat parameters must be finite, got alpha={self.alpha!r}, phi={self.phi!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,17 @@ def test_malformed_file_fails_cleanly(capsys, tmp_path):
     assert doc["error"]["type"] == "StateFileError"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("state", "coherent", "--alpha", "nan"), "CutoffError"),
+    (("classical", "--kind", "thermal", "--nbar", "-1"), "StateError"),
+])
+def test_bad_numbers_fail_cleanly(capsys, argv, error):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == error
+
+
 def test_figure3_output(capsys):
     code, out = run(capsys, "figure3", "--samples", "11")
     assert code == 0

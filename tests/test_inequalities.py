@@ -53,17 +53,54 @@ def test_bell_max_analytic_formula():
 
 def test_bell_max_with_interference_phases():
     rng = np.random.default_rng(404)
-    for _ in range(12):
-        a1, a2 = rng.uniform(0.0, 0.7, size=2)
-        xi, zeta = rng.uniform(-math.pi, math.pi, size=2)
+    cases = [(*rng.uniform(0.0, 0.7, size=2), *rng.uniform(-math.pi, math.pi, size=2))
+             for _ in range(12)]
+    # amplitudes up to 1 and phases well outside one turn
+    cases += [(*rng.uniform(0.0, 1.0, size=2), *rng.uniform(-20.0, 20.0, size=2))
+              for _ in range(200)]
+    for a1, a2, xi, zeta in cases:
         amps = CorrelationAmplitudes(a1, a2, xi, zeta)
         res = bell_max(amps)
         want = 2 * SQ2 * math.hypot(a1, a2)
-        assert res.b_max == pytest.approx(want, abs=1e-6)
+        assert res.b_max == pytest.approx(want, abs=1e-12)
+        assert bell_B(amps, res.settings) == res.b_max
         # no setting can beat the analytic maximum
         t = rng.uniform(-math.pi, math.pi, size=4)
         val = bell_B(amps, BellSettings(*t))
         assert val <= want + 1e-9
+
+
+def test_bell_max_grid_check_catches_wrong_settings(monkeypatch):
+    from eprsim import inequalities
+
+    wrong = BellSettings(0.0, math.pi / 2, 0.0, math.pi / 2)
+    monkeypatch.setattr(inequalities, "_optimal_settings", lambda amps: wrong)
+    with pytest.raises(OptimizerShortfall, match="grid maximum"):
+        bell_max(pair(0.3, 0.6, 0.4, 1.1))
+
+
+def test_non_finite_amplitudes_are_rejected():
+    nan = float("nan")
+    for args in [(nan, 0.2, 0.0, 0.0), (0.2, math.inf, 0.0, 0.0),
+                 (0.2, 0.2, nan, 0.0), (0.2, 0.2, 0.0, -math.inf)]:
+        with pytest.raises(StateError):
+            CorrelationAmplitudes(*args)
+    # a NaN that gets past construction fails the Bell check instead of
+    # coming back as b_max = nan
+    amps = pair(0.3, 0.2)
+    object.__setattr__(amps, "a1", nan)
+    with pytest.raises(OptimizerShortfall):
+        bell_max(amps)
+
+
+def test_import_leaves_scipy_out():
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, eprsim; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_bell_max_accepts_four_mode_state():
