@@ -16,6 +16,14 @@ estimators here verify empirically with bootstrap standard errors.
 Sampling is chunked with per-chunk child seeds and compensated summation,
 so estimates are deterministic for a given seed and independent of chunk
 evaluation order.
+
+The standard errors come from a stratified grouped bootstrap. Each stratum
+(a mixture component, or the whole ensemble) is cut into at most
+``BOOTSTRAP_GROUPS`` contiguous groups of i.i.d. samples, whose weighted
+sums are formed in one pass; every resample then draws groups with
+replacement within each stratum. The cost after that pass does not grow
+with n, and a stratum of at most ``BOOTSTRAP_GROUPS`` samples is
+bootstrapped sample by sample (cf. Kleiner et al., JRSS-B 76, 2014).
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .errors import StateError, ZeroDenominator
 
 CHUNK = 1 << 15
 BOOTSTRAP_RESAMPLES = 200
+BOOTSTRAP_GROUPS = 1024  # most groups per stratum
 
 __all__ = [
     "ClassicalEnsemble",
@@ -43,7 +52,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClassicalEnsemble:
-    """Weighted field samples (alpha_k for signals, beta_k for oscillators)."""
+    """Weighted field samples (alpha_k for signals, beta_k for oscillators).
+
+    ``strata`` are the contiguous (start, stop) blocks of independently drawn
+    samples, one per mixture component; empty means one block of all n.
+    """
 
     weights: np.ndarray
     alpha1: np.ndarray
@@ -52,6 +65,7 @@ class ClassicalEnsemble:
     beta2: np.ndarray
     seed: int
     generator_id: str
+    strata: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         n = self.weights.shape[0]
@@ -63,9 +77,15 @@ class ClassicalEnsemble:
                 raise StateError(f"{name} contains non-finite values")
         if np.any(self.weights < 0.0):
             raise StateError("negative sample weight")
-        total = math.fsum(self.weights.tolist())
-        if abs(total - 1.0) > 1e-9:
+        total = _chunked_fsum(self.weights)
+        if not abs(total - 1.0) <= 1e-9:
             raise StateError(f"sample weights sum to {total!r}, not 1")
+        strata = tuple((int(a), int(b)) for a, b in self.strata) or ((0, n),)
+        starts = [a for a, _ in strata]
+        stops = [b for _, b in strata]
+        if starts != [0] + stops[:-1] or stops[-1] != n or any(b <= a for a, b in strata):
+            raise StateError(f"strata {strata} do not tile the {n} samples")
+        object.__setattr__(self, "strata", strata)
 
     @property
     def n(self) -> int:
@@ -140,6 +160,8 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
     if n < 1:
         raise StateError("need n >= 1 samples")
     seed = int(seed)
+    if seed < 0:
+        raise StateError(f"seed must be >= 0, got {seed}")
     if kind == "delta":
         point = params["point"]
         if len(point) != 4:
@@ -161,10 +183,15 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
         wsum = math.fsum(float(w) for w, _, _ in comps)
         if wsum <= 0.0 or any(float(w) < 0.0 for w, _, _ in comps):
             raise StateError("mixture weights must be nonnegative with positive sum")
+        sub_seeds = np.random.SeedSequence(seed).generate_state(len(comps), dtype=np.uint64)
         parts = []
-        for idx, (w, sub_kind, sub_params) in enumerate(comps):
-            sub = make_ensemble(sub_kind, sub_params, n, seed + 1000 * (idx + 1))
+        strata = []
+        offset = 0
+        for (w, sub_kind, sub_params), sub_seed in zip(comps, sub_seeds):
+            sub = make_ensemble(sub_kind, sub_params, n, int(sub_seed))
             parts.append((float(w) / wsum, sub))
+            strata.extend((offset + a, offset + b) for a, b in sub.strata)
+            offset += sub.n
         return ClassicalEnsemble(
             weights=np.concatenate([w * e.weights for w, e in parts]),
             alpha1=np.concatenate([e.alpha1 for _, e in parts]),
@@ -173,23 +200,25 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
             beta2=np.concatenate([e.beta2 for _, e in parts]),
             seed=seed,
             generator_id="mixture(" + ",".join(e.generator_id for _, e in parts) + ")",
+            strata=tuple(strata),
         )
     if kind in ("thermal", "correlated_lo"):
         for key in ("nbar", "nbar_lo"):
             if key in params and not (math.isfinite(params[key]) and params[key] >= 0.0):
                 raise StateError(f"{key} must be finite and >= 0, got {params[key]!r}")
-        a1s, a2s, b1s, b2s = [], [], [], []
-        for a1, a2, b1, b2 in _gen_chunks(kind, params, n, seed):
-            a1s.append(a1)
-            a2s.append(a2)
-            b1s.append(b1)
-            b2s.append(b2)
+        fields = np.empty((4, n), dtype=np.complex128)
+        start = 0
+        for chunk in _gen_chunks(kind, params, n, seed):
+            stop = start + chunk[0].shape[0]
+            for row, arr in zip(fields, chunk):
+                row[start:stop] = arr
+            start = stop
         return ClassicalEnsemble(
             weights=np.full(n, 1.0 / n),
-            alpha1=np.concatenate(a1s),
-            alpha2=np.concatenate(a2s),
-            beta1=np.concatenate(b1s),
-            beta2=np.concatenate(b2s),
+            alpha1=fields[0],
+            alpha2=fields[1],
+            beta1=fields[2],
+            beta2=fields[3],
             seed=seed,
             generator_id=f"{kind}(nbar={params.get('nbar')!r})",
         )
@@ -206,15 +235,17 @@ def _moment_terms(e: ClassicalEnsemble):
     return num1, num2, den
 
 
+def _chunked_fsum(values: np.ndarray) -> float:
+    """Order-independent compensated sum of a real array, CHUNK at a time."""
+    return math.fsum(
+        math.fsum(values[start : start + CHUNK].tolist())
+        for start in range(0, values.shape[0], CHUNK)
+    )
+
+
 def _weighted_fsum(weights: np.ndarray, values: np.ndarray) -> float:
     """Order-independent compensated sum of weights * values (real)."""
-    parts = []
-    start = 0
-    prod = weights * values
-    while start < prod.shape[0]:
-        parts.append(math.fsum(prod[start : start + CHUNK].tolist()))
-        start += CHUNK
-    return math.fsum(parts)
+    return _chunked_fsum(weights * values)
 
 
 def _ratio_estimates(weights, num1, num2, den) -> tuple[float, float]:
@@ -226,43 +257,58 @@ def _ratio_estimates(weights, num1, num2, den) -> tuple[float, float]:
     return 2.0 * abs(m1) / d, 2.0 * abs(m2) / d
 
 
-def _fast_ratios(num1, num2, den) -> tuple[float, float]:
-    """Uniform-weight ratio estimates with plain sums (bootstrap inner loop)."""
-    d = float(np.sum(den))
-    if d <= 0.0:
-        raise ZeroDenominator(f"intensity-product mean {d!r} is not positive")
-    return 2.0 * abs(complex(np.sum(num1))) / d, 2.0 * abs(complex(np.sum(num2))) / d
+def _group_sums(e: ClassicalEnsemble, num1, num2, den):
+    """Per stratum, weighted sums of num1, num2 and den over contiguous groups.
+
+    A stratum of size m is cut into min(BOOTSTRAP_GROUPS, m) groups of
+    near-equal size; each group sum is reduced within the stratum's own
+    slice, so no group straddles two strata.
+    """
+    groups = []
+    for start, stop in e.strata:
+        size = stop - start
+        g = min(BOOTSTRAP_GROUPS, size)
+        cuts = (np.arange(g) * size) // g
+        w = e.weights[start:stop]
+        groups.append(
+            tuple(np.add.reduceat(w * t[start:stop], cuts) for t in (num1, num2, den))
+        )
+    return groups
 
 
 def estimate_amplitudes(e: ClassicalEnsemble) -> AmplitudeEstimate:
-    """Moment-ratio estimates with nonparametric bootstrap standard errors.
+    """Moment-ratio estimates with stratified grouped bootstrap standard errors.
 
-    The bootstrap (200 resamples) is seeded from the ensemble seed, so the
-    whole estimate is reproducible bit for bit.
+    Each of the BOOTSTRAP_RESAMPLES resamples draws, within every stratum,
+    as many of its pre-summed groups as it has, with replacement, and takes
+    the ratio of the summed draws. Weighted group sums keep each stratum's
+    total unbiased, so unequal groups and weights need no special case.
+    An ensemble whose strata are single samples (point masses) is exact
+    and gets zero standard errors. The bootstrap is seeded from the
+    ensemble seed, so the whole estimate is reproducible bit for bit.
     """
     num1, num2, den = _moment_terms(e)
     a1_hat, a2_hat = _ratio_estimates(e.weights, num1, num2, den)
-    n = e.n
-    if n == 1:
-        return AmplitudeEstimate(a1_hat, a2_hat, 0.0, 0.0, n, e.seed)
+    if all(stop - start == 1 for start, stop in e.strata):
+        return AmplitudeEstimate(a1_hat, a2_hat, 0.0, 0.0, e.n, e.seed)
     rng = np.random.default_rng([e.seed, 0xB00])
-    uniform = bool(np.allclose(e.weights, 1.0 / n))
-    boot1 = np.empty(BOOTSTRAP_RESAMPLES)
-    boot2 = np.empty(BOOTSTRAP_RESAMPLES)
-    for b in range(BOOTSTRAP_RESAMPLES):
-        if uniform:
-            idx = rng.integers(0, n, size=n)
-        else:
-            idx = rng.choice(n, size=n, p=e.weights)
-        b1, b2 = _fast_ratios(num1[idx], num2[idx], den[idx])
-        boot1[b] = b1
-        boot2[b] = b2
+    s1 = np.zeros(BOOTSTRAP_RESAMPLES, dtype=np.complex128)
+    s2 = np.zeros(BOOTSTRAP_RESAMPLES, dtype=np.complex128)
+    sd = np.zeros(BOOTSTRAP_RESAMPLES)
+    for g1, g2, gd in _group_sums(e, num1, num2, den):
+        g = gd.shape[0]
+        idx = rng.integers(0, g, size=(BOOTSTRAP_RESAMPLES, g))
+        s1 += g1[idx].sum(axis=1)
+        s2 += g2[idx].sum(axis=1)
+        sd += gd[idx].sum(axis=1)
+    if not np.all(sd > 0.0):
+        raise ZeroDenominator("a bootstrap resample has no positive intensity-product mean")
     return AmplitudeEstimate(
         a1_hat=a1_hat,
         a2_hat=a2_hat,
-        se1=float(np.std(boot1, ddof=1)),
-        se2=float(np.std(boot2, ddof=1)),
-        n=n,
+        se1=float(np.std(2.0 * np.abs(s1) / sd, ddof=1)),
+        se2=float(np.std(2.0 * np.abs(s2) / sd, ddof=1)),
+        n=e.n,
         seed=e.seed,
     )
 

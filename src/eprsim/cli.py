@@ -127,7 +127,7 @@ def _analyze(state, kind: str, tol: float) -> dict:
     else:
         g = homodyne.coherence_functions(state)
         amps = _amps_from_coherences(g)
-        is_epr = abs(amps.a1 + amps.a2 - 1.0) <= tol
+        is_epr = correlation.epr_holds(amps, tol)
         witness = None
     best = inequalities.bell_max(amps)
     report = inequalities.classify(amps, best.b_max)
@@ -210,10 +210,17 @@ def cmd_figure3(args) -> int:
     return 0
 
 
+def _parse_list(text: str, convert, option: str) -> list:
+    """Comma-separated numbers; a malformed entry is a StateError."""
+    try:
+        return [convert(tok) for tok in text.split(",")]
+    except ValueError:
+        raise StateError(f"{option} must be comma-separated numbers, got {text!r}") from None
+
+
 def cmd_classical(args) -> int:
     if args.kind == "delta":
-        point = [complex(tok) for tok in args.point.split(",")]
-        params = {"point": point}
+        params = {"point": _parse_list(args.point, complex, "--point")}
     else:
         params = {"nbar": args.nbar}
     ensemble = make_ensemble(args.kind, params, args.samples, args.seed)
@@ -236,8 +243,8 @@ def cmd_classical(args) -> int:
 
 
 def cmd_sweep_cat(args) -> int:
-    alphas = [float(tok) for tok in args.alphas.split(",")]
-    phis = [float(tok) for tok in args.phis.split(",")]
+    alphas = _parse_list(args.alphas, float, "--alphas")
+    phis = _parse_list(args.phis, float, "--phis")
     lines = ["alpha,phi,a1,a1_formula,a2,a2_formula,b_max,b_max_formula"]
     for alpha in alphas:
         for phi in phis:

@@ -48,6 +48,7 @@ __all__ = [
     "predict_E",
     "sinusoid_residual",
     "epr_check",
+    "epr_holds",
     "STATION_MODES",
 ]
 
@@ -61,9 +62,9 @@ def _require_station_layout(state: AnyState) -> None:
 
 
 def _clip_rate(value: float, name: str) -> float:
-    """Coincidence rates are nonnegative; swallow roundoff, not sign bugs."""
-    if value < -NEGATIVE_RATE_TOL:
-        raise EprSimError(f"correlator {name} = {value!r} is negative beyond roundoff")
+    """Coincidence rates are nonnegative; swallow roundoff, not sign bugs or NaN."""
+    if not value >= -NEGATIVE_RATE_TOL:
+        raise EprSimError(f"correlator {name} = {value!r} is negative beyond roundoff or not a number")
     return max(0.0, value)
 
 
@@ -255,6 +256,13 @@ def sinusoid_residual(state: AnyState, grid_size: int = 8,
     return worst
 
 
+def epr_holds(amps: CorrelationAmplitudes, tol: float) -> bool:
+    """A1 + A2 = 1 within tol; tol must be finite and nonnegative."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise StateError(f"tol must be finite and >= 0, got {tol!r}")
+    return abs(amps.a1 + amps.a2 - 1.0) <= tol
+
+
 def epr_check(state: AnyState, tol: float = 1e-9) -> EprReport:
     """Test A1 + A2 = 1 and, when it holds, exhibit the matching phases.
 
@@ -265,8 +273,7 @@ def epr_check(state: AnyState, tol: float = 1e-9) -> EprReport:
     as the witness, computed with the evolution backend.
     """
     amps = amplitudes(state)
-    is_epr = abs(amps.a1 + amps.a2 - 1.0) <= tol
-    if not is_epr:
+    if not epr_holds(amps, tol):
         return EprReport(is_epr=False, amplitudes=amps, phases=None, witness=None)
     phases = PhaseSetting(-(amps.xi + amps.zeta) / 2.0, (amps.xi - amps.zeta) / 2.0)
     witness = output_correlators(state, phases, backend="evolution")

@@ -116,8 +116,11 @@ class MultiModeState:
                 raise StateError(f"negative occupation in {tup}")
             if sum(tup) > layout.cutoff:
                 raise StateError(f"occupation {tup} exceeds total-photon cutoff {layout.cutoff}")
+            val = complex(val)
+            if not cmath.isfinite(val):
+                raise StateError(f"amplitude {val!r} of occupation {tup} is not finite")
             occ_rows.append(tup)
-            amp_rows.append(complex(val))
+            amp_rows.append(val)
         if not occ_rows:
             raise StateError("state needs at least one amplitude")
         occ = np.array(occ_rows, dtype=np.int64)
@@ -196,7 +199,7 @@ def _canonicalize(layout: ModeLayout, occ: np.ndarray, amp: np.ndarray):
 
 def _check_norm(amp: np.ndarray) -> None:
     nsq = float(np.sum(np.abs(amp) ** 2))
-    if abs(nsq - 1.0) > NORM_TOL:
+    if not abs(nsq - 1.0) <= NORM_TOL:
         raise NormalizationError(f"state norm^2 = {nsq!r} deviates from 1 beyond {NORM_TOL}")
 
 
@@ -213,12 +216,12 @@ class MixedState:
             raise StateError("mixture needs at least one component")
         layout = comps[0][1].layout
         for w, s in comps:
-            if w < 0:
-                raise StateError(f"negative mixture weight {w}")
+            if not w >= 0:
+                raise StateError(f"mixture weight {w} is negative or not a number")
             if s.layout != layout:
                 raise StateError("mixture components must share one layout")
         total = math.fsum(w for w, _ in comps)
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise NormalizationError(f"mixture weights sum to {total!r}, not 1")
 
     @property
@@ -259,7 +262,10 @@ def make_pure(layout: ModeLayout, terms: Iterable[tuple[Sequence[int], complex]]
     acc: dict[tuple[int, ...], complex] = {}
     for occ, val in terms:
         key = tuple(int(x) for x in occ)
-        acc[key] = acc.get(key, 0.0 + 0.0j) + complex(val)
+        val = complex(val)
+        if not cmath.isfinite(val):
+            raise StateError(f"amplitude {val!r} of occupation {key} is not finite")
+        acc[key] = acc.get(key, 0.0 + 0.0j) + val
     if not acc:
         raise StateError("no terms given")
     nsq = math.fsum(abs(v) ** 2 for v in acc.values())

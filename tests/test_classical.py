@@ -1,5 +1,7 @@
 """Stochastic-field Monte Carlo: the a_k <= 1/2 bound and its saturation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,109 @@ def test_degenerate_inputs():
         make_ensemble("squeezed", {}, n=10, seed=0)
     with pytest.raises(StateError):
         make_ensemble("thermal", {"nbar": 1.0}, n=0, seed=0)
+
+
+def _per_sample_bootstrap_se(ens, seed):
+    """Reference: 200 uniform resamples of length n, plain-sum ratios."""
+    from eprsim.classical import _moment_terms
+
+    num1, num2, den = _moment_terms(ens)
+    rng = np.random.default_rng(seed)
+    boot = []
+    for _ in range(200):
+        idx = rng.integers(0, ens.n, ens.n)
+        d = np.sum(den[idx])
+        boot.append((2 * abs(np.sum(num1[idx])) / d, 2 * abs(np.sum(num2[idx])) / d))
+    return np.std(np.array(boot), axis=0, ddof=1)
+
+
+def test_grouped_bootstrap_matches_per_sample_bootstrap():
+    ens = make_ensemble("thermal", {"nbar": 1.0}, n=20000, seed=7)
+    est = estimate_amplitudes(ens)
+    ref1, ref2 = _per_sample_bootstrap_se(ens, [7, 0xB00])
+    assert 0.8 <= est.se1 / ref1 <= 1.25
+    assert 0.8 <= est.se2 / ref2 <= 1.25
+
+
+def test_small_ensemble_has_one_group_per_sample():
+    from eprsim.classical import BOOTSTRAP_GROUPS, _group_sums, _moment_terms
+
+    ens = make_ensemble("thermal", {"nbar": 1.0}, n=BOOTSTRAP_GROUPS, seed=5)
+    num1, num2, den = _moment_terms(ens)
+    ((g1, g2, gd),) = _group_sums(ens, num1, num2, den)
+    assert gd.shape == (ens.n,)
+    np.testing.assert_array_equal(g1, ens.weights * num1)
+    np.testing.assert_array_equal(g2, ens.weights * num2)
+    np.testing.assert_array_equal(gd, ens.weights * den)
+    # one more sample and groups start to hold two
+    big = make_ensemble("thermal", {"nbar": 1.0}, n=3 * BOOTSTRAP_GROUPS + 1, seed=5)
+    ((_, _, gd),) = _group_sums(big, *_moment_terms(big))
+    assert gd.shape == (BOOTSTRAP_GROUPS,)
+    assert math.fsum(gd) == pytest.approx(math.fsum(big.weights * _moment_terms(big)[2]),
+                                          rel=1e-12)
+
+
+def test_groups_stay_inside_their_stratum():
+    from eprsim.classical import _group_sums, _moment_terms
+
+    ens = make_ensemble("mixture", {"components": [
+        (0.3, "thermal", {"nbar": 1.0}),
+        (0.7, "correlated_lo", {"nbar": 2.0}),
+    ]}, n=5000, seed=11)
+    assert ens.strata == ((0, 5000), (5000, 10000))
+    num1, num2, den = _moment_terms(ens)
+    for (start, stop), (_, _, gd) in zip(ens.strata, _group_sums(ens, num1, num2, den)):
+        stratum_total = math.fsum(ens.weights[start:stop] * den[start:stop])
+        assert math.fsum(gd) == pytest.approx(stratum_total, rel=1e-12)
+    est = estimate_amplitudes(ens)
+    for se in (est.se1, est.se2):
+        assert math.isfinite(se) and se > 0.0
+
+
+def test_nested_mixture_strata_are_flattened():
+    inner = {"components": [(0.5, "thermal", {"nbar": 1.0}), (0.5, "delta", {"point": (1, 1, 1, 1)})]}
+    ens = make_ensemble("mixture", {"components": [
+        (0.5, "mixture", inner),
+        (0.5, "thermal", {"nbar": 0.5}),
+    ]}, n=10, seed=2)
+    assert ens.n == 21
+    assert ens.strata == ((0, 10), (10, 11), (11, 21))
+
+
+def test_delta_mixture_has_zero_standard_error():
+    ens = make_ensemble("mixture", {"components": [
+        (0.25, "delta", {"point": (1.0, 0.5, 1.0, 2.0)}),
+        (0.75, "delta", {"point": (2.0, 1.0, 0.5, 1.0)}),
+    ]}, n=1, seed=3)
+    est = estimate_amplitudes(ens)
+    assert est.se1 == 0.0 and est.se2 == 0.0
+    assert 0.0 < est.a1_hat < 0.5
+
+
+def test_mixture_components_are_seeded_independently():
+    mix = make_ensemble("mixture", {"components": [
+        (0.5, "thermal", {"nbar": 1.0}),
+        (0.5, "thermal", {"nbar": 1.0}),
+    ]}, n=1000, seed=7)
+    first, second = mix.alpha1[:1000], mix.alpha1[1000:]
+    for other_seed in (7, 1007, 2007):
+        other = make_ensemble("thermal", {"nbar": 1.0}, n=1000, seed=other_seed)
+        assert not np.any(first == other.alpha1)
+        assert not np.any(second == other.alpha1)
+    assert not np.any(first == second)
+
+
+def test_ensemble_validates_strata_and_seed():
+    from eprsim.classical import ClassicalEnsemble
+
+    ens = make_ensemble("thermal", {"nbar": 1.0}, n=4, seed=0)
+    assert ens.strata == ((0, 4),)
+    fields = dict(weights=ens.weights, alpha1=ens.alpha1, alpha2=ens.alpha2,
+                  beta1=ens.beta1, beta2=ens.beta2, seed=0, generator_id="t")
+    assert ClassicalEnsemble(**fields, strata=((0, 1), (1, 4))).strata == ((0, 1), (1, 4))
+    for bad in (((0, 3),), ((0, 2), (3, 4)), ((0, 0), (0, 4)), ((0, 4), (4, 4)),
+                ((0, 4), (4, 5)), ((1, 4),)):
+        with pytest.raises(StateError):
+            ClassicalEnsemble(**fields, strata=bad)
+    with pytest.raises(StateError):
+        make_ensemble("thermal", {"nbar": 1.0}, n=4, seed=-1)

@@ -118,6 +118,15 @@ def test_malformed_file_fails_cleanly(capsys, tmp_path):
 @pytest.mark.parametrize("argv, error", [
     (("state", "coherent", "--alpha", "nan"), "CutoffError"),
     (("classical", "--kind", "thermal", "--nbar", "-1"), "StateError"),
+    (("sweep-cat", "--alphas", "abc"), "StateError"),
+    (("sweep-cat", "--phis", "0,x"), "StateError"),
+    (("classical", "--kind", "delta", "--point", "a,b,c,d"), "StateError"),
+    (("classical", "--kind", "delta", "--point", "1,1,1"), "StateError"),
+    (("classical", "--kind", "delta", "--point", "1,1,1,1,1"), "StateError"),
+    (("classical", "--kind", "thermal", "--seed", "-1"), "StateError"),
+    (("state", "coherent", "--tol", "nan"), "StateError"),
+    (("state", "coherent", "--tol", "-1"), "StateError"),
+    (("state", "entangled-sum", "--tol", "inf"), "StateError"),
 ])
 def test_bad_numbers_fail_cleanly(capsys, argv, error):
     code, out = run(capsys, *argv)

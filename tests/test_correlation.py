@@ -235,3 +235,17 @@ def test_correlator_values_against_hand_expansion():
     assert out.dc == pytest.approx(0.25, abs=1e-12)
     assert out.dd == pytest.approx(0.25, abs=1e-12)
     assert correlation_E(s2, PhaseSetting(0.3, 0.8)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_clip_rate_fails_on_nan():
+    from eprsim.correlation import _clip_rate
+
+    assert _clip_rate(-1e-13, "cc") == 0.0
+    with pytest.raises(EprSimError):
+        _clip_rate(math.nan, "cc")
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+def test_epr_check_rejects_bad_tolerance(tol):
+    with pytest.raises(StateError):
+        epr_check(entangled("sum"), tol=tol)

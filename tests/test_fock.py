@@ -273,3 +273,25 @@ def test_loaded_terms_are_normalized(tmp_path):
     s = load_state(path)
     assert s.norm_sq() == pytest.approx(1.0, abs=1e-12)
     assert abs(s.amplitude((1,))) == pytest.approx(0.8, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(1.0, math.inf)])
+def test_non_finite_amplitude_is_named(bad):
+    layout = ModeLayout(("a", "b"), 1)
+    with pytest.raises(StateError, match=r"occupation \(1, 0\)"):
+        MultiModeState(layout, {(1, 0): bad, (0, 1): 1.0})
+    with pytest.raises(StateError, match=r"occupation \(1, 0\)"):
+        make_pure(layout, [((1, 0), bad), ((0, 1), 1.0)])
+
+
+def test_check_norm_fails_on_nan():
+    from eprsim.fock import _check_norm
+
+    with pytest.raises(NormalizationError):
+        _check_norm(np.array([math.nan, 1.0], dtype=np.complex128))
+
+
+def test_mixed_state_rejects_nan_weight():
+    s = vacuum(("a",), 1)
+    with pytest.raises(StateError):
+        MixedState(((math.nan, s), (1.0, s)))
