@@ -29,7 +29,7 @@ from . import correlation, homodyne, inequalities, zoo
 from .classical import bound_report, estimate_amplitudes, make_ensemble, pointwise_margin
 from .correlation import CorrelationAmplitudes
 from .errors import EprSimError, StateError
-from .fock import load_state, reorder
+from .fock import ZERO_TOL, load_state, reorder
 from .zoo import CatParams
 
 STANDARD_FOUR = ("a1", "b1", "a2", "b2")
@@ -64,8 +64,8 @@ def _amps_from_coherences(g: homodyne.CoherenceFunctions) -> CorrelationAmplitud
     and the denominator convention 2|m| / den is kept with den = 2.
     """
     a1, a2 = homodyne.amplitudes_from_g(g)
-    xi = cmath.phase(g.g11) if abs(g.g11) > 1e-12 else 0.0
-    zeta = cmath.phase(g.g20) if abs(g.g20) > 1e-12 else 0.0
+    xi = cmath.phase(g.g11) if abs(g.g11) > ZERO_TOL else 0.0
+    zeta = cmath.phase(g.g20) if abs(g.g20) > ZERO_TOL else 0.0
     return CorrelationAmplitudes(
         a1=a1,
         a2=a2,

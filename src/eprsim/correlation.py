@@ -18,10 +18,17 @@ where A1 = 2|M1|/den, A2 = 2|M2|/den, xi = arg M1, zeta = arg M2, with
 M1 = <a1^dag b1 a2 b2^dag>, M2 = <a1^dag b1 a2^dag b2> and
 den = <(n_a1 + n_b1)(n_a2 + n_b2)>.
 
-Two backends compute the correlators: ``expansion`` evaluates the input
-moments directly; ``evolution`` pushes the state through the analyzer
-optics and reads number-number moments at the outputs. They agree to
-float precision and are cross-checked in the tests.
+Two backends compute the correlators. ``expansion`` evaluates the five
+input moments (ss, m1, m2, s1d2, d1s2) in one pass over the kets: ss is
+diagonal, and each other moment finds its partner ket by one search of
+the packed key shifted by the moment's occupation change. ``evolution``
+pushes the state through the analyzer optics: the phases act on the b
+arms, then each station's splitter is applied with the grouped-sector
+kernel of ``network``, laid out once per call and run on a block of
+settings at a time, and the rates are read as sum |amp|^2 n_x1 n_x2 on
+the output kets. The evolution path never evaluates an input moment, so
+the two agree to float precision only if both are right; the tests
+cross-check them.
 """
 
 from __future__ import annotations
@@ -31,12 +38,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import EprSimError, StateError, ZeroCoincidence
-from .fock import AnyState, normal_moment
-from .network import PhaseSetting, beamsplitter, phase_shift
+import numpy as np
 
-ZERO_TOL = 1e-12
-NEGATIVE_RATE_TOL = 1e-12
+from .errors import EprSimError, StateError, ZeroCoincidence
+from .fock import PRUNE_TOL, ZERO_TOL, AnyState, MixedState, _key_strides
+from .network import PhaseSetting, _mix, _pair_layout
+
+NEGATIVE_RATE_TOL = 1e-12   # relative to the coincidence total
+SETTINGS_BLOCK = 16         # phase settings pushed through the optics together
 
 __all__ = [
     "OutputCorrelators",
@@ -61,11 +70,25 @@ def _require_station_layout(state: AnyState) -> None:
         raise StateError(f"state must live on modes {STATION_MODES} in order, got {labels}")
 
 
-def _clip_rate(value: float, name: str) -> float:
-    """Coincidence rates are nonnegative; swallow roundoff, not sign bugs or NaN."""
-    if not value >= -NEGATIVE_RATE_TOL:
+def _clip_rate(value: float, name: str, total: float = 1.0) -> float:
+    """Coincidence rates are nonnegative; swallow roundoff, not sign bugs or NaN.
+
+    Roundoff in a rate scales with the coincidence total it is part of,
+    so the allowance is ``NEGATIVE_RATE_TOL`` relative to ``total``.
+    """
+    if not value >= -NEGATIVE_RATE_TOL * abs(total):
         raise EprSimError(f"correlator {name} = {value!r} is negative beyond roundoff or not a number")
     return max(0.0, value)
+
+
+def _clipped(cc: float, cd: float, dc: float, dd: float) -> "OutputCorrelators":
+    total = cc + cd + dc + dd
+    return OutputCorrelators(
+        cc=_clip_rate(cc, "cc", total),
+        cd=_clip_rate(cd, "cd", total),
+        dc=_clip_rate(dc, "dc", total),
+        dd=_clip_rate(dd, "dd", total),
+    )
 
 
 @dataclass(frozen=True)
@@ -136,26 +159,70 @@ class EprReport:
 
 
 def _station_moments(state: AnyState) -> dict[str, complex]:
-    """The input moments that determine every correlator."""
-    mm = lambda spec: normal_moment(state, spec)
-    out: dict[str, complex] = {}
-    out["ss"] = (
-        mm([("a1", 1, 1), ("a2", 1, 1)])
-        + mm([("a1", 1, 1), ("b2", 1, 1)])
-        + mm([("b1", 1, 1), ("a2", 1, 1)])
-        + mm([("b1", 1, 1), ("b2", 1, 1)])
-    )
-    out["m1"] = mm([("a1", 1, 0), ("b1", 0, 1), ("a2", 0, 1), ("b2", 1, 0)])
-    out["m2"] = mm([("a1", 1, 0), ("b1", 0, 1), ("a2", 1, 0), ("b2", 0, 1)])
-    out["s1d2"] = (
-        mm([("a1", 1, 1), ("a2", 1, 0), ("b2", 0, 1)])
-        + mm([("b1", 1, 1), ("a2", 1, 0), ("b2", 0, 1)])
-    )
-    out["d1s2"] = (
-        mm([("a1", 1, 0), ("b1", 0, 1), ("a2", 1, 1)])
-        + mm([("a1", 1, 0), ("b1", 0, 1), ("b2", 1, 1)])
-    )
-    return out
+    """The input moments that determine every correlator, in one pass.
+
+    ss = <S1 S2> is a diagonal sum. Each other moment <psi| X |psi> moves
+    a ket by a fixed occupation change delta on (a1, b1, a2, b2) with a
+    ket-dependent weight; its partner ket is found by one searchsorted of
+    the packed key shifted by delta . strides. Only kets with nonzero
+    weight are searched, and for those the shifted occupation is a valid
+    one (photon number is conserved), so the shifted key is exact.
+    """
+    if isinstance(state, MixedState):
+        parts = [(w, _station_moments(s)) for w, s in state.components]
+        return {name: complex(sum(w * mom[name] for w, mom in parts)) for name in parts[0][1]}
+    keys, amp = state._keys, state._amp
+    a1, b1, a2, b2 = state._occ.T.astype(np.float64)
+    strides = _key_strides(4, state.layout.cutoff)
+
+    def shifted(delta, weight) -> complex:
+        live = weight > 0.0
+        target = keys[live] + int(np.dot(delta, strides))
+        pos = np.minimum(np.searchsorted(keys, target), keys.shape[0] - 1)
+        hit = keys[pos] == target
+        return complex(np.sum(np.conj(amp[pos[hit]]) * weight[live][hit] * amp[live][hit]))
+
+    s1, s2 = a1 + b1, a2 + b2
+    return {
+        "ss": complex(np.sum((amp.real ** 2 + amp.imag ** 2) * s1 * s2)),
+        "m1": shifted((1, -1, -1, 1), np.sqrt((a1 + 1) * b1 * a2 * (b2 + 1))),
+        "m2": shifted((1, -1, 1, -1), np.sqrt((a1 + 1) * b1 * (a2 + 1) * b2)),
+        "s1d2": shifted((0, 0, 1, -1), s1 * np.sqrt((a2 + 1) * b2)),
+        "d1s2": shifted((1, -1, 0, 0), s2 * np.sqrt((a1 + 1) * b1)),
+    }
+
+
+def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
+    """Rates (cc, cd, dc, dd) x K settings from the analyzer optics.
+
+    Station 1 is laid out on the input kets and station 2 on station 1's
+    output kets, once per call; then blocks of ``SETTINGS_BLOCK`` phased
+    copies amp * e^{i(t1 n_b1 + t2 n_b2)} go through both splitters and
+    the rates are read as sum |amp|^2 n_x1 n_x2 on the output kets, with
+    c = a and d = b after each splitter. Mixtures are weighted per
+    component.
+    """
+    if isinstance(state, MixedState):
+        return sum(w * _evolution_rates(s, theta1, theta2) for w, s in state.components)
+    occ, cutoff = state._occ, state.layout.cutoff
+    station1 = _pair_layout(occ, cutoff, 0, 1)            # a1, b1 -> c1, d1
+    station2 = _pair_layout(station1.occ, cutoff, 2, 3)   # a2, b2 -> c2, d2
+    c1, d1, c2, d2 = station2.occ.T.astype(np.float64)
+    pairs = np.stack([c1 * c2, c1 * d2, d1 * c2, d1 * d2])
+    ladder = np.arange(cutoff + 1)
+    rates = np.empty((4, theta1.shape[0]))
+    for lo in range(0, theta1.shape[0], SETTINGS_BLOCK):
+        t1, t2 = theta1[lo:lo + SETTINGS_BLOCK], theta2[lo:lo + SETTINGS_BLOCK]
+        phased = (state._amp[:, None]
+                  * np.exp(1j * np.outer(ladder, t1))[occ[:, 1]]
+                  * np.exp(1j * np.outer(ladder, t2))[occ[:, 3]])
+        out = _mix(station2, _mix(station1, phased))
+        prob = out.real ** 2 + out.imag ** 2
+        # as in a stored state, an amplitude below PRUNE_TOL is no amplitude:
+        # a cancelled coincidence then reads exactly 0, not ~1e-34
+        prob[prob <= PRUNE_TOL ** 2] = 0.0
+        rates[:, lo:lo + t1.shape[0]] = pairs @ prob
+    return rates
 
 
 def output_correlators(state: AnyState, setting: PhaseSetting, backend: str = "expansion") -> OutputCorrelators:
@@ -171,24 +238,15 @@ def output_correlators(state: AnyState, setting: PhaseSetting, backend: str = "e
             2.0 * (cmath.exp(1j * (t1 + t2)) * mom["m2"]).real
             + 2.0 * (cmath.exp(1j * (t1 - t2)) * mom["m1"]).real
         )
-        return OutputCorrelators(
-            cc=_clip_rate(0.25 * (ss + sd + ds + dd), "cc"),
-            cd=_clip_rate(0.25 * (ss - sd + ds - dd), "cd"),
-            dc=_clip_rate(0.25 * (ss + sd - ds - dd), "dc"),
-            dd=_clip_rate(0.25 * (ss - sd - ds + dd), "dd"),
+        return _clipped(
+            0.25 * (ss + sd + ds + dd),
+            0.25 * (ss - sd + ds - dd),
+            0.25 * (ss + sd - ds - dd),
+            0.25 * (ss - sd - ds + dd),
         )
     if backend == "evolution":
-        s = phase_shift(state, "b1", t1)
-        s = phase_shift(s, "b2", t2)
-        s = beamsplitter(s, "a1", "b1")   # outputs: a1 -> c1, b1 -> d1
-        s = beamsplitter(s, "a2", "b2")   # outputs: a2 -> c2, b2 -> d2
-        pair = lambda m1_, m2_: normal_moment(s, [(m1_, 1, 1), (m2_, 1, 1)]).real
-        return OutputCorrelators(
-            cc=_clip_rate(pair("a1", "a2"), "cc"),
-            cd=_clip_rate(pair("a1", "b2"), "cd"),
-            dc=_clip_rate(pair("b1", "a2"), "dc"),
-            dd=_clip_rate(pair("b1", "b2"), "dd"),
-        )
+        rates = _evolution_rates(state, np.array([t1]), np.array([t2]))
+        return _clipped(*(float(r) for r in rates[:, 0]))
     raise StateError(f"unknown backend {backend!r}; use 'expansion' or 'evolution'")
 
 
@@ -237,20 +295,22 @@ def sinusoid_residual(state: AnyState, grid_size: int = 8,
     """
     if grid_size < 4:
         raise StateError("sinusoid_residual needs grid_size >= 4")
+    _require_station_layout(state)
     if amps is None:
         amps = amplitudes(state)
+    steps = 2.0 * math.pi * np.arange(grid_size) / grid_size
+    theta1 = np.repeat(steps + 0.1234, grid_size)
+    theta2 = np.tile(steps + 0.4321, grid_size)
+    rates = _evolution_rates(state, theta1, theta2)
     worst = None
-    for i in range(grid_size):
-        t1 = 2.0 * math.pi * i / grid_size + 0.1234
-        for j in range(grid_size):
-            t2 = 2.0 * math.pi * j / grid_size + 0.4321
-            setting = PhaseSetting(t1, t2)
-            try:
-                e_net = correlation_E(state, setting, backend="evolution")
-            except ZeroCoincidence:
-                continue
-            dev = abs(e_net - predict_E(amps, setting))
-            worst = dev if worst is None else max(worst, dev)
+    for t1, t2, column in zip(theta1, theta2, rates.T):
+        setting = PhaseSetting(float(t1), float(t2))
+        try:
+            e_net = _clipped(*(float(r) for r in column)).E()
+        except ZeroCoincidence:
+            continue
+        dev = abs(e_net - predict_E(amps, setting))
+        worst = dev if worst is None else max(worst, dev)
     if worst is None:
         raise ZeroCoincidence("no coincidences at any grid point")
     return worst

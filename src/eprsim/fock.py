@@ -39,6 +39,7 @@ from .errors import (
 NORM_TOL = 1e-9     # relative tolerance on Sum |amplitude|^2 = 1
 PRUNE_TOL = 1e-15   # amplitudes below this are dropped from storage
 TAIL_TOL = 1e-12    # maximum truncated probability mass for coherent states
+ZERO_TOL = 1e-12    # moments and rates at or below this are treated as zero
 
 __all__ = [
     "ModeLayout",
@@ -90,14 +91,17 @@ class ModeLayout:
             raise UnknownModeError(f"mode {label!r} not in layout {self.labels}") from None
 
 
-def _pack_keys(occ: np.ndarray, cutoff: int) -> np.ndarray:
-    """Encode occupation rows as single integers (base cutoff+1)."""
+def _key_strides(n_modes: int, cutoff: int) -> np.ndarray:
+    """Place value of each mode in a packed key (base cutoff+1, first mode highest)."""
     base = cutoff + 1
-    n_modes = occ.shape[1]
     if base ** n_modes > 2 ** 62:
         raise StateError(f"cutoff {cutoff} with {n_modes} modes exceeds the packed-key range")
-    strides = (base ** np.arange(n_modes - 1, -1, -1)).astype(np.int64)
-    return occ.astype(np.int64) @ strides
+    return (base ** np.arange(n_modes - 1, -1, -1)).astype(np.int64)
+
+
+def _pack_keys(occ: np.ndarray, cutoff: int) -> np.ndarray:
+    """Encode occupation rows as single integers (base cutoff+1)."""
+    return occ.astype(np.int64) @ _key_strides(occ.shape[1], cutoff)
 
 
 class MultiModeState:

@@ -30,14 +30,13 @@ from .fock import (
     MixedState,
     ModeLayout,
     MultiModeState,
+    ZERO_TOL,
     coherent_cutoff,
     make_coherent,
     normal_moment,
     reorder,
     tensor,
 )
-
-ZERO_TOL = 1e-12
 
 __all__ = [
     "CoherenceFunctions",

@@ -17,6 +17,17 @@ the inverse map used to transform kets is
 
 which is unitary and photon-number conserving, so a state inside the total
 cutoff stays inside it.
+
+Grouped-sector kernel
+---------------------
+The splitter mixes only kets that agree on every other mode and on the
+pair sector n = n_a + n_b. ``_pair_layout`` groups the kets that way once
+and gives each group's n+1 output kets their own rows, sector by sector,
+so sector n is a dense (n+1, groups) block and the splitter is one
+product with the (n+1, n+1) sector matrix. ``_mix`` applies it to an
+(N, K) block of amplitudes: K = 1 is ``beamsplitter`` (followed by the
+prune and canonical sort), and the evolution backend of ``correlation``
+pushes K phase settings through a station at once.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from .fock import (
     tensor,
     vacuum,
     _canonicalize,
+    _pack_keys,
 )
 
 __all__ = [
@@ -91,11 +103,72 @@ def _sector_matrix(n: int) -> np.ndarray:
     return mat
 
 
+@dataclass(frozen=True)
+class _PairLayout:
+    """Where the grouped-sector kernel puts each ket of one splitter pair.
+
+    A group is one occupation of the other modes together with the pair
+    sector n = n_a + n_b; its n+1 output kets differ only in the split
+    (j, n-j). Groups are numbered sector by sector, and sector n owns the
+    block of rows ``start .. start + (n+1)*groups``, where the ket (g, j)
+    of its g-th group sits at row start + j*groups + g. Each sector block
+    is therefore one (n+1, groups) matrix that the splitter mixes with a
+    single product, and no output ket needs merging or searching.
+    """
+
+    rows: np.ndarray                            # row of each input ket (its n_a as j)
+    sectors: tuple[tuple[int, int, int], ...]   # (n, start, groups)
+    occ: np.ndarray                             # occupation of every output row
+
+
+def _pair_layout(occ: np.ndarray, cutoff: int, ia: int, ib: int) -> _PairLayout:
+    """Group the kets ``occ`` for a splitter on columns (ia, ib)."""
+    sector = occ[:, ia] + occ[:, ib]
+    # sector first, so that groups come out ordered sector by sector
+    key = _pack_keys(np.column_stack([sector, np.delete(occ, [ia, ib], axis=1)]), cutoff)
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    group_sector = sector[first]
+    groups = np.bincount(group_sector, minlength=cutoff + 1)
+    sizes = groups * np.arange(1, cutoff + 2)
+    start = np.cumsum(sizes) - sizes
+    group_base = np.cumsum(groups) - groups          # first group of each sector
+    local = np.arange(first.shape[0]) - group_base[group_sector]
+    rows = start[sector] + occ[:, ia] * groups[sector] + local[group]
+    out = np.empty((int(sizes.sum()), occ.shape[1]), dtype=np.int64)
+    sectors = []
+    for n in np.flatnonzero(groups):
+        n, g, s0 = int(n), int(groups[n]), int(start[n])
+        block = out[s0:s0 + (n + 1) * g].reshape(n + 1, g, -1)
+        block[...] = occ[first[group_base[n]:group_base[n] + g]]
+        split = np.arange(n + 1)[:, None]
+        block[:, :, ia] = split
+        block[:, :, ib] = n - split
+        sectors.append((n, s0, g))
+    return _PairLayout(rows, tuple(sectors), out)
+
+
+def _mix(layout: _PairLayout, amps: np.ndarray) -> np.ndarray:
+    """Push an (N, K) block of ket amplitudes through the 50:50 splitter.
+
+    Returns the (R, K) amplitudes of the layout's output rows; each column
+    is one independent state (one phase setting).
+    """
+    k = amps.shape[1]
+    out = np.zeros((layout.occ.shape[0], k), dtype=np.complex128)
+    out[layout.rows] = amps
+    for n, s0, g in layout.sectors:
+        # the real sector matrix acts on the interleaved (re, im) pairs
+        block = out[s0:s0 + (n + 1) * g].view(np.float64).reshape(n + 1, 2 * g * k)
+        block[...] = _sector_matrix(n) @ block
+    return out
+
+
 def beamsplitter(state: AnyState, mode_a: str, mode_b: str):
     """Apply the 50:50 splitter to (mode_a, mode_b); outputs reuse the labels.
 
     mode_a carries the c output (symmetric combination on the ket side),
-    mode_b the d output.
+    mode_b the d output. This is the one-column case of the grouped-sector
+    kernel, followed by the usual prune and canonical sort.
     """
     if isinstance(state, MixedState):
         return state.map_components(lambda s: beamsplitter(s, mode_a, mode_b))
@@ -103,30 +176,12 @@ def beamsplitter(state: AnyState, mode_a: str, mode_b: str):
     ia, ib = layout.index(mode_a), layout.index(mode_b)
     if ia == ib:
         raise StateError("beamsplitter needs two distinct modes")
-    occ, amp = state._occ, state._amp
     # total-photon cutoff: the pair sector n = n_a + n_b never exceeds it,
     # so every output occupation stays representable
-    sector = occ[:, ia] + occ[:, ib]
-    k_in = occ[:, ia]
-    occ_chunks = []
-    amp_chunks = []
-    for n in np.unique(sector):
-        sel = sector == n
-        group_occ = occ[sel]
-        group_amp = amp[sel]
-        mat = _sector_matrix(int(n))          # (n+1, n+1)
-        out = mat[:, k_in[sel]] * group_amp[None, :]   # (n+1, G)
-        g = group_occ.shape[0]
-        rows = np.repeat(group_occ, n + 1, axis=0)
-        js = np.tile(np.arange(n + 1, dtype=np.int64), g)
-        rows[:, ia] = js
-        rows[:, ib] = n - js
-        occ_chunks.append(rows)
-        amp_chunks.append(out.T.ravel())
-    occ_out = np.vstack(occ_chunks)
-    amp_out = np.concatenate(amp_chunks)
-    occ_out, amp_out = _canonicalize(layout, occ_out, amp_out)
-    return MultiModeState._from_canonical(layout, occ_out, amp_out)
+    pairs = _pair_layout(state._occ, layout.cutoff, ia, ib)
+    amp = _mix(pairs, state._amp[:, None])[:, 0]
+    occ, amp = _canonicalize(layout, pairs.occ, amp)
+    return MultiModeState._from_canonical(layout, occ, amp)
 
 
 def epr_split_network(state: AnyState, input_mode: str = "a") -> AnyState:

@@ -249,3 +249,44 @@ def test_clip_rate_fails_on_nan():
 def test_epr_check_rejects_bad_tolerance(tol):
     with pytest.raises(StateError):
         epr_check(entangled("sum"), tol=tol)
+
+
+def test_clip_rate_scales_with_the_coincidence_total():
+    from eprsim.correlation import _clip_rate
+
+    # roundoff-sized negatives at a large total rate are clipped
+    assert _clip_rate(-1e-9, "cc", total=1e6) == 0.0
+    assert _clip_rate(-1e-13, "cd", total=1.0) == 0.0
+    # a real negative rate, or NaN, still raises at any total
+    with pytest.raises(EprSimError):
+        _clip_rate(-1e-3, "dc", total=1e6)
+    with pytest.raises(EprSimError):
+        _clip_rate(-1e-9, "dc", total=1.0)
+    with pytest.raises(EprSimError):
+        _clip_rate(math.nan, "dd", total=1e6)
+    with pytest.raises(EprSimError):
+        _clip_rate(0.0, "dd", total=math.nan)
+
+
+def test_evolution_backend_never_evaluates_input_moments(monkeypatch):
+    import eprsim.correlation as correlation
+    import eprsim.fock as fock
+    from eprsim import LOConfig, coherent_pair, homodyne_network_state
+
+    lo_state = homodyne_network_state(coherent_pair(0.5, 0.5), LOConfig(0.5, 0.5))
+    mixed = MixedState(((0.3, entangled("sum")), (0.7, random_four_mode(np.random.default_rng(8)))))
+    cases = [(state, amplitudes(state)) for state in (lo_state, mixed)]
+    setting = PhaseSetting(0.4, -1.1)
+    expected = [output_correlators(state, setting, backend="expansion") for state, _ in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the evolution backend evaluated an input moment")
+
+    monkeypatch.setattr(fock, "normal_moment", forbidden)
+    monkeypatch.setattr(correlation, "normal_moment", forbidden, raising=False)
+    monkeypatch.setattr(correlation, "_station_moments", forbidden)
+    for (state, amps), want in zip(cases, expected):
+        got = output_correlators(state, setting, backend="evolution")
+        for x, y in zip((got.cc, got.cd, got.dc, got.dd), (want.cc, want.cd, want.dc, want.dd)):
+            assert x == pytest.approx(y, abs=1e-12)
+        assert sinusoid_residual(state, grid_size=4, amps=amps) < 1e-12

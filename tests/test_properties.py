@@ -1,0 +1,160 @@
+"""Property tests for the grouped-sector optics and the one-pass moments.
+
+Random cutoff-3 four-mode states, pure and two-component mixtures, are
+drawn with small integer amplitude parts so that exact cancellations
+(Hong-Ou-Mandel-like zeros) occur as often as generic values. The
+references kept here are the implementations the fast paths replaced:
+ten ``normal_moment`` calls for the station moments and the
+repeat/unique splitter.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from eprsim import (
+    MixedState,
+    ModeLayout,
+    MultiModeState,
+    PhaseSetting,
+    ZeroCoincidence,
+    beamsplitter,
+    make_pure,
+    normal_moment,
+    output_correlators,
+)
+from eprsim.correlation import _evolution_rates, _station_moments
+from eprsim.fock import _canonicalize, _tuples_upto
+from eprsim.network import _sector_matrix
+
+STANDARD = ("a1", "b1", "a2", "b2")
+CUTOFF = 3
+OCCS = list(_tuples_upto(4, CUTOFF))
+parts = arrays(np.int64, (2, len(OCCS)), elements=st.integers(-3, 3))
+
+
+def _pure(layout, occs, re_im):
+    vec = re_im[0] + 1j * re_im[1]
+    return make_pure(layout, [(occ, a) for occ, a in zip(occs, vec) if a != 0])
+
+
+@st.composite
+def station_states(draw):
+    """A pure state on (a1, b1, a2, b2) at cutoff 3, or a two-component mixture."""
+    layout = ModeLayout(STANDARD, CUTOFF)
+    first = draw(parts.filter(lambda p: np.any(p != 0)))
+    if not draw(st.booleans()):
+        return _pure(layout, OCCS, first)
+    second = draw(parts.filter(lambda p: np.any(p != 0)))
+    w = draw(st.floats(0.05, 0.95))
+    return MixedState(((w, _pure(layout, OCCS, first)), (1.0 - w, _pure(layout, OCCS, second))))
+
+
+angles = st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+                  min_size=1, max_size=40)
+
+
+def _rates(corr):
+    return np.array([corr.cc, corr.cd, corr.dc, corr.dd])
+
+
+@settings(max_examples=60, deadline=None)
+@given(station_states(), angles)
+def test_batched_evolution_matches_single_settings_and_expansion(state, pairs):
+    theta1 = np.array([t1 for t1, _ in pairs])
+    theta2 = np.array([t2 for _, t2 in pairs])
+    batched = _evolution_rates(state, theta1, theta2)
+    assert np.all(batched >= 0.0)
+    for k, (t1, t2) in enumerate(pairs):
+        setting = PhaseSetting(t1, t2)
+        single = output_correlators(state, setting, backend="evolution")
+        expanded = output_correlators(state, setting, backend="expansion")
+        total = expanded.total
+        tol = 1e-12 * total
+        assert np.all(np.abs(batched[:, k] - _rates(single)) <= tol)
+        assert np.all(np.abs(_rates(single) - _rates(expanded)) <= tol)
+        for corr in (single, expanded):
+            assert min(corr.cc, corr.cd, corr.dc, corr.dd) >= 0.0
+            try:
+                e = corr.E()
+            except ZeroCoincidence:
+                continue
+            assert abs(e) <= 1.0
+
+
+def _reference_station_moments(state):
+    """The ten ``normal_moment`` calls the one-pass moments replaced."""
+    mm = lambda spec: normal_moment(state, spec)
+    return {
+        "ss": mm([("a1", 1, 1), ("a2", 1, 1)]) + mm([("a1", 1, 1), ("b2", 1, 1)])
+        + mm([("b1", 1, 1), ("a2", 1, 1)]) + mm([("b1", 1, 1), ("b2", 1, 1)]),
+        "m1": mm([("a1", 1, 0), ("b1", 0, 1), ("a2", 0, 1), ("b2", 1, 0)]),
+        "m2": mm([("a1", 1, 0), ("b1", 0, 1), ("a2", 1, 0), ("b2", 0, 1)]),
+        "s1d2": mm([("a1", 1, 1), ("a2", 1, 0), ("b2", 0, 1)])
+        + mm([("b1", 1, 1), ("a2", 1, 0), ("b2", 0, 1)]),
+        "d1s2": mm([("a1", 1, 0), ("b1", 0, 1), ("a2", 1, 1)])
+        + mm([("a1", 1, 0), ("b1", 0, 1), ("b2", 1, 1)]),
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(station_states())
+def test_one_pass_station_moments_match_normal_moments(state):
+    got = _station_moments(state)
+    want = _reference_station_moments(state)
+    assert set(got) == set(want)
+    for name in want:
+        assert abs(got[name] - want[name]) <= 1e-12, name
+
+
+def _reference_beamsplitter(state, mode_a, mode_b):
+    """The repeat/unique splitter the grouped-sector kernel replaced."""
+    layout = state.layout
+    ia, ib = layout.index(mode_a), layout.index(mode_b)
+    occ, amp = state._occ, state._amp
+    sector = occ[:, ia] + occ[:, ib]
+    k_in = occ[:, ia]
+    occ_chunks = []
+    amp_chunks = []
+    for n in np.unique(sector):
+        sel = sector == n
+        group_occ = occ[sel]
+        group_amp = amp[sel]
+        mat = _sector_matrix(int(n))
+        out = mat[:, k_in[sel]] * group_amp[None, :]
+        g = group_occ.shape[0]
+        rows = np.repeat(group_occ, n + 1, axis=0)
+        js = np.tile(np.arange(n + 1, dtype=np.int64), g)
+        rows[:, ia] = js
+        rows[:, ib] = n - js
+        occ_chunks.append(rows)
+        amp_chunks.append(out.T.ravel())
+    occ_out, amp_out = _canonicalize(layout, np.vstack(occ_chunks), np.concatenate(amp_chunks))
+    return MultiModeState._from_canonical(layout, occ_out, amp_out)
+
+
+@st.composite
+def splitter_cases(draw):
+    n_modes = draw(st.integers(2, 4))
+    cutoff = draw(st.integers(1, 5))
+    labels = tuple(f"m{i}" for i in range(n_modes))
+    occs = list(_tuples_upto(n_modes, cutoff))
+    re_im = draw(arrays(np.int64, (2, len(occs)), elements=st.integers(-3, 3))
+                 .filter(lambda p: np.any(p != 0)))
+    state = _pure(ModeLayout(labels, cutoff), occs, re_im)
+    mode_a, mode_b = draw(st.permutations(labels))[:2]
+    return state, mode_a, mode_b
+
+
+@settings(max_examples=80, deadline=None)
+@given(splitter_cases())
+def test_beamsplitter_matches_repeat_unique_reference(case):
+    state, mode_a, mode_b = case
+    got = beamsplitter(state, mode_a, mode_b).amplitudes()
+    want = _reference_beamsplitter(state, mode_a, mode_b).amplitudes()
+    # the two sum in different orders, so an amplitude at the pruning edge
+    # may be kept by one and dropped by the other
+    for occ in set(got) | set(want):
+        assert abs(got.get(occ, 0.0) - want.get(occ, 0.0)) <= 1e-14, occ
