@@ -13,9 +13,12 @@ fields,
 |a|^2 + |b|^2 >= 2|a b| forces a_k <= 1/2 for every such model, which the
 estimators here verify empirically with bootstrap standard errors.
 
-Sampling is chunked with per-chunk child seeds and compensated summation,
-so estimates are deterministic for a given seed and independent of chunk
-evaluation order.
+Sampling is chunked with per-chunk child seeds, and every later
+per-sample pass also goes one CHUNK at a time: a single pass forms the
+moment terms, their sums and the bootstrap group sums, and no per-sample
+temporary outlives its chunk. Each sum is math.fsum of exact per-CHUNK
+sums binned by exponent, so estimates are deterministic for a given seed
+and independent of evaluation order.
 
 The standard errors come from a stratified grouped bootstrap. Each stratum
 (a mixture component, or the whole ensemble) is cut into at most
@@ -112,39 +115,18 @@ class BoundReport:
     margin2: float
 
 
-def _thermal_field(rng: np.random.Generator, nbar: float, n: int) -> np.ndarray:
-    """Circular complex Gaussian with E|z|^2 = nbar."""
+def _thermal_field(rng: np.random.Generator, nbar: float, out: np.ndarray) -> None:
+    """Fill ``out`` with circular complex Gaussians, E|z|^2 = nbar.
+
+    The real parts are drawn first, then the imaginary parts, each scaled
+    straight into its view of ``out``; nbar = 0 draws nothing.
+    """
     if nbar == 0.0:
-        return np.zeros(n, dtype=np.complex128)
+        out[...] = 0.0
+        return
     sigma = math.sqrt(nbar / 2.0)
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return sigma * z
-
-
-def _gen_chunks(kind: str, params: dict, n: int, seed: int):
-    """Yield (alpha1, alpha2, beta1, beta2) chunk arrays, deterministically."""
-    start = 0
-    chunk_index = 0
-    while start < n:
-        size = min(CHUNK, n - start)
-        rng = np.random.default_rng([seed, chunk_index])
-        if kind == "thermal":
-            nbar = params["nbar"]
-            a1 = _thermal_field(rng, nbar, size)
-            a2 = _thermal_field(rng, nbar, size)
-            b1 = _thermal_field(rng, params.get("nbar_lo", nbar), size)
-            b2 = _thermal_field(rng, params.get("nbar_lo", nbar), size)
-        elif kind == "correlated_lo":
-            nbar = params["nbar"]
-            a1 = _thermal_field(rng, nbar, size)
-            a2 = _thermal_field(rng, nbar, size)
-            b1 = a1.copy()
-            b2 = a2.copy()
-        else:
-            raise StateError(f"unknown sampled ensemble kind {kind!r}")
-        yield a1, a2, b1, b2
-        start += size
-        chunk_index += 1
+    np.multiply(sigma, rng.standard_normal(out.shape[0]), out=out.real)
+    np.multiply(sigma, rng.standard_normal(out.shape[0]), out=out.imag)
 
 
 def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemble:
@@ -207,12 +189,19 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
             if key in params and not (math.isfinite(params[key]) and params[key] >= 0.0):
                 raise StateError(f"{key} must be finite and >= 0, got {params[key]!r}")
         fields = np.empty((4, n), dtype=np.complex128)
-        start = 0
-        for chunk in _gen_chunks(kind, params, n, seed):
-            stop = start + chunk[0].shape[0]
-            for row, arr in zip(fields, chunk):
-                row[start:stop] = arr
-            start = stop
+        nbar = params["nbar"]
+        nbar_lo = params.get("nbar_lo", nbar)
+        for index, start in enumerate(range(0, n, CHUNK)):
+            a1, a2, b1, b2 = fields[:, start : start + CHUNK]
+            rng = np.random.default_rng([seed, index])
+            _thermal_field(rng, nbar, a1)
+            _thermal_field(rng, nbar, a2)
+            if kind == "thermal":
+                _thermal_field(rng, nbar_lo, b1)
+                _thermal_field(rng, nbar_lo, b2)
+            else:
+                b1[...] = a1
+                b2[...] = a2
         return ClassicalEnsemble(
             weights=np.full(n, 1.0 / n),
             alpha1=fields[0],
@@ -225,59 +214,98 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
     raise StateError(f"unknown ensemble kind {kind!r}")
 
 
-def _moment_terms(e: ClassicalEnsemble):
-    """Per-sample numerator terms (both conjugations) and the denominator."""
-    num1 = np.conj(e.alpha1) * e.beta1 * e.alpha2 * np.conj(e.beta2)
-    num2 = np.conj(e.alpha1) * e.beta1 * np.conj(e.alpha2) * e.beta2
-    den = (np.abs(e.alpha1) ** 2 + np.abs(e.beta1) ** 2) * (
-        np.abs(e.alpha2) ** 2 + np.abs(e.beta2) ** 2
-    )
+def _moment_terms(e: ClassicalEnsemble, part: slice = slice(None)):
+    """Per-sample numerator terms (both conjugations) and the denominator.
+
+    ``part`` selects the samples; the default is all of them.
+    """
+    a1, a2, b1, b2 = e.alpha1[part], e.alpha2[part], e.beta1[part], e.beta2[part]
+    num1 = np.conj(a1) * b1 * a2 * np.conj(b2)
+    num2 = np.conj(a1) * b1 * np.conj(a2) * b2
+    den = (np.abs(a1) ** 2 + np.abs(b1) ** 2) * (np.abs(a2) ** 2 + np.abs(b2) ** 2)
     return num1, num2, den
 
 
+def _exact_sums(block: np.ndarray) -> list[float]:
+    """Correctly rounded sum of each row of a real (k, m) block, m <= CHUNK.
+
+    np.frexp writes each value as f * 2^e with 1/2 <= |f| < 1, so f * 2^27
+    splits exactly into an integer part below 2^27 in magnitude and a
+    fraction on a 2^-26 grid. Binned by row and exponent with np.bincount,
+    each part sums over at most 2^15 values to below 2^42 on its grid, which
+    float64 holds exactly. Scaled back by 2^(e-27), a bin sum keeps at most
+    42 significant bits and stays a multiple of 2^-1074, as every double is,
+    so it is exact for subnormal values too. math.fsum of the nonzero
+    scaled bin sums then rounds the exact row total once, so each result
+    equals math.fsum(row.tolist()) (Shewchuk, DCG 18, 1997; Neal,
+    arXiv:1505.05571). A block holding a value large enough for a scaled
+    bin sum to overflow (e > 1008), or a non-finite value, goes to
+    math.fsum.
+    """
+    mant, exp = np.frexp(block)
+    lo, hi = int(exp.min()), int(exp.max())
+    if hi <= 1008:
+        with np.errstate(invalid="ignore"):
+            mant *= 2.0**27
+            high = np.floor(mant)
+            mant -= high
+        k, span = block.shape[0], hi - lo + 1
+        bins = (exp + (span * np.arange(k) - lo)[:, None]).ravel()
+        highs = np.bincount(bins, high.ravel(), k * span).reshape(k, span)
+        fracs = np.bincount(bins, mant.ravel(), k * span).reshape(k, span)
+        if np.isfinite(highs).all() and np.isfinite(fracs).all():
+            scale = np.arange(lo - 27, hi - 26)
+            terms = np.hstack([np.ldexp(highs, scale), np.ldexp(fracs, scale)])
+            return [math.fsum(row[row != 0.0].tolist()) for row in terms]
+    return [math.fsum(row.tolist()) for row in block]
+
+
 def _chunked_fsum(values: np.ndarray) -> float:
-    """Order-independent compensated sum of a real array, CHUNK at a time."""
+    """Order-independent exact sum of a real array: fsum of the CHUNK sums."""
     return math.fsum(
-        math.fsum(values[start : start + CHUNK].tolist())
+        _exact_sums(values[None, start : start + CHUNK])[0]
         for start in range(0, values.shape[0], CHUNK)
     )
 
 
-def _weighted_fsum(weights: np.ndarray, values: np.ndarray) -> float:
-    """Order-independent compensated sum of weights * values (real)."""
-    return _chunked_fsum(weights * values)
-
-
-def _ratio_estimates(weights, num1, num2, den) -> tuple[float, float]:
-    d = _weighted_fsum(weights, den)
-    if d <= 0.0:
-        raise ZeroDenominator(f"intensity-product mean {d!r} is not positive")
-    m1 = complex(_weighted_fsum(weights, num1.real), _weighted_fsum(weights, num1.imag))
-    m2 = complex(_weighted_fsum(weights, num2.real), _weighted_fsum(weights, num2.imag))
-    return 2.0 * abs(m1) / d, 2.0 * abs(m2) / d
-
-
-def _group_sums(e: ClassicalEnsemble, num1, num2, den):
+def _group_sums(e: ClassicalEnsemble, num1, num2, den, start: int = 0, sums=None):
     """Per stratum, weighted sums of num1, num2 and den over contiguous groups.
 
     A stratum of size m is cut into min(BOOTSTRAP_GROUPS, m) groups of
     near-equal size; each group sum is reduced within the stratum's own
-    slice, so no group straddles two strata.
+    slice, so no group straddles two strata. The terms belong to samples
+    start .. start + len(den) and are added into ``sums`` (zeros when
+    None), so the samples may come a chunk at a time. A group cut by a
+    chunk boundary is then the sum of its two partial sums.
     """
-    groups = []
-    for start, stop in e.strata:
-        size = stop - start
-        g = min(BOOTSTRAP_GROUPS, size)
-        cuts = (np.arange(g) * size) // g
-        w = e.weights[start:stop]
-        groups.append(
-            tuple(np.add.reduceat(w * t[start:stop], cuts) for t in (num1, num2, den))
-        )
-    return groups
+    stop = start + den.shape[0]
+    if sums is None:
+        sums = [
+            (np.zeros(g, dtype=np.complex128), np.zeros(g, dtype=np.complex128), np.zeros(g))
+            for g in (min(BOOTSTRAP_GROUPS, b - a) for a, b in e.strata)
+        ]
+    for (first, last), stratum_sums in zip(e.strata, sums):
+        lo, hi = max(first, start), min(last, stop)
+        if lo >= hi:
+            continue
+        size, g = last - first, stratum_sums[2].shape[0]
+        cuts = first + (np.arange(g) * size) // g
+        i, j = np.searchsorted(cuts, lo, "right") - 1, np.searchsorted(cuts, hi)
+        local = np.maximum(cuts[i:j], lo) - lo
+        w = e.weights[lo:hi]
+        for acc, t in zip(stratum_sums, (num1, num2, den)):
+            acc[i:j] += np.add.reduceat(w * t[lo - start : hi - start], local)
+    return sums
 
 
 def estimate_amplitudes(e: ClassicalEnsemble) -> AmplitudeEstimate:
     """Moment-ratio estimates with stratified grouped bootstrap standard errors.
+
+    One pass over the samples, CHUNK at a time, forms the weighted moment
+    terms, sums den and the real and imaginary parts of num1 and num2
+    exactly, and adds the terms into the bootstrap group sums; no
+    per-sample array outlives its chunk. Terms that overflow float64 are a
+    StateError.
 
     Each of the BOOTSTRAP_RESAMPLES resamples draws, within every stratum,
     as many of its pre-summed groups as it has, with replacement, and takes
@@ -287,15 +315,32 @@ def estimate_amplitudes(e: ClassicalEnsemble) -> AmplitudeEstimate:
     and gets zero standard errors. The bootstrap is seeded from the
     ensemble seed, so the whole estimate is reproducible bit for bit.
     """
-    num1, num2, den = _moment_terms(e)
-    a1_hat, a2_hat = _ratio_estimates(e.weights, num1, num2, den)
+    chunk_sums = []
+    groups = None
+    for start in range(0, e.n, CHUNK):
+        part = slice(start, start + CHUNK)
+        w = e.weights[part]
+        with np.errstate(over="ignore", invalid="ignore"):
+            num1, num2, den = _moment_terms(e, part)
+            block = np.empty((5, den.shape[0]))
+            for row, t in zip(block, (den, num1.real, num1.imag, num2.real, num2.imag)):
+                np.multiply(w, t, out=row)
+            if not np.isfinite(block).all():
+                raise StateError("the field moments overflow float64")
+        chunk_sums.append(_exact_sums(block))
+        groups = _group_sums(e, num1, num2, den, start, groups)
+    d, re1, im1, re2, im2 = (math.fsum(sums) for sums in zip(*chunk_sums))
+    if d <= 0.0:
+        raise ZeroDenominator(f"intensity-product mean {d!r} is not positive")
+    a1_hat = 2.0 * abs(complex(re1, im1)) / d
+    a2_hat = 2.0 * abs(complex(re2, im2)) / d
     if all(stop - start == 1 for start, stop in e.strata):
         return AmplitudeEstimate(a1_hat, a2_hat, 0.0, 0.0, e.n, e.seed)
     rng = np.random.default_rng([e.seed, 0xB00])
     s1 = np.zeros(BOOTSTRAP_RESAMPLES, dtype=np.complex128)
     s2 = np.zeros(BOOTSTRAP_RESAMPLES, dtype=np.complex128)
     sd = np.zeros(BOOTSTRAP_RESAMPLES)
-    for g1, g2, gd in _group_sums(e, num1, num2, den):
+    for g1, g2, gd in groups:
         g = gd.shape[0]
         idx = rng.integers(0, g, size=(BOOTSTRAP_RESAMPLES, g))
         s1 += g1[idx].sum(axis=1)
@@ -327,11 +372,17 @@ def pointwise_margin(e: ClassicalEnsemble) -> float:
     """Worst-case margin of |a|^2 + |b|^2 >= 2|a b| over samples and stations.
 
     Mathematically the margin is (|a| - |b|)^2 >= 0; the returned value can
-    dip an ulp below zero only through rounding.
+    dip an ulp below zero only through rounding. Fields whose intensities
+    overflow float64 are a StateError.
     """
-    margins = []
-    for sig, lo in ((e.alpha1, e.beta1), (e.alpha2, e.beta2)):
-        lhs = np.abs(sig) ** 2 + np.abs(lo) ** 2
-        rhs = 2.0 * np.abs(sig) * np.abs(lo)
-        margins.append(float(np.min(lhs - rhs)))
-    return min(margins)
+    margin = math.inf
+    for start in range(0, e.n, CHUNK):
+        part = slice(start, start + CHUNK)
+        for sig, lo in ((e.alpha1, e.beta1), (e.alpha2, e.beta2)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                a, b = np.abs(sig[part]), np.abs(lo[part])
+                worst = float(np.min(a**2 + b**2 - 2.0 * a * b))
+            if not math.isfinite(worst):
+                raise StateError("the field intensities overflow float64")
+            margin = min(margin, worst)
+    return margin

@@ -184,14 +184,15 @@ class MultiModeState:
 def _canonicalize(layout: ModeLayout, occ: np.ndarray, amp: np.ndarray):
     """Sort by packed key, merge duplicates, prune negligible amplitudes."""
     keys = _pack_keys(occ, layout.cutoff)
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    if uniq.shape[0] != keys.shape[0]:
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         merged = np.zeros(uniq.shape[0], dtype=np.complex128)
         np.add.at(merged.real, inverse, amp.real)
         np.add.at(merged.imag, inverse, amp.imag)
         occ, amp = occ[first], merged
     else:
-        order = np.argsort(keys)
         occ, amp = occ[order], amp[order]
     keep = np.abs(amp) > PRUNE_TOL
     if not np.all(keep):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -205,3 +206,18 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["a1"] == 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("classical", "--kind", "delta", "--point", "1e200,1e200,1e200,1e200"),
+    ("classical", "--kind", "thermal", "--nbar", "1e160", "--samples", "1000"),
+])
+def test_overflowing_field_moments_fail_cleanly(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, *argv)
+    assert code == 1
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "StateError"
+    assert "overflow" in error["message"]
