@@ -57,6 +57,7 @@ from .homodyne import (
     coherence_functions,
     homodyne_network_state,
     optimal_lo,
+    signal_amplitudes,
 )
 from .inequalities import (
     BellMaxResult,

@@ -304,8 +304,9 @@ def estimate_amplitudes(e: ClassicalEnsemble) -> AmplitudeEstimate:
     One pass over the samples, CHUNK at a time, forms the weighted moment
     terms, sums den and the real and imaginary parts of num1 and num2
     exactly, and adds the terms into the bootstrap group sums; no
-    per-sample array outlives its chunk. Terms that overflow float64 are a
-    StateError.
+    per-sample array outlives its chunk. Terms that overflow float64, or
+    that underflow to a zero denominator although a weighted sample has a
+    field at both stations, are a StateError.
 
     Each of the BOOTSTRAP_RESAMPLES resamples draws, within every stratum,
     as many of its pre-summed groups as it has, with replacement, and takes
@@ -331,6 +332,9 @@ def estimate_amplitudes(e: ClassicalEnsemble) -> AmplitudeEstimate:
         groups = _group_sums(e, num1, num2, den, start, groups)
     d, re1, im1, re2, im2 = (math.fsum(sums) for sums in zip(*chunk_sums))
     if d <= 0.0:
+        lit = ((e.alpha1 != 0) | (e.beta1 != 0)) & ((e.alpha2 != 0) | (e.beta2 != 0))
+        if np.any(lit & (e.weights > 0)):
+            raise StateError("the field moments underflow float64")
         raise ZeroDenominator(f"intensity-product mean {d!r} is not positive")
     a1_hat = 2.0 * abs(complex(re1, im1)) / d
     a2_hat = 2.0 * abs(complex(re2, im2)) / d

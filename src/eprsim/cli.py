@@ -19,7 +19,6 @@ with a one-line JSON error document on stdout.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -27,13 +26,15 @@ from typing import Optional
 
 from . import correlation, homodyne, inequalities, zoo
 from .classical import bound_report, estimate_amplitudes, make_ensemble, pointwise_margin
-from .correlation import CorrelationAmplitudes
+from .correlation import STATION_MODES
 from .errors import EprSimError, StateError
-from .fock import ZERO_TOL, load_state, reorder
+from .fock import load_state, reorder
+from .homodyne import SIGNAL_MODES
 from .zoo import CatParams
 
-STANDARD_FOUR = ("a1", "b1", "a2", "b2")
-SIGNAL_TWO = ("a1", "a2")
+# figure3 shows each zoo state at the ``state`` defaults, but the cat twice
+# at alpha 0.5: Bell-violating at phi 0, on the classical triple point at pi/2
+FIGURE3_CATS = {"(phi=0)": (0.5, 0.0), "(phi=pi/2)": (0.5, math.pi / 2)}
 
 
 def _f9(x: float) -> float:
@@ -56,81 +57,41 @@ def _error_exit(exc: Exception) -> int:
     return 1
 
 
-def _amps_from_coherences(g: homodyne.CoherenceFunctions) -> CorrelationAmplitudes:
-    """Express the oscillator-measured amplitudes in the standard form.
-
-    With both oscillator phases at zero the interference moments are
-    proportional to g11 and g20, so the phase offsets are their arguments
-    and the denominator convention 2|m| / den is kept with den = 2.
-    """
-    a1, a2 = homodyne.amplitudes_from_g(g)
-    xi = cmath.phase(g.g11) if abs(g.g11) > ZERO_TOL else 0.0
-    zeta = cmath.phase(g.g20) if abs(g.g20) > ZERO_TOL else 0.0
-    return CorrelationAmplitudes(
-        a1=a1,
-        a2=a2,
-        xi=xi,
-        zeta=zeta,
-        m1=a1 * cmath.exp(1j * xi),
-        m2=a2 * cmath.exp(1j * zeta),
-        denominator=2.0,
-    )
-
-
-def _resolve_state(args) -> tuple[str, object, str]:
-    """Return (name, state, kind) with kind 'four' or 'two'."""
-    source = args.source
-    if source == "entangled-sum":
-        return source, zoo.entangled("sum"), "four"
-    if source == "entangled-diff":
-        return source, zoo.entangled("diff"), "four"
-    if source == "two-photon":
-        return source, zoo.two_photon(), "four"
-    if source == "coherent":
-        alpha2 = args.alpha if args.alpha2 is None else args.alpha2
-        return source, zoo.coherent_pair(args.alpha, alpha2, cutoff=args.cutoff), "two"
-    if source == "split-photon":
-        return source, zoo.split_single_photon(), "two"
-    if source == "split-cat":
-        return source, zoo.split_cat(CatParams(args.alpha, args.phi), cutoff=args.cutoff), "two"
+def _resolve_state(args):
+    """The zoo state named by ``args.source``, or the state file at that path
+    put in station or signal mode order."""
+    build = zoo.ZOO.get(args.source)
+    if build is not None:
+        return build(alpha=args.alpha, alpha2=args.alpha2, phi=args.phi, cutoff=args.cutoff)
     try:
-        state = load_state(source)
+        state = load_state(args.source)
     except FileNotFoundError:
         raise StateError(
-            f"unknown state source {source!r}: not a zoo name "
+            f"unknown state source {args.source!r}: not a zoo name "
             f"({', '.join(zoo.ZOO_NAMES)}) and no such file"
         ) from None
     labels = state.layout.labels
-    if sorted(labels) == sorted(STANDARD_FOUR):
-        return source, reorder(state, STANDARD_FOUR), "four"
-    if sorted(labels) == sorted(SIGNAL_TWO):
-        return source, reorder(state, SIGNAL_TWO), "two"
+    for modes in (STATION_MODES, SIGNAL_MODES):
+        if sorted(labels) == sorted(modes):
+            return reorder(state, modes)
     raise StateError(
-        f"state file modes {labels} must be {SIGNAL_TWO} or {STANDARD_FOUR}"
+        f"state file modes {labels} must be {SIGNAL_MODES} or {STATION_MODES}"
     )
 
 
-def _analyze(state, kind: str, tol: float) -> dict:
-    if kind == "four":
+def _assess(state):
+    """Amplitudes, Bell maximum and bound report of a station or signal state."""
+    if state.layout.labels == STATION_MODES:
         amps = correlation.amplitudes(state)
-        epr = correlation.epr_check(state, tol=tol)
-        is_epr = epr.is_epr
-        witness = None
-        if epr.witness is not None:
-            total = epr.witness.total
-            witness = {
-                "cd_fraction": _f9(epr.witness.cd / total),
-                "dc_fraction": _f9(epr.witness.dc / total),
-                "theta1": _f9(epr.phases.theta1),
-                "theta2": _f9(epr.phases.theta2),
-            }
     else:
-        g = homodyne.coherence_functions(state)
-        amps = _amps_from_coherences(g)
-        is_epr = correlation.epr_holds(amps, tol)
-        witness = None
+        amps = homodyne.signal_amplitudes(state)
     best = inequalities.bell_max(amps)
-    report = inequalities.classify(amps, best.b_max)
+    return amps, best, inequalities.classify(amps, best.b_max)
+
+
+def _analyze(state, tol: float) -> dict:
+    amps, best, report = _assess(state)
+    is_epr = correlation.epr_holds(amps, tol)
     doc = {
         "a1": _f9(amps.a1),
         "a2": _f9(amps.a2),
@@ -151,52 +112,44 @@ def _analyze(state, kind: str, tol: float) -> dict:
             "quantum": _f9(report.quantum_margin),
         },
     }
-    if witness is not None:
-        doc["epr_witness"] = witness
+    if is_epr and state.layout.labels == STATION_MODES:
+        # the four-mode network also shows the cross coincidences vanish
+        epr = correlation.epr_check(state, tol=tol)
+        total = epr.witness.total
+        doc["epr_witness"] = {
+            "cd_fraction": _f9(epr.witness.cd / total),
+            "dc_fraction": _f9(epr.witness.dc / total),
+            "theta1": _f9(epr.phases.theta1),
+            "theta2": _f9(epr.phases.theta2),
+        }
     return doc
 
 
 def cmd_state(args) -> int:
-    name, state, kind = _resolve_state(args)
-    doc = {"source": name, **_analyze(state, kind, args.tol)}
+    doc = {"source": args.source, **_analyze(_resolve_state(args), args.tol)}
     if args.format == "json":
         _print_json(doc)
     else:
-        lines = ["field,value"]
-        flat = dict(doc)
-        margins = flat.pop("margins", {})
-        witness = flat.pop("epr_witness", None)
-        for key, val in flat.items():
-            lines.append(f"{key},{_c6(val) if isinstance(val, float) else val}")
-        for key, val in margins.items():
-            lines.append(f"margin_{key},{_c6(val)}")
-        if witness:
-            for key, val in witness.items():
-                lines.append(f"witness_{key},{_c6(val)}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        # nested blocks go last, their keys prefixed
+        nested = {"margins": "margin_", "epr_witness": "witness_"}
+        rows = [(key, val) for key, val in doc.items() if key not in nested]
+        for block, prefix in nested.items():
+            rows += [(prefix + key, val) for key, val in doc.get(block, {}).items()]
+        lines = [f"{key},{_c6(val) if isinstance(val, float) else val}" for key, val in rows]
+        sys.stdout.write("\n".join(["field,value"] + lines) + "\n")
     return 0
 
 
 def _zoo_points(cutoff: Optional[int]) -> list[tuple[str, float, float]]:
-    """(curve_id, a1, a2) for every example state, region in the id."""
-    entries = [
-        ("entangled-sum", zoo.entangled("sum"), "four"),
-        ("entangled-diff", zoo.entangled("diff"), "four"),
-        ("two-photon", zoo.two_photon(), "four"),
-        ("coherent", zoo.coherent_pair(1.0, 1.0, cutoff=cutoff), "two"),
-        ("split-photon", zoo.split_single_photon(), "two"),
-        ("split-cat(phi=0)", zoo.split_cat(CatParams(0.5, 0.0), cutoff=cutoff), "two"),
-        ("split-cat(phi=pi/2)", zoo.split_cat(CatParams(0.5, math.pi / 2), cutoff=cutoff), "two"),
-    ]
+    """(curve_id, a1, a2) for every zoo state, region in the id.
+
+    """
     rows = []
-    for name, state, kind in entries:
-        if kind == "four":
-            amps = correlation.amplitudes(state)
-        else:
-            amps = _amps_from_coherences(homodyne.coherence_functions(state))
-        best = inequalities.bell_max(amps)
-        region = inequalities.classify(amps, best.b_max).region
-        rows.append((f"state:{name}:{region}", amps.a1, amps.a2))
+    for name, build in zoo.ZOO.items():
+        points = FIGURE3_CATS if name == "split-cat" else {"": (1.0, 0.0)}
+        for suffix, (alpha, phi) in points.items():
+            amps, _, report = _assess(build(alpha=alpha, alpha2=None, phi=phi, cutoff=cutoff))
+            rows.append((f"state:{name}{suffix}:{report.region}", amps.a1, amps.a2))
     return rows
 
 
@@ -249,25 +202,12 @@ def cmd_sweep_cat(args) -> int:
     for alpha in alphas:
         for phi in phis:
             params = CatParams(alpha, phi)
-            state = zoo.split_cat(params, cutoff=args.cutoff)
-            amps = _amps_from_coherences(homodyne.coherence_functions(state))
+            amps = homodyne.signal_amplitudes(zoo.split_cat(params, cutoff=args.cutoff))
             pred = zoo.cat_predictions(params)
             best = inequalities.bell_max(amps)
             b_formula = 2.0 * math.sqrt(2.0) * math.sqrt(pred.sum_sq)
-            lines.append(
-                ",".join(
-                    [
-                        _c6(alpha),
-                        _c6(phi),
-                        _c6(amps.a1),
-                        _c6(pred.a1),
-                        _c6(amps.a2),
-                        _c6(pred.a2),
-                        _c6(best.b_max),
-                        _c6(b_formula),
-                    ]
-                )
-            )
+            row = (alpha, phi, amps.a1, pred.a1, amps.a2, pred.a2, best.b_max, b_formula)
+            lines.append(",".join(map(_c6, row)))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

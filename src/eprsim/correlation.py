@@ -41,8 +41,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import EprSimError, StateError, ZeroCoincidence
-from .fock import PRUNE_TOL, ZERO_TOL, AnyState, MixedState, _key_strides
-from .network import PhaseSetting, _mix, _pair_layout
+from .fock import PRUNE_TOL, ZERO_TOL, AnyState, _find, _key_strides, per_component, require_modes
+from .network import STATION_MODES, PhaseSetting, _mix, _pair_layout
 
 NEGATIVE_RATE_TOL = 1e-12   # relative to the coincidence total
 SETTINGS_BLOCK = 16         # phase settings pushed through the optics together
@@ -61,13 +61,12 @@ __all__ = [
     "STATION_MODES",
 ]
 
-STATION_MODES = ("a1", "b1", "a2", "b2")
+MOMENTS = ("ss", "m1", "m2", "s1d2", "d1s2")
 
 
-def _require_station_layout(state: AnyState) -> None:
-    labels = state.layout.labels
-    if labels != STATION_MODES:
-        raise StateError(f"state must live on modes {STATION_MODES} in order, got {labels}")
+def _phase(m: complex) -> float:
+    """arg m, or 0 for a vanishing moment, whose cosine has no amplitude."""
+    return cmath.phase(m) if abs(m) > ZERO_TOL else 0.0
 
 
 def _clip_rate(value: float, name: str, total: float = 1.0) -> float:
@@ -168,9 +167,12 @@ def _station_moments(state: AnyState) -> dict[str, complex]:
     weight are searched, and for those the shifted occupation is a valid
     one (photon number is conserved), so the shifted key is exact.
     """
-    if isinstance(state, MixedState):
-        parts = [(w, _station_moments(s)) for w, s in state.components]
-        return {name: complex(sum(w * mom[name] for w, mom in parts)) for name in parts[0][1]}
+    return dict(zip(MOMENTS, _moment_vector(state).tolist()))
+
+
+@per_component(average=True)
+def _moment_vector(state: AnyState) -> np.ndarray:
+    """The moments of ``_station_moments`` of a pure state, in ``MOMENTS`` order."""
     keys, amp = state._keys, state._amp
     a1, b1, a2, b2 = state._occ.T.astype(np.float64)
     strides = _key_strides(4, state.layout.cutoff)
@@ -178,20 +180,20 @@ def _station_moments(state: AnyState) -> dict[str, complex]:
     def shifted(delta, weight) -> complex:
         live = weight > 0.0
         target = keys[live] + int(np.dot(delta, strides))
-        pos = np.minimum(np.searchsorted(keys, target), keys.shape[0] - 1)
-        hit = keys[pos] == target
+        pos, hit = _find(keys, target)
         return complex(np.sum(np.conj(amp[pos[hit]]) * weight[live][hit] * amp[live][hit]))
 
     s1, s2 = a1 + b1, a2 + b2
-    return {
-        "ss": complex(np.sum((amp.real ** 2 + amp.imag ** 2) * s1 * s2)),
-        "m1": shifted((1, -1, -1, 1), np.sqrt((a1 + 1) * b1 * a2 * (b2 + 1))),
-        "m2": shifted((1, -1, 1, -1), np.sqrt((a1 + 1) * b1 * (a2 + 1) * b2)),
-        "s1d2": shifted((0, 0, 1, -1), s1 * np.sqrt((a2 + 1) * b2)),
-        "d1s2": shifted((1, -1, 0, 0), s2 * np.sqrt((a1 + 1) * b1)),
-    }
+    return np.array([
+        complex(np.sum((amp.real ** 2 + amp.imag ** 2) * s1 * s2)),
+        shifted((1, -1, -1, 1), np.sqrt((a1 + 1) * b1 * a2 * (b2 + 1))),
+        shifted((1, -1, 1, -1), np.sqrt((a1 + 1) * b1 * (a2 + 1) * b2)),
+        shifted((0, 0, 1, -1), s1 * np.sqrt((a2 + 1) * b2)),
+        shifted((1, -1, 0, 0), s2 * np.sqrt((a1 + 1) * b1)),
+    ])
 
 
+@per_component(average=True)
 def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
     """Rates (cc, cd, dc, dd) x K settings from the analyzer optics.
 
@@ -202,8 +204,6 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
     c = a and d = b after each splitter. Mixtures are weighted per
     component.
     """
-    if isinstance(state, MixedState):
-        return sum(w * _evolution_rates(s, theta1, theta2) for w, s in state.components)
     occ, cutoff = state._occ, state.layout.cutoff
     station1 = _pair_layout(occ, cutoff, 0, 1)            # a1, b1 -> c1, d1
     station2 = _pair_layout(station1.occ, cutoff, 2, 3)   # a2, b2 -> c2, d2
@@ -227,7 +227,7 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
 
 def output_correlators(state: AnyState, setting: PhaseSetting, backend: str = "expansion") -> OutputCorrelators:
     """Coincidence rates <n_x1 n_x2> for the four output pairings."""
-    _require_station_layout(state)
+    require_modes(state, STATION_MODES, "state")
     t1, t2 = float(setting.theta1), float(setting.theta2)
     if backend == "expansion":
         mom = _station_moments(state)
@@ -256,7 +256,7 @@ def correlation_E(state: AnyState, setting: PhaseSetting, backend: str = "expans
 
 def amplitudes(state: AnyState) -> CorrelationAmplitudes:
     """Extract (A1, A2, xi, zeta) from the state's input moments."""
-    _require_station_layout(state)
+    require_modes(state, STATION_MODES, "state")
     mom = _station_moments(state)
     den = mom["ss"].real
     if den <= ZERO_TOL:
@@ -264,13 +264,11 @@ def amplitudes(state: AnyState) -> CorrelationAmplitudes:
             f"coincidence denominator <(n_a1+n_b1)(n_a2+n_b2)> = {den!r} below {ZERO_TOL}"
         )
     m1, m2 = mom["m1"], mom["m2"]
-    xi = cmath.phase(m1) if abs(m1) > ZERO_TOL else 0.0
-    zeta = cmath.phase(m2) if abs(m2) > ZERO_TOL else 0.0
     return CorrelationAmplitudes(
         a1=2.0 * abs(m1) / den,
         a2=2.0 * abs(m2) / den,
-        xi=xi,
-        zeta=zeta,
+        xi=_phase(m1),
+        zeta=_phase(m2),
         m1=m1,
         m2=m2,
         denominator=den,
@@ -295,7 +293,7 @@ def sinusoid_residual(state: AnyState, grid_size: int = 8,
     """
     if grid_size < 4:
         raise StateError("sinusoid_residual needs grid_size >= 4")
-    _require_station_layout(state)
+    require_modes(state, STATION_MODES, "state")
     if amps is None:
         amps = amplitudes(state)
     steps = 2.0 * math.pi * np.arange(grid_size) / grid_size

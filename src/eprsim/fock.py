@@ -21,6 +21,7 @@ Conventions
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from .errors import (
 
 NORM_TOL = 1e-9     # relative tolerance on Sum |amplitude|^2 = 1
 PRUNE_TOL = 1e-15   # amplitudes below this are dropped from storage
-TAIL_TOL = 1e-12    # maximum truncated probability mass for coherent states
+TAIL_TOL = 1e-12    # maximum probability mass a truncated builder may discard
 ZERO_TOL = 1e-12    # moments and rates at or below this are treated as zero
 
 __all__ = [
@@ -102,6 +103,12 @@ def _key_strides(n_modes: int, cutoff: int) -> np.ndarray:
 def _pack_keys(occ: np.ndarray, cutoff: int) -> np.ndarray:
     """Encode occupation rows as single integers (base cutoff+1)."""
     return occ.astype(np.int64) @ _key_strides(occ.shape[1], cutoff)
+
+
+def _find(keys: np.ndarray, targets):
+    """Positions of ``targets`` in the sorted ``keys``, and which are there."""
+    pos = np.minimum(np.searchsorted(keys, targets), keys.shape[0] - 1)
+    return pos, keys[pos] == targets
 
 
 class MultiModeState:
@@ -169,10 +176,8 @@ class MultiModeState:
 
     def amplitude(self, occ: Sequence[int]) -> complex:
         key = _pack_keys(np.array([occ], dtype=np.int64), self.layout.cutoff)[0]
-        pos = np.searchsorted(self._keys, key)
-        if pos < self._keys.shape[0] and self._keys[pos] == key:
-            return complex(self._amp[pos])
-        return 0.0 + 0.0j
+        pos, hit = _find(self._keys, key)
+        return complex(self._amp[pos]) if hit else 0.0 + 0.0j
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self._amp) ** 2))
@@ -240,6 +245,34 @@ class MixedState:
 AnyState = Union[MultiModeState, MixedState]
 
 
+def per_component(fn=None, *, average: bool = False):
+    """Decorator: extend a function of a pure state (its first argument) to
+    mixtures, one component at a time.
+
+    A map of states sends a mixture to the mixture of the images with the
+    same weights. With ``average`` ``fn`` is a linear functional, and a
+    mixture gives the weighted sum ``sum(w * fn(s))`` in component order.
+    """
+    if fn is None:
+        return functools.partial(per_component, average=average)
+
+    @functools.wraps(fn)
+    def extended(state, *args, **kwargs):
+        if not isinstance(state, MixedState):
+            return fn(state, *args, **kwargs)
+        if average:
+            return sum(w * fn(s, *args, **kwargs) for w, s in state.components)
+        return state.map_components(lambda s: fn(s, *args, **kwargs))
+
+    return extended
+
+
+def require_modes(state: AnyState, modes: tuple[str, ...], role: str) -> None:
+    """Raise StateError unless ``state`` lives on exactly ``modes``, in order."""
+    if state.layout.labels != modes:
+        raise StateError(f"{role} must live on modes {modes} in order, got {state.layout.labels}")
+
+
 @dataclass(frozen=True)
 class MomentSpec:
     """Normally ordered moment: per-mode creation/annihilation exponents."""
@@ -300,56 +333,55 @@ def coherent_cutoff(alpha_mag: float) -> int:
     return math.ceil(size)
 
 
-def _poisson_tail(lam: float, cutoff: int) -> float:
-    """Exact truncated-tail mass P(n > cutoff) for a Poisson(lam)."""
-    if lam == 0.0:
-        return 0.0
-    term = math.exp(-lam)
-    total = 0.0
-    for n in range(cutoff + 1):
-        total += term
-        term *= lam / (n + 1)
-    return max(0.0, 1.0 - total)
+def _ladder(alpha: complex, cutoff: int, start: float = 1.0) -> np.ndarray:
+    """start * alpha^n / sqrt(n!) for n = 0 .. cutoff.
+
+    Built by the recursion l_n = l_{n-1} alpha / sqrt(n), so neither
+    alpha^n nor n! is ever formed on its own.
+    """
+    lad = np.empty(cutoff + 1, dtype=np.complex128)
+    lad[0] = start
+    for n in range(1, cutoff + 1):
+        lad[n] = lad[n - 1] * alpha / math.sqrt(n)
+    return lad
+
+
+def _check_tail(mass: float, cutoff: int, alpha_mag: float, what: str) -> None:
+    """Raise CutoffError unless the kept probability ``mass`` of a truncated
+    state of coherent amplitude ``alpha_mag`` leaves a tail of at most
+    TAIL_TOL. A NaN mass fails."""
+    tail = 1.0 - mass
+    if not tail <= TAIL_TOL:
+        raise CutoffError(
+            f"cutoff {cutoff} leaves {what} tail {tail:.3e} > {TAIL_TOL}; "
+            f"need >= {coherent_cutoff(alpha_mag)}"
+        )
 
 
 def make_coherent(layout: ModeLayout, alphas: Sequence[complex]) -> MultiModeState:
     """Truncated multimode coherent state, renormalized.
 
-    The truncation requirement is enforced on the exact Poisson tail of the
-    total photon number (mean = sum |alpha_i|^2), not just the sizing rule
-    in ``coherent_cutoff``.
+    The truncation requirement is enforced on the exact truncated mass
+    e^{-lam} sum |prod_m alpha_m^{n_m} / sqrt(n_m!)|^2 of the total photon
+    number (lam = sum |alpha_i|^2), not just the sizing rule in
+    ``coherent_cutoff``.
     """
     if len(alphas) != layout.n_modes:
         raise StateError(f"{len(alphas)} amplitudes for {layout.n_modes} modes")
     alphas = [complex(a) for a in alphas]
     if not all(cmath.isfinite(a) for a in alphas):
         raise StateError(f"coherent amplitudes must be finite, got {alphas}")
-    lam = math.fsum(abs(a) ** 2 for a in alphas)
-    tail = _poisson_tail(lam, layout.cutoff)
-    if tail > TAIL_TOL:
-        raise CutoffError(
-            f"cutoff {layout.cutoff} leaves Poisson tail {tail:.3e} > {TAIL_TOL} "
-            f"for total coherent mean {lam:.3f}; need >= {coherent_cutoff(math.sqrt(lam))}"
-        )
-    # per-mode ladders alpha^n / sqrt(n!)
-    ladders = []
-    for a in alphas:
-        lad = np.empty(layout.cutoff + 1, dtype=np.complex128)
-        lad[0] = 1.0
-        for n in range(1, layout.cutoff + 1):
-            lad[n] = lad[n - 1] * a / math.sqrt(n)
-        ladders.append(lad)
-    occ_rows = []
-    amp_rows = []
-    for tup in _tuples_upto(layout.n_modes, layout.cutoff):
-        val = 1.0 + 0.0j
-        for m, n in enumerate(tup):
-            val *= ladders[m][n]
-        occ_rows.append(tup)
-        amp_rows.append(val)
-    occ = np.array(occ_rows, dtype=np.int64)
-    amp = np.array(amp_rows, dtype=np.complex128)
-    amp /= math.sqrt(float(np.sum(np.abs(amp) ** 2)))
+    ladders = [_ladder(a, layout.cutoff) for a in alphas]
+    occ = list(_tuples_upto(layout.n_modes, layout.cutoff))
+    amp = np.array(
+        [math.prod((lad[n] for lad, n in zip(ladders, tup)), start=1.0 + 0.0j) for tup in occ],
+        dtype=np.complex128,
+    )
+    occ = np.array(occ, dtype=np.int64)
+    norm_sq = float(np.sum(np.abs(amp) ** 2))
+    lam = math.fsum(abs(a) * abs(a) for a in alphas)
+    _check_tail(math.exp(-lam) * norm_sq, layout.cutoff, math.sqrt(lam), "coherent-state")
+    amp /= math.sqrt(norm_sq)
     occ, amp = _canonicalize(layout, occ, amp)
     return MultiModeState._from_canonical(layout, occ, amp)
 
@@ -406,9 +438,7 @@ def inner_product(s1: MultiModeState, s2: MultiModeState) -> complex:
     """<s1|s2> via the canonical sorted keys."""
     if s1.layout != s2.layout:
         raise StateError("inner product needs identical layouts")
-    pos = np.searchsorted(s1._keys, s2._keys)
-    pos = np.clip(pos, 0, s1._keys.shape[0] - 1)
-    hit = s1._keys[pos] == s2._keys
+    pos, hit = _find(s1._keys, s2._keys)
     return complex(np.sum(np.conj(s1._amp[pos[hit]]) * s2._amp[hit]))
 
 
@@ -424,11 +454,10 @@ def _falling(n: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+@per_component(average=True)
 def normal_moment(state: AnyState, spec) -> complex:
     """<prod_m (a_m^dag)^p_m (a_m)^q_m>, exact on the truncated space."""
     spec = MomentSpec.coerce(spec)
-    if isinstance(state, MixedState):
-        return complex(sum(w * normal_moment(s, spec) for w, s in state.components))
     layout = state.layout
     n_modes = layout.n_modes
     pvec = np.zeros(n_modes, dtype=np.int64)
@@ -454,10 +483,7 @@ def normal_moment(state: AnyState, spec) -> complex:
         coeff *= _falling(occ_k[:, col], q)
         coeff *= _falling(target[:, col], p)
     coeff = np.sqrt(coeff)
-    keys = _pack_keys(target, layout.cutoff)
-    pos = np.searchsorted(state._keys, keys)
-    pos = np.clip(pos, 0, state._keys.shape[0] - 1)
-    hit = state._keys[pos] == keys
+    pos, hit = _find(state._keys, _pack_keys(target, layout.cutoff))
     if not np.any(hit):
         return 0.0 + 0.0j
     return complex(np.sum(np.conj(state._amp[pos[hit]]) * coeff[hit] * amp_k[hit]))

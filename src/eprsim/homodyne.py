@@ -14,27 +14,31 @@ and, at the oscillator amplitudes maximizing the correlation
 
     A1 = |g11| / (1 + sqrt(g22)),   A2 = |g20| / (1 + sqrt(g22)).
 
-``homodyne_network_state`` builds the explicit four-mode state so the
-closed form can be cross-checked against the full network correlators.
+``signal_amplitudes`` expresses these in the standard (A1, A2, xi, zeta)
+form, and ``homodyne_network_state`` builds the explicit four-mode state
+so the closed form can be cross-checked against the full network
+correlators.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .correlation import STATION_MODES, CorrelationAmplitudes, _phase
 from .errors import DegenerateLO, StateError, ZeroIntensity
 from .fock import (
     AnyState,
-    MixedState,
     ModeLayout,
-    MultiModeState,
     ZERO_TOL,
     coherent_cutoff,
     make_coherent,
     normal_moment,
+    per_component,
     reorder,
+    require_modes,
     tensor,
 )
 
@@ -44,7 +48,9 @@ __all__ = [
     "coherence_functions",
     "optimal_lo",
     "amplitudes_from_g",
+    "signal_amplitudes",
     "homodyne_network_state",
+    "SIGNAL_MODES",
 ]
 
 SIGNAL_MODES = ("a1", "a2")
@@ -75,24 +81,24 @@ class LOConfig:
             raise StateError("oscillator amplitudes must be nonnegative")
 
 
-def _check_signal(state: AnyState) -> None:
-    labels = state.layout.labels
-    if labels != SIGNAL_MODES:
-        raise StateError(f"signal state must live on modes {SIGNAL_MODES}, got {labels}")
-
-
-def coherence_functions(state: AnyState) -> CoherenceFunctions:
-    """Normalized first/second order cross-coherences of the signal arms."""
-    _check_signal(state)
+def _intensities(state: AnyState) -> tuple[float, float, float]:
+    """<n1>, <n2> and <a1^dag a2^dag a2 a1> of a signal state; both means
+    must be nonzero."""
+    require_modes(state, SIGNAL_MODES, "signal state")
     n1 = normal_moment(state, [("a1", 1, 1)]).real
     n2 = normal_moment(state, [("a2", 1, 1)]).real
     if n1 <= ZERO_TOL or n2 <= ZERO_TOL:
         raise ZeroIntensity(f"mean photon numbers ({n1!r}, {n2!r}) too small to normalize")
+    return n1, n2, normal_moment(state, [("a1", 1, 1), ("a2", 1, 1)]).real
+
+
+def coherence_functions(state: AnyState) -> CoherenceFunctions:
+    """Normalized first/second order cross-coherences of the signal arms."""
+    n1, n2, nn = _intensities(state)
     scale = math.sqrt(n1 * n2)
     g11 = normal_moment(state, [("a1", 1, 0), ("a2", 0, 1)]) / scale
     g20 = normal_moment(state, [("a1", 1, 0), ("a2", 1, 0)]) / scale
-    g22 = normal_moment(state, [("a1", 1, 1), ("a2", 1, 1)]).real / (n1 * n2)
-    return CoherenceFunctions(g11=g11, g20=g20, g22=max(0.0, g22))
+    return CoherenceFunctions(g11=g11, g20=g20, g22=max(0.0, nn / (n1 * n2)))
 
 
 def optimal_lo(state: AnyState) -> tuple[float, float]:
@@ -100,28 +106,31 @@ def optimal_lo(state: AnyState) -> tuple[float, float]:
 
     beta1 * beta2 = sqrt(<n1 n2>) and beta1 / beta2 = sqrt(<n1> / <n2>).
     """
-    _check_signal(state)
-    n1 = normal_moment(state, [("a1", 1, 1)]).real
-    n2 = normal_moment(state, [("a2", 1, 1)]).real
-    if n1 <= ZERO_TOL or n2 <= ZERO_TOL:
-        raise ZeroIntensity(f"mean photon numbers ({n1!r}, {n2!r}) too small")
-    nn = normal_moment(state, [("a1", 1, 1), ("a2", 1, 1)]).real
+    n1, n2, nn = _intensities(state)
     if nn <= ZERO_TOL:
         raise DegenerateLO(
             f"<n1 n2> = {nn!r}: optimal oscillator amplitudes vanish "
             "(single shared photon between the arms)"
         )
-    prod = math.sqrt(nn)
-    ratio = math.sqrt(n1 / n2)
-    beta1 = math.sqrt(prod * ratio)
-    beta2 = math.sqrt(prod / ratio)
-    return beta1, beta2
+    prod, ratio = math.sqrt(nn), math.sqrt(n1 / n2)
+    return math.sqrt(prod * ratio), math.sqrt(prod / ratio)
 
 
 def amplitudes_from_g(g: CoherenceFunctions) -> tuple[float, float]:
     """Correlation amplitudes at the optimal oscillator setting."""
     denom = 1.0 + math.sqrt(g.g22)
     return abs(g.g11) / denom, abs(g.g20) / denom
+
+
+def signal_amplitudes(state: AnyState) -> CorrelationAmplitudes:
+    """The oscillator-measured amplitudes of a signal state in the standard form.
+
+    With both oscillator phases at zero the interference moments are
+    proportional to g11 and g20, so the phase offsets are their arguments;
+    m1, m2 and the denominator take the bare-pair convention, den = 2.
+    """
+    g = coherence_functions(state)
+    return CorrelationAmplitudes(*amplitudes_from_g(g), _phase(g.g11), _phase(g.g20))
 
 
 def homodyne_network_state(
@@ -133,19 +142,11 @@ def homodyne_network_state(
     defaults to the sizing rule for the combined amplitude
     sqrt(beta1^2 + beta2^2).
     """
-    _check_signal(state)
-    lam = math.sqrt(lo.beta1 ** 2 + lo.beta2 ** 2)
+    require_modes(state, SIGNAL_MODES, "signal state")
     if lo_cutoff is None:
-        lo_cutoff = coherent_cutoff(lam)
+        lo_cutoff = coherent_cutoff(math.hypot(lo.beta1, lo.beta2))
     lo_pair = make_coherent(
         ModeLayout(("b1", "b2"), lo_cutoff),
-        [
-            lo.beta1 * complex(math.cos(lo.theta1), math.sin(lo.theta1)),
-            lo.beta2 * complex(math.cos(lo.theta2), math.sin(lo.theta2)),
-        ],
+        [cmath.rect(lo.beta1, lo.theta1), cmath.rect(lo.beta2, lo.theta2)],
     )
-    if isinstance(state, MixedState):
-        return state.map_components(
-            lambda s: reorder(tensor(s, lo_pair), ("a1", "b1", "a2", "b2"))
-        )
-    return reorder(tensor(state, lo_pair), ("a1", "b1", "a2", "b2"))
+    return per_component(lambda s: reorder(tensor(s, lo_pair), STATION_MODES))(state)

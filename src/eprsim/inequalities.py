@@ -32,7 +32,7 @@ from .errors import OptimizerShortfall, StateError
 from .network import PhaseSetting
 
 BOUND_TOL = 1e-9
-SHORTFALL_TOL = 1e-4
+SHORTFALL_TOL = 1e-12   # relative to max(1, analytic): roundoff, not optimizer slack
 
 __all__ = [
     "BellSettings",
@@ -139,18 +139,19 @@ def bell_max(source, grid_points: int = 24) -> BellMaxResult:
 
     ``b_max`` is B evaluated at the closed-form settings, not the analytic
     value itself. It must reach ``analytic`` and no point of the
-    ``grid_points``^4 grid may beat it, each within ``SHORTFALL_TOL``; the
-    comparisons are written so that NaN fails them.
+    ``grid_points``^4 grid may beat it, each within ``SHORTFALL_TOL`` times
+    max(1, analytic); the comparisons are written so that NaN fails them.
     """
     amps = _coerce_amps(source)
     analytic = 2.0 * math.sqrt(2.0) * math.hypot(amps.a1, amps.a2)
     settings = _optimal_settings(amps)
     b_max = float(bell_B(amps, settings))
     grid = _b_grid(amps, grid_points)
+    tol = SHORTFALL_TOL * max(1.0, analytic)
     problems = []
-    if not b_max >= analytic - SHORTFALL_TOL:
+    if not b_max >= analytic - tol:
         problems.append(f"falls below the analytic maximum {analytic!r}")
-    if not grid <= b_max + SHORTFALL_TOL:
+    if not grid <= b_max + tol:
         problems.append(f"is beaten by the {grid_points}^4 grid maximum {grid!r}")
     if problems:
         raise OptimizerShortfall(

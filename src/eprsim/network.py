@@ -41,9 +41,9 @@ import numpy as np
 from .errors import StateError
 from .fock import (
     AnyState,
-    MixedState,
     ModeLayout,
     MultiModeState,
+    per_component,
     relabel,
     reorder,
     tensor,
@@ -58,7 +58,11 @@ __all__ = [
     "beamsplitter",
     "epr_split_network",
     "two_photon_network",
+    "STATION_MODES",
 ]
+
+# the analyzer arms of the two stations, in the order every four-mode state uses
+STATION_MODES = ("a1", "b1", "a2", "b2")
 
 
 @dataclass(frozen=True)
@@ -69,10 +73,9 @@ class PhaseSetting:
     theta2: float
 
 
+@per_component
 def phase_shift(state: AnyState, mode: str, theta: float):
     """Multiply each ket by e^{i n theta} for the photon count n in ``mode``."""
-    if isinstance(state, MixedState):
-        return state.map_components(lambda s: phase_shift(s, mode, theta))
     col = state.layout.index(mode)
     phases = np.exp(1j * float(theta) * state._occ[:, col])
     # occupations are untouched, so canonical order is preserved
@@ -163,6 +166,7 @@ def _mix(layout: _PairLayout, amps: np.ndarray) -> np.ndarray:
     return out
 
 
+@per_component
 def beamsplitter(state: AnyState, mode_a: str, mode_b: str):
     """Apply the 50:50 splitter to (mode_a, mode_b); outputs reuse the labels.
 
@@ -170,8 +174,6 @@ def beamsplitter(state: AnyState, mode_a: str, mode_b: str):
     mode_b the d output. This is the one-column case of the grouped-sector
     kernel, followed by the usual prune and canonical sort.
     """
-    if isinstance(state, MixedState):
-        return state.map_components(lambda s: beamsplitter(s, mode_a, mode_b))
     layout = state.layout
     ia, ib = layout.index(mode_a), layout.index(mode_b)
     if ia == ib:
@@ -184,6 +186,7 @@ def beamsplitter(state: AnyState, mode_a: str, mode_b: str):
     return MultiModeState._from_canonical(layout, occ, amp)
 
 
+@per_component
 def epr_split_network(state: AnyState, input_mode: str = "a") -> AnyState:
     """Split one input beam into the four analyzer arms (a1, b1, a2, b2).
 
@@ -191,12 +194,10 @@ def epr_split_network(state: AnyState, input_mode: str = "a") -> AnyState:
     divided between the two stations, then each half is divided between
     that station's two arms.
     """
-    if isinstance(state, MixedState):
-        return state.map_components(lambda s: epr_split_network(s, input_mode))
     if state.layout.n_modes != 1:
         raise StateError("epr_split_network expects a single-mode input state")
     s = relabel(state, {state.layout.labels[0]: "a1"})
-    s = tensor(s, vacuum(("b1", "a2", "b2")))
+    s = tensor(s, vacuum(STATION_MODES[1:]))
     s = beamsplitter(s, "a1", "a2")   # input -> station halves
     s = beamsplitter(s, "a1", "b1")   # station 1 half -> its two arms
     s = beamsplitter(s, "a2", "b2")   # station 2 half -> its two arms
@@ -216,4 +217,4 @@ def two_photon_network(cutoff: int = 2) -> MultiModeState:
     one_a = MultiModeState(ModeLayout(("a1", "a2"), half), {(0, 1): 1.0})
     one_b = MultiModeState(ModeLayout(("b1", "b2"), cutoff - half), {(0, 1): 1.0})
     s = tensor(beamsplitter(one_a, "a1", "a2"), beamsplitter(one_b, "b1", "b2"))
-    return reorder(s, ("a1", "b1", "a2", "b2"))
+    return reorder(s, STATION_MODES)

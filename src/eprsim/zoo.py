@@ -1,9 +1,10 @@
 """Named example states and their closed-form predictions.
 
-Builders return states on the standard layouts: four analyzer arms
-(a1, b1, a2, b2) for the single-photon entangled pair and the two-photon
-network, two signal arms (a1, a2) for the states measured against local
-oscillators. Names accepted by the CLI are listed in ``ZOO_NAMES``.
+Builders return states on the standard layouts: the four analyzer arms
+``STATION_MODES`` for the single-photon entangled pair and the two-photon
+network, the two signal arms ``SIGNAL_MODES`` for the states measured
+against local oscillators. ``ZOO`` maps each name the CLI accepts to its
+builder; ``ZOO_NAMES`` lists those names.
 """
 
 from __future__ import annotations
@@ -13,19 +14,23 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CatDegenerate, CutoffError, StateError
+import numpy as np
+
+from .errors import CatDegenerate, StateError
 from .fock import (
     ModeLayout,
     MultiModeState,
     coherent_cutoff,
     make_coherent,
     make_pure,
+    _check_tail,
+    _ladder,
+    _tuples_upto,
 )
-from .homodyne import CoherenceFunctions
-from .network import two_photon_network
+from .homodyne import SIGNAL_MODES, CoherenceFunctions
+from .network import STATION_MODES, two_photon_network
 
 DEGENERACY_TOL = 1e-14
-TAIL_TOL = 1e-12
 
 __all__ = [
     "CatParams",
@@ -37,17 +42,9 @@ __all__ = [
     "split_cat",
     "single_mode_cat",
     "cat_predictions",
+    "ZOO",
     "ZOO_NAMES",
 ]
-
-ZOO_NAMES = (
-    "entangled-sum",
-    "entangled-diff",
-    "two-photon",
-    "coherent",
-    "split-photon",
-    "split-cat",
-)
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,7 @@ def entangled(variant: str) -> MultiModeState:
     cosine, amplitudes (1, 0). The two are related by swapping the
     occupations of a2 and b2.
     """
-    layout = ModeLayout(("a1", "b1", "a2", "b2"), 2)
+    layout = ModeLayout(STATION_MODES, 2)
     if variant == "sum":
         return make_pure(layout, [((1, 0, 1, 0), 1.0), ((0, 1, 0, 1), 1.0)])
     if variant == "diff":
@@ -98,21 +95,48 @@ def two_photon() -> MultiModeState:
 
 def coherent_pair(alpha1: complex, alpha2: complex, cutoff: Optional[int] = None) -> MultiModeState:
     """Product coherent state on the signal arms (a1, a2)."""
-    lam = math.sqrt(abs(alpha1) ** 2 + abs(alpha2) ** 2)
     if cutoff is None:
-        cutoff = coherent_cutoff(lam)
-    return make_coherent(ModeLayout(("a1", "a2"), cutoff), [alpha1, alpha2])
+        cutoff = coherent_cutoff(math.hypot(abs(alpha1), abs(alpha2)))
+    return make_coherent(ModeLayout(SIGNAL_MODES, cutoff), [alpha1, alpha2])
 
 
 def split_single_photon() -> MultiModeState:
     """(|1,0> + |0,1>)/sqrt(2) on (a1, a2): one photon shared by the arms."""
-    layout = ModeLayout(("a1", "a2"), 1)
+    layout = ModeLayout(SIGNAL_MODES, 1)
     return make_pure(layout, [((1, 0), 1.0), ((0, 1), 1.0)])
 
 
-def _cat_norm_sq_inv(alpha_mag_sq: float, phi: float) -> float:
-    """2 (1 + e^{-4|alpha|^2} cos phi) — the inverse squared normalization."""
-    return 2.0 * (1.0 + math.exp(-4.0 * alpha_mag_sq) * math.cos(phi))
+def _cat(p: CatParams, cutoff: Optional[int], labels: tuple[str, ...]) -> MultiModeState:
+    """N (|beta, ..., beta> + e^{i phi} |-beta, ..., -beta>) on ``labels``,
+    with beta = sqrt(2 / modes) alpha: the amplitude sqrt(2) alpha split
+    evenly between the modes.
+
+    N = 1 / sqrt(2 (1 + e^{-4|alpha|^2} cos phi)); the cat is degenerate
+    where that diverges. The cutoff defaults to the sizing rule for
+    sqrt(2)|alpha|, and the truncation is accepted only if the exactly
+    computed discarded mass is below ``TAIL_TOL``. Occupation n has the
+    amplitude N (1 + e^{i phi} (-1)^{sum n}) prod_m l(n_m), with the ladder
+    l(n) = e^{-|beta|^2/2} beta^n / sqrt(n!).
+    """
+    alpha = complex(p.alpha)
+    mag = abs(alpha)
+    asq = mag * mag
+    nsq_inv = 2.0 * (1.0 + math.exp(-4.0 * asq) * math.cos(p.phi))
+    if nsq_inv <= DEGENERACY_TOL:
+        raise CatDegenerate(
+            f"cat normalization vanishes at alpha={alpha!r}, phi={p.phi!r}"
+        )
+    if cutoff is None:
+        cutoff = coherent_cutoff(math.sqrt(2.0) * mag)
+    modes = len(labels)
+    lad = _ladder(math.sqrt(2.0 / modes) * alpha, cutoff, math.exp(-asq / modes))
+    occ = list(_tuples_upto(modes, cutoff))
+    n = np.array(occ)
+    amp = (1.0 / math.sqrt(nsq_inv)) * (1.0 + cmath.exp(1j * p.phi) * (-1.0) ** n.sum(axis=1))
+    for col in n.T:
+        amp = amp * lad[col]
+    _check_tail(float(np.sum(np.abs(amp) ** 2)), cutoff, math.sqrt(2.0 * asq), "cat-state")
+    return make_pure(ModeLayout(labels, cutoff), zip(occ, amp))
 
 
 def split_cat(p: CatParams, cutoff: Optional[int] = None) -> MultiModeState:
@@ -120,47 +144,9 @@ def split_cat(p: CatParams, cutoff: Optional[int] = None) -> MultiModeState:
 
     Built by direct truncated expansion; equivalently obtained by mixing
     the single-mode cat of amplitude sqrt(2) alpha with vacuum on a 50:50
-    splitter (kept as a test oracle). The truncation is accepted only if
-    the exactly computed discarded mass is below 1e-12.
+    splitter (kept as a test oracle).
     """
-    alpha = complex(p.alpha)
-    asq = abs(alpha) ** 2
-    nsq_inv = _cat_norm_sq_inv(asq, p.phi)
-    if nsq_inv <= DEGENERACY_TOL:
-        raise CatDegenerate(
-            f"cat normalization vanishes at alpha={alpha!r}, phi={p.phi!r}"
-        )
-    if cutoff is None:
-        cutoff = coherent_cutoff(math.sqrt(2.0) * abs(alpha))
-    norm = 1.0 / math.sqrt(nsq_inv)
-    phase = cmath.exp(1j * p.phi)
-    gauss = math.exp(-asq)
-    # amplitude(n1, n2) = N e^{-|alpha|^2} alpha^{n1+n2}
-    #                     (1 + e^{i phi} (-1)^{n1+n2}) / sqrt(n1! n2!)
-    root_fact = [1.0]
-    for n in range(1, cutoff + 1):
-        root_fact.append(root_fact[-1] * math.sqrt(n))
-    alpha_pow = [1.0 + 0.0j]
-    for n in range(1, cutoff + 1):
-        alpha_pow.append(alpha_pow[-1] * alpha)
-    terms = []
-    mass = 0.0
-    for n1 in range(cutoff + 1):
-        for n2 in range(cutoff + 1 - n1):
-            total = n1 + n2
-            parity = 1.0 if total % 2 == 0 else -1.0
-            amp = norm * gauss * alpha_pow[total] * (1.0 + phase * parity) / (
-                root_fact[n1] * root_fact[n2]
-            )
-            mass += abs(amp) ** 2
-            terms.append(((n1, n2), amp))
-    tail = max(0.0, 1.0 - mass)
-    if tail > TAIL_TOL:
-        raise CutoffError(
-            f"cutoff {cutoff} leaves cat-state tail {tail:.3e} > {TAIL_TOL}; "
-            f"need >= {coherent_cutoff(math.sqrt(2.0) * abs(alpha))}"
-        )
-    return make_pure(ModeLayout(("a1", "a2"), cutoff), terms)
+    return _cat(p, cutoff, SIGNAL_MODES)
 
 
 def single_mode_cat(p: CatParams, cutoff: Optional[int] = None) -> MultiModeState:
@@ -170,34 +156,7 @@ def single_mode_cat(p: CatParams, cutoff: Optional[int] = None) -> MultiModeStat
     ``split_cat`` (same normalization constant, since the coherent-state
     overlap e^{-4|alpha|^2} is preserved by the splitter).
     """
-    alpha = complex(p.alpha)
-    asq = abs(alpha) ** 2
-    nsq_inv = _cat_norm_sq_inv(asq, p.phi)
-    if nsq_inv <= DEGENERACY_TOL:
-        raise CatDegenerate(
-            f"cat normalization vanishes at alpha={alpha!r}, phi={p.phi!r}"
-        )
-    if cutoff is None:
-        cutoff = coherent_cutoff(math.sqrt(2.0) * abs(alpha))
-    big = math.sqrt(2.0) * alpha
-    norm = 1.0 / math.sqrt(nsq_inv)
-    phase = cmath.exp(1j * p.phi)
-    gauss = math.exp(-abs(big) ** 2 / 2.0)
-    terms = []
-    mass = 0.0
-    amp_pow = 1.0 + 0.0j
-    for n in range(cutoff + 1):
-        parity = 1.0 if n % 2 == 0 else -1.0
-        amp = norm * gauss * amp_pow * (1.0 + phase * parity)
-        mass += abs(amp) ** 2
-        terms.append(((n,), amp))
-        amp_pow = amp_pow * big / math.sqrt(n + 1)
-    tail = max(0.0, 1.0 - mass)
-    if tail > TAIL_TOL:
-        raise CutoffError(
-            f"cutoff {cutoff} leaves cat-state tail {tail:.3e} > {TAIL_TOL}"
-        )
-    return make_pure(ModeLayout(("a",), cutoff), terms)
+    return _cat(p, cutoff, ("a",))
 
 
 def cat_predictions(p: CatParams) -> CatPredictions:
@@ -222,3 +181,18 @@ def cat_predictions(p: CatParams) -> CatPredictions:
     a2 = 0.5 * (1.0 + ec)
     sum_sq = 0.5 * (1.0 + math.exp(-8.0 * asq) * math.cos(p.phi) ** 2)
     return CatPredictions(g=g, a1=a1, a2=a2, sum_sq=sum_sq)
+
+
+# name -> builder from the CLI's (alpha, alpha2, phi, cutoff), as keywords;
+# each builder reads the ones its state depends on
+ZOO = {
+    "entangled-sum": lambda **_: entangled("sum"),
+    "entangled-diff": lambda **_: entangled("diff"),
+    "two-photon": lambda **_: two_photon(),
+    "coherent": lambda alpha, alpha2, cutoff, **_: coherent_pair(
+        alpha, alpha if alpha2 is None else alpha2, cutoff=cutoff
+    ),
+    "split-photon": lambda **_: split_single_photon(),
+    "split-cat": lambda alpha, phi, cutoff, **_: split_cat(CatParams(alpha, phi), cutoff=cutoff),
+}
+ZOO_NAMES = tuple(ZOO)

@@ -128,6 +128,9 @@ def test_malformed_file_fails_cleanly(capsys, tmp_path):
     (("state", "coherent", "--tol", "nan"), "StateError"),
     (("state", "coherent", "--tol", "-1"), "StateError"),
     (("state", "entangled-sum", "--tol", "inf"), "StateError"),
+    (("state", "coherent", "--alpha", "1e200"), "CutoffError"),
+    (("state", "split-cat", "--alpha", "1e200"), "CutoffError"),
+    (("state", "split-cat", "--alpha", "1e150", "--cutoff", "5"), "CutoffError"),
 ])
 def test_bad_numbers_fail_cleanly(capsys, argv, error):
     code, out = run(capsys, *argv)
@@ -221,3 +224,16 @@ def test_overflowing_field_moments_fail_cleanly(capsys, argv):
     error = json.loads(out)["error"]
     assert error["type"] == "StateError"
     assert "overflow" in error["message"]
+
+
+def test_underflowing_field_moments_are_not_a_zero_denominator(capsys):
+    # every field is nonzero, but each intensity product underflows to 0
+    code, doc = run_json(capsys, "classical", "--kind", "delta",
+                         "--point", "1e-200,1e-200,1e-200,1e-200")
+    assert code == 1
+    assert doc["error"]["type"] == "StateError"
+    assert "underflow" in doc["error"]["message"]
+    # a station without any field still has a vanishing denominator
+    code, doc = run_json(capsys, "classical", "--kind", "delta", "--point", "1,0,1,0")
+    assert code == 1
+    assert doc["error"]["type"] == "ZeroDenominator"

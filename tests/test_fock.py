@@ -295,3 +295,14 @@ def test_mixed_state_rejects_nan_weight():
     s = vacuum(("a",), 1)
     with pytest.raises(StateError):
         MixedState(((math.nan, s), (1.0, s)))
+
+
+def test_nan_truncated_mass_is_a_cutoff_error():
+    from eprsim.fock import _check_tail
+
+    with pytest.raises(CutoffError, match="tail nan"):
+        _check_tail(math.nan, 5, 1.0, "coherent-state")
+    # the ladder of a huge amplitude overflows to a NaN mass
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(CutoffError):
+            make_coherent(ModeLayout(("a",), 5), [1e200])

@@ -79,6 +79,21 @@ def test_bell_max_grid_check_catches_wrong_settings(monkeypatch):
         bell_max(pair(0.3, 0.6, 0.4, 1.1))
 
 
+def test_bell_max_catches_settings_off_by_more_than_roundoff(monkeypatch):
+    from eprsim import inequalities
+
+    amps = pair(0.3, 0.6, 0.4, 1.1)
+    best = inequalities._optimal_settings(amps)
+    off = BellSettings(*(t + 2e-6 for t in (best.theta1, best.theta1p, best.theta2, best.theta2p)))
+    # B falls short of the maximum by ~1e-11: far above roundoff, far below
+    # any optimizer slack
+    shortfall = 2 * SQ2 * math.hypot(0.3, 0.6) - bell_B(amps, off)
+    assert 5e-12 < shortfall < 1e-9
+    monkeypatch.setattr(inequalities, "_optimal_settings", lambda amps: off)
+    with pytest.raises(OptimizerShortfall, match="falls below the analytic maximum"):
+        bell_max(amps)
+
+
 def test_non_finite_amplitudes_are_rejected():
     nan = float("nan")
     for args in [(nan, 0.2, 0.0, 0.0), (0.2, math.inf, 0.0, 0.0),

@@ -127,6 +127,17 @@ def test_cat_numeric_g_matches_predictions():
         assert g.g22 == pytest.approx(p.g.g22, abs=1e-9)
 
 
+def test_large_cat_matches_predictions():
+    # 12^n overflows long before the cutoff (434); the ladder never forms it
+    p = CatParams(12.0, 0.0)
+    s = split_cat(p)
+    g = coherence_functions(s)
+    want = cat_predictions(p)
+    assert g.g11 == pytest.approx(want.g.g11, abs=1e-12)
+    assert g.g20 == pytest.approx(want.g.g20, abs=1e-12)
+    assert g.g22 == pytest.approx(want.g.g22, abs=1e-12)
+
+
 def test_cat_depends_only_on_alpha_magnitude():
     base = cat_predictions(CatParams(0.5, 0.7))
     rot = cat_predictions(CatParams(0.5 * np.exp(0.9j), 0.7))
