@@ -32,9 +32,10 @@ from .fock import load_state, reorder
 from .homodyne import SIGNAL_MODES
 from .zoo import CatParams
 
+STATE_ALPHA, STATE_PHI = 1.0 + 0.0j, 0.0  # ``state`` defaults of --alpha, --phi
 # figure3 shows each zoo state at the ``state`` defaults, but the cat twice
 # at alpha 0.5: Bell-violating at phi 0, on the classical triple point at pi/2
-FIGURE3_CATS = {"(phi=0)": (0.5, 0.0), "(phi=pi/2)": (0.5, math.pi / 2)}
+FIGURE3_CATS = {"split-cat": {"(phi=0)": (0.5, 0.0), "(phi=pi/2)": (0.5, math.pi / 2)}}
 
 
 def _f9(x: float) -> float:
@@ -141,12 +142,10 @@ def cmd_state(args) -> int:
 
 
 def _zoo_points(cutoff: Optional[int]) -> list[tuple[str, float, float]]:
-    """(curve_id, a1, a2) for every zoo state, region in the id.
-
-    """
+    """(curve_id, a1, a2) for every zoo state, region in the id."""
     rows = []
     for name, build in zoo.ZOO.items():
-        points = FIGURE3_CATS if name == "split-cat" else {"": (1.0, 0.0)}
+        points = FIGURE3_CATS.get(name, {"": (STATE_ALPHA, STATE_PHI)})
         for suffix, (alpha, phi) in points.items():
             amps, _, report = _assess(build(alpha=alpha, alpha2=None, phi=phi, cutoff=cutoff))
             rows.append((f"state:{name}{suffix}:{report.region}", amps.a1, amps.a2))
@@ -221,9 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_state = sub.add_parser("state", help="analyze one state")
     p_state.add_argument("source", help="zoo name or JSON state file path")
-    p_state.add_argument("--alpha", type=complex, default=1.0 + 0.0j)
+    p_state.add_argument("--alpha", type=complex, default=STATE_ALPHA)
     p_state.add_argument("--alpha2", type=complex, default=None)
-    p_state.add_argument("--phi", type=float, default=0.0)
+    p_state.add_argument("--phi", type=float, default=STATE_PHI)
     p_state.add_argument("--cutoff", type=int, default=None)
     p_state.add_argument("--tol", type=float, default=1e-9)
     p_state.add_argument("--format", choices=("json", "csv"), default="json")

@@ -41,7 +41,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import EprSimError, StateError, ZeroCoincidence
-from .fock import PRUNE_TOL, ZERO_TOL, AnyState, _find, _key_strides, per_component, require_modes
+from .fock import (PRUNE_TOL, ZERO_TOL, AnyState, _find, _key_strides, mixture_average,
+                   require_modes)
 from .network import STATION_MODES, PhaseSetting, _mix, _pair_layout
 
 NEGATIVE_RATE_TOL = 1e-12   # relative to the coincidence total
@@ -170,7 +171,7 @@ def _station_moments(state: AnyState) -> dict[str, complex]:
     return dict(zip(MOMENTS, _moment_vector(state).tolist()))
 
 
-@per_component(average=True)
+@mixture_average
 def _moment_vector(state: AnyState) -> np.ndarray:
     """The moments of ``_station_moments`` of a pure state, in ``MOMENTS`` order."""
     keys, amp = state._keys, state._amp
@@ -193,7 +194,7 @@ def _moment_vector(state: AnyState) -> np.ndarray:
     ])
 
 
-@per_component(average=True)
+@mixture_average
 def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
     """Rates (cc, cd, dc, dd) x K settings from the analyzer optics.
 

@@ -245,25 +245,23 @@ class MixedState:
 AnyState = Union[MultiModeState, MixedState]
 
 
-def per_component(fn=None, *, average: bool = False):
-    """Decorator: extend a function of a pure state (its first argument) to
-    mixtures, one component at a time.
-
-    A map of states sends a mixture to the mixture of the images with the
-    same weights. With ``average`` ``fn`` is a linear functional, and a
-    mixture gives the weighted sum ``sum(w * fn(s))`` in component order.
-    """
-    if fn is None:
-        return functools.partial(per_component, average=average)
-
+def per_component(fn):
+    """Decorator: a map of pure states maps a mixture component by component."""
     @functools.wraps(fn)
     def extended(state, *args, **kwargs):
-        if not isinstance(state, MixedState):
-            return fn(state, *args, **kwargs)
-        if average:
-            return sum(w * fn(s, *args, **kwargs) for w, s in state.components)
-        return state.map_components(lambda s: fn(s, *args, **kwargs))
+        if isinstance(state, MixedState):
+            return state.map_components(lambda s: fn(s, *args, **kwargs))
+        return fn(state, *args, **kwargs)
+    return extended
 
+
+def mixture_average(fn):
+    """Decorator: a linear functional of a mixture is ``sum(w * fn(s))`` in component order."""
+    @functools.wraps(fn)
+    def extended(state, *args, **kwargs):
+        if isinstance(state, MixedState):
+            return sum(w * fn(s, *args, **kwargs) for w, s in state.components)
+        return fn(state, *args, **kwargs)
     return extended
 
 
@@ -348,13 +346,14 @@ def _ladder(alpha: complex, cutoff: int, start: float = 1.0) -> np.ndarray:
 
 def _check_tail(mass: float, cutoff: int, alpha_mag: float, what: str) -> None:
     """Raise CutoffError unless the kept probability ``mass`` of a truncated
-    state of coherent amplitude ``alpha_mag`` leaves a tail of at most
-    TAIL_TOL. A NaN mass fails."""
-    tail = 1.0 - mass
-    if not tail <= TAIL_TOL:
+    state of coherent amplitude ``alpha_mag`` is finite and within TAIL_TOL
+    of 1. A mass that overflowed to inf or NaN fails."""
+    if not (math.isfinite(mass) and 1.0 - mass <= TAIL_TOL):
+        # no cutoff mends an overflow, and past |alpha| ~ 1e6 none is worth printing
+        hint = math.isfinite(mass) and alpha_mag < 1e6
+        need = f"; need >= {coherent_cutoff(alpha_mag)}" if hint else ""
         raise CutoffError(
-            f"cutoff {cutoff} leaves {what} tail {tail:.3e} > {TAIL_TOL}; "
-            f"need >= {coherent_cutoff(alpha_mag)}"
+            f"cutoff {cutoff} keeps {what} mass {mass!r}, not within {TAIL_TOL} of 1{need}"
         )
 
 
@@ -454,7 +453,7 @@ def _falling(n: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-@per_component(average=True)
+@mixture_average
 def normal_moment(state: AnyState, spec) -> complex:
     """<prod_m (a_m^dag)^p_m (a_m)^q_m>, exact on the truncated space."""
     spec = MomentSpec.coerce(spec)

@@ -149,4 +149,9 @@ def homodyne_network_state(
         ModeLayout(("b1", "b2"), lo_cutoff),
         [cmath.rect(lo.beta1, lo.theta1), cmath.rect(lo.beta2, lo.theta2)],
     )
-    return per_component(lambda s: reorder(tensor(s, lo_pair), STATION_MODES))(state)
+    return _with_oscillators(state, lo_pair)
+
+
+@per_component
+def _with_oscillators(state: AnyState, lo_pair) -> AnyState:
+    return reorder(tensor(state, lo_pair), STATION_MODES)

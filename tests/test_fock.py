@@ -297,12 +297,19 @@ def test_mixed_state_rejects_nan_weight():
         MixedState(((math.nan, s), (1.0, s)))
 
 
-def test_nan_truncated_mass_is_a_cutoff_error():
+def test_overflowed_truncated_mass_is_a_cutoff_error():
     from eprsim.fock import _check_tail
 
-    with pytest.raises(CutoffError, match="tail nan"):
-        _check_tail(math.nan, 5, 1.0, "coherent-state")
-    # the ladder of a huge amplitude overflows to a NaN mass
+    for mass in (math.nan, math.inf):
+        with pytest.raises(CutoffError, match=f"mass {mass!r}, not within 1e-12 of 1$"):
+            _check_tail(mass, 5, 1.0, "coherent-state")
+    # a short tail at an amplitude with no printable cutoff gives no hint
+    with pytest.raises(CutoffError, match="mass 0.5, not within 1e-12 of 1$"):
+        _check_tail(0.5, 5, math.inf, "coherent-state")
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(CutoffError):
+        # the ladder of a huge amplitude overflows; exp(-lam) underflows to 0
+        with pytest.raises(CutoffError, match="mass nan"):
             make_coherent(ModeLayout(("a",), 5), [1e200])
+        # the norm sum overflows while exp(-lam) stays a subnormal above 0
+        with pytest.raises(CutoffError, match="mass inf"):
+            make_coherent(ModeLayout(("a",), 800), [27.0])

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+RUN_SECONDS = 20  # the run length of BENCHMARK.json, the same for both sides
 RUN_TIMEOUT_S = 900
 
 
@@ -38,10 +39,10 @@ def parse_workload(text: str) -> tuple[str, list[int]]:
     return name, [int(x) for x in seeds.split(",")]
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(root: Path, workload: str, seed: int) -> dict:
     """One untraced benchmark run from checkout ``root``; its final JSON line."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(RUN_SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -94,12 +95,10 @@ def main(argv=None) -> int:
     parser.add_argument("--parent-rev", required=True, help="parent commit id")
     parser.add_argument("--workload", action="append", required=True, type=parse_workload,
                         help="NAME:FIRST-LAST or NAME:S1,S2,... (repeatable)")
-    parser.add_argument("--seconds", type=int, default=20, help="run length passed to run.py")
     parser.add_argument("--seeds-note", default="all",
                         help="which seeds were not used while the change was written")
-    parser.add_argument("--out", type=Path, help="output file (default BENCH_<pr>.json here)")
     args = parser.parse_args(argv)
-    out = args.out or Path(f"BENCH_{args.pr}.json")
+    out = Path(f"BENCH_{args.pr}.json")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     doc = {
@@ -113,7 +112,7 @@ def main(argv=None) -> int:
         },
         "method": {
             "command": f"python3 perfbench/run.py --workload WORKLOAD --seed SEED "
-                       f"--seconds {args.seconds} --trace 0",
+                       f"--seconds {RUN_SECONDS} --trace 0",
             "pairs": "parent and change alternate which side runs first, one pair per seed; "
                      "each side runs from its own checkout",
             "quartiles": "numpy.percentile, linear interpolation, over the runs of one side",
@@ -128,14 +127,12 @@ def main(argv=None) -> int:
         for index, seed in enumerate(seeds):
             order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_once(roots[side], workload, seed, args.seconds))
+                runs[side].append(run_once(roots[side], workload, seed))
                 print(f"{workload} seed {seed} {side}: "
                       + ", ".join(f"{m} {v['value']:.4g}" for m, v in runs[side][-1]["metrics"].items()),
                       flush=True)
             doc["workloads"][workload] = workload_entry(seeds, runs)
-            tmp = out.with_suffix(".tmp")
-            tmp.write_text(json.dumps(doc, indent=1) + "\n")
-            tmp.replace(out)
+            out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 
