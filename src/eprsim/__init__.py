@@ -34,7 +34,6 @@ from .errors import (
 from .fock import (
     MixedState,
     ModeLayout,
-    MomentSpec,
     MultiModeState,
     coherent_cutoff,
     fidelity,

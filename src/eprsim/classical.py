@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StateError, ZeroDenominator
+from .fock import NORM_TOL
 
 CHUNK = 1 << 15
 BOOTSTRAP_RESAMPLES = 200
@@ -81,7 +82,7 @@ class ClassicalEnsemble:
         if np.any(self.weights < 0.0):
             raise StateError("negative sample weight")
         total = _chunked_fsum(self.weights)
-        if not abs(total - 1.0) <= 1e-9:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise StateError(f"sample weights sum to {total!r}, not 1")
         strata = tuple((int(a), int(b)) for a, b in self.strata) or ((0, n),)
         starts = [a for a, _ in strata]
@@ -138,26 +139,53 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
                     per arm (oscillator arms may override with "nbar_lo")
       correlated_lo thermal signals with beta_k = alpha_k sample by sample
       mixture       params["components"] = [(weight, kind, params), ...]
+
+    Each arm's field array is allocated once, and every component of a
+    mixture is drawn straight into its own slice of them. Each stratum has
+    one weight.
     """
     if n < 1:
         raise StateError("need n >= 1 samples")
     seed = int(seed)
     if seed < 0:
         raise StateError(f"seed must be >= 0, got {seed}")
+    size = _ensemble_size(kind, params, n)
+    fields = [np.empty(size, dtype=np.complex128) for _ in range(4)]
+    generator_id, strata, stratum_weights = _draw(kind, params, n, seed, fields)
+    return ClassicalEnsemble(
+        weights=np.repeat(stratum_weights, [b - a for a, b in strata]),
+        alpha1=fields[0],
+        alpha2=fields[1],
+        beta1=fields[2],
+        beta2=fields[3],
+        seed=seed,
+        generator_id=generator_id,
+        strata=strata,
+    )
+
+
+def _ensemble_size(kind: str, params: dict, n: int) -> int:
+    """Number of samples ``make_ensemble`` draws for ``kind``."""
+    if kind == "delta":
+        return 1
+    if kind == "mixture":
+        return sum(_ensemble_size(sub_kind, sub_params, n) for _, sub_kind, sub_params in params["components"])
+    if kind in ("thermal", "correlated_lo"):
+        return n
+    raise StateError(f"unknown ensemble kind {kind!r}")
+
+
+def _draw(kind: str, params: dict, n: int, seed: int, fields: list[np.ndarray]):
+    """Draw the ensemble of ``kind`` into ``fields`` (the arrays of a1, a2,
+    b1 and b2, ``_ensemble_size`` samples long); its generator id, strata
+    and the weight of each sample in each stratum."""
     if kind == "delta":
         point = params["point"]
         if len(point) != 4:
             raise StateError("delta ensemble needs a 4-amplitude point")
-        vals = [np.array([complex(v)]) for v in point]
-        return ClassicalEnsemble(
-            weights=np.array([1.0]),
-            alpha1=vals[0],
-            alpha2=vals[1],
-            beta1=vals[2],
-            beta2=vals[3],
-            seed=seed,
-            generator_id="delta",
-        )
+        for f, v in zip(fields, point):
+            f[0] = complex(v)
+        return "delta", ((0, 1),), [1.0]
     if kind == "mixture":
         comps = params["components"]
         if not comps:
@@ -166,52 +194,35 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
         if wsum <= 0.0 or any(float(w) < 0.0 for w, _, _ in comps):
             raise StateError("mixture weights must be nonnegative with positive sum")
         sub_seeds = np.random.SeedSequence(seed).generate_state(len(comps), dtype=np.uint64)
-        parts = []
+        ids = []
         strata = []
+        weights = []
         offset = 0
         for (w, sub_kind, sub_params), sub_seed in zip(comps, sub_seeds):
-            sub = make_ensemble(sub_kind, sub_params, n, int(sub_seed))
-            parts.append((float(w) / wsum, sub))
-            strata.extend((offset + a, offset + b) for a, b in sub.strata)
-            offset += sub.n
-        return ClassicalEnsemble(
-            weights=np.concatenate([w * e.weights for w, e in parts]),
-            alpha1=np.concatenate([e.alpha1 for _, e in parts]),
-            alpha2=np.concatenate([e.alpha2 for _, e in parts]),
-            beta1=np.concatenate([e.beta1 for _, e in parts]),
-            beta2=np.concatenate([e.beta2 for _, e in parts]),
-            seed=seed,
-            generator_id="mixture(" + ",".join(e.generator_id for _, e in parts) + ")",
-            strata=tuple(strata),
-        )
-    if kind in ("thermal", "correlated_lo"):
-        for key in ("nbar", "nbar_lo"):
-            if key in params and not (math.isfinite(params[key]) and params[key] >= 0.0):
-                raise StateError(f"{key} must be finite and >= 0, got {params[key]!r}")
-        fields = np.empty((4, n), dtype=np.complex128)
-        nbar = params["nbar"]
-        nbar_lo = params.get("nbar_lo", nbar)
-        for index, start in enumerate(range(0, n, CHUNK)):
-            a1, a2, b1, b2 = fields[:, start : start + CHUNK]
-            rng = np.random.default_rng([seed, index])
-            _thermal_field(rng, nbar, a1)
-            _thermal_field(rng, nbar, a2)
-            if kind == "thermal":
-                _thermal_field(rng, nbar_lo, b1)
-                _thermal_field(rng, nbar_lo, b2)
-            else:
-                b1[...] = a1
-                b2[...] = a2
-        return ClassicalEnsemble(
-            weights=np.full(n, 1.0 / n),
-            alpha1=fields[0],
-            alpha2=fields[1],
-            beta1=fields[2],
-            beta2=fields[3],
-            seed=seed,
-            generator_id=f"{kind}(nbar={params.get('nbar')!r})",
-        )
-    raise StateError(f"unknown ensemble kind {kind!r}")
+            part = slice(offset, offset + _ensemble_size(sub_kind, sub_params, n))
+            sub_id, sub_strata, sub_weights = _draw(sub_kind, sub_params, n, int(sub_seed), [f[part] for f in fields])
+            ids.append(sub_id)
+            strata.extend((offset + a, offset + b) for a, b in sub_strata)
+            weights.extend(float(w) / wsum * x for x in sub_weights)
+            offset = part.stop
+        return "mixture(" + ",".join(ids) + ")", tuple(strata), weights
+    for key in ("nbar", "nbar_lo"):
+        if key in params and not (math.isfinite(params[key]) and params[key] >= 0.0):
+            raise StateError(f"{key} must be finite and >= 0, got {params[key]!r}")
+    nbar = params["nbar"]
+    nbar_lo = params.get("nbar_lo", nbar)
+    for index, start in enumerate(range(0, n, CHUNK)):
+        a1, a2, b1, b2 = (f[start : start + CHUNK] for f in fields)
+        rng = np.random.default_rng([seed, index])
+        _thermal_field(rng, nbar, a1)
+        _thermal_field(rng, nbar, a2)
+        if kind == "thermal":
+            _thermal_field(rng, nbar_lo, b1)
+            _thermal_field(rng, nbar_lo, b2)
+        else:
+            b1[...] = a1
+            b2[...] = a2
+    return f"{kind}(nbar={params.get('nbar')!r})", ((0, n),), [1.0 / n]
 
 
 def _moment_terms(e: ClassicalEnsemble, part: slice = slice(None)):

@@ -41,8 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EprSimError, StateError, ZeroCoincidence
-from .fock import (PRUNE_TOL, ZERO_TOL, AnyState, _find, _key_strides, mixture_average,
-                   require_modes)
+from .fock import PRUNE_TOL, ZERO_TOL, AnyState, _partner_sum, mixture_average, require_modes
 from .network import STATION_MODES, PhaseSetting, _mix, _pair_layout
 
 NEGATIVE_RATE_TOL = 1e-12   # relative to the coincidence total
@@ -163,10 +162,9 @@ def _station_moments(state: AnyState) -> dict[str, complex]:
 
     ss = <S1 S2> is a diagonal sum. Each other moment <psi| X |psi> moves
     a ket by a fixed occupation change delta on (a1, b1, a2, b2) with a
-    ket-dependent weight; its partner ket is found by one searchsorted of
-    the packed key shifted by delta . strides. Only kets with nonzero
-    weight are searched, and for those the shifted occupation is a valid
-    one (photon number is conserved), so the shifted key is exact.
+    ket-dependent weight, and is one ``fock._partner_sum``: the weight
+    vanishes wherever the shifted occupation would be invalid, and photon
+    number is conserved, so every searched partner lies within the cutoff.
     """
     return dict(zip(MOMENTS, _moment_vector(state).tolist()))
 
@@ -174,23 +172,15 @@ def _station_moments(state: AnyState) -> dict[str, complex]:
 @mixture_average
 def _moment_vector(state: AnyState) -> np.ndarray:
     """The moments of ``_station_moments`` of a pure state, in ``MOMENTS`` order."""
-    keys, amp = state._keys, state._amp
+    amp = state._amp
     a1, b1, a2, b2 = state._occ.T.astype(np.float64)
-    strides = _key_strides(4, state.layout.cutoff)
-
-    def shifted(delta, weight) -> complex:
-        live = weight > 0.0
-        target = keys[live] + int(np.dot(delta, strides))
-        pos, hit = _find(keys, target)
-        return complex(np.sum(np.conj(amp[pos[hit]]) * weight[live][hit] * amp[live][hit]))
-
     s1, s2 = a1 + b1, a2 + b2
     return np.array([
         complex(np.sum((amp.real ** 2 + amp.imag ** 2) * s1 * s2)),
-        shifted((1, -1, -1, 1), np.sqrt((a1 + 1) * b1 * a2 * (b2 + 1))),
-        shifted((1, -1, 1, -1), np.sqrt((a1 + 1) * b1 * (a2 + 1) * b2)),
-        shifted((0, 0, 1, -1), s1 * np.sqrt((a2 + 1) * b2)),
-        shifted((1, -1, 0, 0), s2 * np.sqrt((a1 + 1) * b1)),
+        _partner_sum(state, (1, -1, -1, 1), np.sqrt((a1 + 1) * b1 * a2 * (b2 + 1))),
+        _partner_sum(state, (1, -1, 1, -1), np.sqrt((a1 + 1) * b1 * (a2 + 1) * b2)),
+        _partner_sum(state, (0, 0, 1, -1), s1 * np.sqrt((a2 + 1) * b2)),
+        _partner_sum(state, (1, -1, 0, 0), s2 * np.sqrt((a1 + 1) * b1)),
     ])
 
 

@@ -16,6 +16,9 @@ Conventions
   for a state already inside the cutoff.
 * Mixed states are convex combinations of pure states (never dense
   multimode density matrices); moments are weighted averages.
+* The truncated coherent and cat builders enumerate every occupation
+  within the cutoff. A layout with more than ``TERM_BUDGET`` of them is a
+  ``CutoffError``, raised before any ladder or occupation is allocated.
 """
 
 from __future__ import annotations
@@ -41,12 +44,14 @@ NORM_TOL = 1e-9     # relative tolerance on Sum |amplitude|^2 = 1
 PRUNE_TOL = 1e-15   # amplitudes below this are dropped from storage
 TAIL_TOL = 1e-12    # maximum probability mass a truncated builder may discard
 ZERO_TOL = 1e-12    # moments and rates at or below this are treated as zero
+# most occupations a truncated builder may enumerate: over 10x the largest
+# state built in use (94 830 terms, a two-mode cat at cutoff 434)
+TERM_BUDGET = 1_000_000
 
 __all__ = [
     "ModeLayout",
     "MultiModeState",
     "MixedState",
-    "MomentSpec",
     "make_pure",
     "make_coherent",
     "coherent_cutoff",
@@ -114,47 +119,21 @@ def _find(keys: np.ndarray, targets):
 class MultiModeState:
     """Immutable pure state: complex amplitudes over occupation tuples."""
 
-    __slots__ = ("layout", "_occ", "_amp", "_keys", "_dict")
+    __slots__ = ("layout", "_occ", "_amp", "_keys")
 
-    def __init__(self, layout: ModeLayout, amplitudes: Mapping[tuple[int, ...], complex]):
-        occ_rows = []
-        amp_rows = []
-        for tup, val in amplitudes.items():
-            tup = tuple(int(x) for x in tup)
-            if len(tup) != layout.n_modes:
-                raise StateError(f"occupation {tup} has {len(tup)} entries, layout has {layout.n_modes} modes")
-            if any(x < 0 for x in tup):
-                raise StateError(f"negative occupation in {tup}")
-            if sum(tup) > layout.cutoff:
-                raise StateError(f"occupation {tup} exceeds total-photon cutoff {layout.cutoff}")
-            val = complex(val)
-            if not cmath.isfinite(val):
-                raise StateError(f"amplitude {val!r} of occupation {tup} is not finite")
-            occ_rows.append(tup)
-            amp_rows.append(val)
-        if not occ_rows:
-            raise StateError("state needs at least one amplitude")
-        occ = np.array(occ_rows, dtype=np.int64)
-        amp = np.array(amp_rows, dtype=np.complex128)
-        occ, amp = _canonicalize(layout, occ, amp)
-        _check_norm(amp)
-        self._install(layout, occ, amp)
-
-    # -- construction plumbing -------------------------------------------
-
-    def _install(self, layout: ModeLayout, occ: np.ndarray, amp: np.ndarray) -> None:
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "_occ", occ)
-        object.__setattr__(self, "_amp", amp)
-        object.__setattr__(self, "_keys", _pack_keys(occ, layout.cutoff))
-        object.__setattr__(self, "_dict", None)
+    def __new__(cls, layout: ModeLayout, amplitudes: Mapping[tuple[int, ...], complex]):
+        occ, amp = _checked_terms(layout, list(amplitudes), list(amplitudes.values()))
+        return cls._from_canonical(layout, *_canonicalize(layout, occ, amp))
 
     @classmethod
     def _from_canonical(cls, layout: ModeLayout, occ: np.ndarray, amp: np.ndarray) -> "MultiModeState":
-        """Internal: arrays already sorted/unique/pruned. Norm is re-checked."""
+        """The one install step of every state: arrays already sorted, unique
+        and pruned; the norm is checked here."""
         _check_norm(amp)
         self = object.__new__(cls)
-        self._install(layout, occ, amp)
+        for name, value in (("layout", layout), ("_occ", occ), ("_amp", amp),
+                            ("_keys", _pack_keys(occ, layout.cutoff))):
+            object.__setattr__(self, name, value)
         return self
 
     def __setattr__(self, name, value):  # states are immutable values
@@ -168,11 +147,7 @@ class MultiModeState:
 
     def amplitudes(self) -> dict[tuple[int, ...], complex]:
         """Occupation tuple -> amplitude, in canonical (sorted) order."""
-        cached = self._dict
-        if cached is None:
-            cached = {tuple(int(x) for x in row): complex(a) for row, a in zip(self._occ, self._amp)}
-            object.__setattr__(self, "_dict", cached)
-        return dict(cached)
+        return {tuple(row): a for row, a in zip(self._occ.tolist(), self._amp.tolist())}
 
     def amplitude(self, occ: Sequence[int]) -> complex:
         key = _pack_keys(np.array([occ], dtype=np.int64), self.layout.cutoff)[0]
@@ -186,8 +161,41 @@ class MultiModeState:
         return f"MultiModeState(modes={self.layout.labels}, cutoff={self.layout.cutoff}, terms={self.n_terms})"
 
 
-def _canonicalize(layout: ModeLayout, occ: np.ndarray, amp: np.ndarray):
-    """Sort by packed key, merge duplicates, prune negligible amplitudes."""
+def _checked_terms(layout: ModeLayout, occs: Sequence, values: Sequence):
+    """Caller-given terms as (N, M) int64 occupations and (N,) complex
+    amplitudes, or a StateError: no terms, or the first term with the wrong
+    arity, a negative entry, too many photons or a non-finite amplitude.
+    """
+    def term(i: int) -> tuple[int, ...]:
+        return tuple(int(x) for x in occs[i])
+
+    if not occs:
+        raise StateError("state needs at least one amplitude")
+    arity = np.fromiter(map(len, occs), dtype=np.int64, count=len(occs))
+    if np.any(arity != layout.n_modes):
+        i = int(np.argmax(arity != layout.n_modes))
+        raise StateError(f"occupation {term(i)} has {arity[i]} entries, layout has {layout.n_modes} modes")
+    try:
+        occ = np.array(occs, dtype=np.int64).reshape(len(occs), layout.n_modes)
+    except OverflowError:
+        raise StateError(f"an occupation entry lies outside 0 .. {layout.cutoff}") from None
+    amp = np.array(values, dtype=np.complex128)
+    negative = np.any(occ < 0, axis=1)
+    if np.any(negative):
+        raise StateError(f"negative occupation in {term(int(np.argmax(negative)))}")
+    # a row whose int64 sum wraps has an entry beyond the cutoff, flagged on its own
+    over = np.any(occ > layout.cutoff, axis=1) | (occ.sum(axis=1) > layout.cutoff)
+    if np.any(over):
+        raise StateError(f"occupation {term(int(np.argmax(over)))} exceeds total-photon cutoff {layout.cutoff}")
+    finite = np.isfinite(amp)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise StateError(f"amplitude {complex(amp[i])!r} of occupation {term(i)} is not finite")
+    return occ, amp
+
+
+def _merged(layout: ModeLayout, occ: np.ndarray, amp: np.ndarray):
+    """Sort by packed key and sum repeated occupations in the order given."""
     keys = _pack_keys(occ, layout.cutoff)
     order = np.argsort(keys)
     sorted_keys = keys[order]
@@ -196,9 +204,17 @@ def _canonicalize(layout: ModeLayout, occ: np.ndarray, amp: np.ndarray):
         merged = np.zeros(uniq.shape[0], dtype=np.complex128)
         np.add.at(merged.real, inverse, amp.real)
         np.add.at(merged.imag, inverse, amp.imag)
-        occ, amp = occ[first], merged
-    else:
-        occ, amp = occ[order], amp[order]
+        return occ[first], merged
+    return occ[order], amp[order]
+
+
+def _canonicalize(layout: ModeLayout, occ: np.ndarray, amp: np.ndarray):
+    """Sort by packed key, merge duplicates, prune negligible amplitudes."""
+    return _pruned(*_merged(layout, occ, amp))
+
+
+def _pruned(occ: np.ndarray, amp: np.ndarray):
+    """Drop amplitudes at or below PRUNE_TOL; order is kept."""
     keep = np.abs(amp) > PRUNE_TOL
     if not np.all(keep):
         occ, amp = occ[keep], amp[keep]
@@ -271,44 +287,20 @@ def require_modes(state: AnyState, modes: tuple[str, ...], role: str) -> None:
         raise StateError(f"{role} must live on modes {modes} in order, got {state.layout.labels}")
 
 
-@dataclass(frozen=True)
-class MomentSpec:
-    """Normally ordered moment: per-mode creation/annihilation exponents."""
-
-    factors: tuple[tuple[str, int, int], ...]
-
-    def __post_init__(self) -> None:
-        factors = tuple((str(m), int(p), int(q)) for m, p, q in self.factors)
-        object.__setattr__(self, "factors", factors)
-        modes = [m for m, _, _ in factors]
-        if len(set(modes)) != len(modes):
-            raise StateError(f"mode repeated in moment spec {factors}")
-        if any(p < 0 or q < 0 for _, p, q in factors):
-            raise StateError(f"negative exponent in moment spec {factors}")
-
-    @classmethod
-    def coerce(cls, spec) -> "MomentSpec":
-        if isinstance(spec, cls):
-            return spec
-        return cls(tuple(spec))
-
-
 def make_pure(layout: ModeLayout, terms: Iterable[tuple[Sequence[int], complex]]) -> MultiModeState:
-    """Build a normalized pure state proportional to the given terms."""
-    acc: dict[tuple[int, ...], complex] = {}
-    for occ, val in terms:
-        key = tuple(int(x) for x in occ)
-        val = complex(val)
-        if not cmath.isfinite(val):
-            raise StateError(f"amplitude {val!r} of occupation {key} is not finite")
-        acc[key] = acc.get(key, 0.0 + 0.0j) + val
-    if not acc:
-        raise StateError("no terms given")
-    nsq = math.fsum(abs(v) ** 2 for v in acc.values())
+    """Build a normalized pure state proportional to the given terms.
+
+    Repeated occupations are summed in the order given. The merged terms
+    are scaled by 1 / sqrt(math.fsum |amplitude|^2) and then pruned.
+    """
+    terms = list(terms)
+    occ, amp = _checked_terms(layout, [o for o, _ in terms], [v for _, v in terms])
+    # a merged amplitude is a sum started at +0, so a -0 part becomes +0
+    occ, amp = _merged(layout, occ, amp + 0.0)
+    nsq = math.fsum((np.hypot(amp.real, amp.imag) ** 2).tolist())
     if nsq <= 0.0:
         raise StateError("all terms are zero; cannot normalize")
-    scale = 1.0 / math.sqrt(nsq)
-    return MultiModeState(layout, {k: v * scale for k, v in acc.items()})
+    return MultiModeState._from_canonical(layout, *_pruned(occ, amp * (1.0 / math.sqrt(nsq))))
 
 
 def vacuum(labels: Sequence[str], cutoff: int = 0) -> MultiModeState:
@@ -331,19 +323,6 @@ def coherent_cutoff(alpha_mag: float) -> int:
     return math.ceil(size)
 
 
-def _ladder(alpha: complex, cutoff: int, start: float = 1.0) -> np.ndarray:
-    """start * alpha^n / sqrt(n!) for n = 0 .. cutoff.
-
-    Built by the recursion l_n = l_{n-1} alpha / sqrt(n), so neither
-    alpha^n nor n! is ever formed on its own.
-    """
-    lad = np.empty(cutoff + 1, dtype=np.complex128)
-    lad[0] = start
-    for n in range(1, cutoff + 1):
-        lad[n] = lad[n - 1] * alpha / math.sqrt(n)
-    return lad
-
-
 def _check_tail(mass: float, cutoff: int, alpha_mag: float, what: str) -> None:
     """Raise CutoffError unless the kept probability ``mass`` of a truncated
     state of coherent amplitude ``alpha_mag`` is finite and within TAIL_TOL
@@ -355,6 +334,55 @@ def _check_tail(mass: float, cutoff: int, alpha_mag: float, what: str) -> None:
         raise CutoffError(
             f"cutoff {cutoff} keeps {what} mass {mass!r}, not within {TAIL_TOL} of 1{need}"
         )
+
+
+def _occupations(n_modes: int, total: int) -> np.ndarray:
+    """All occupation rows with entry sum <= total, in lexicographic order,
+    which is the order of their packed keys."""
+    occ = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n_modes):
+        reps = total - occ.sum(axis=1) + 1          # choices for the next mode
+        nxt = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        occ = np.hstack([np.repeat(occ, reps, axis=0), nxt[:, None]])
+    return occ
+
+
+def _ladder_state(layout: ModeLayout, alphas: Sequence[complex], start: float,
+                  weight: float, parity: tuple[complex, complex], what: str) -> MultiModeState:
+    """The truncated-ladder builder of coherent and cat states.
+
+    Occupation n with N photons in all gets parity[N % 2] * prod_m l_m(n_m),
+    with the ladder l_m(k) = start alpha_m^k / sqrt(k!), on every n within
+    the cutoff. The product is taken left to right in real arithmetic, as
+    Python's complex product does, so no numpy complex kernel can move its
+    bits. The kept mass weight * sum |amp|^2 must pass ``_check_tail``, which
+    also rejects an overflowed one, before the state is renormalized.
+    """
+    cutoff, n_modes = layout.cutoff, layout.n_modes
+    if math.comb(cutoff + n_modes, n_modes) > TERM_BUDGET:
+        raise CutoffError(
+            f"cutoff {cutoff} on {n_modes} modes exceeds the size budget of {TERM_BUDGET} terms"
+        )
+    occ = _occupations(n_modes, cutoff)
+    with np.errstate(all="ignore"):
+        odd = occ.sum(axis=1) % 2 == 1
+        re = np.where(odd, parity[1].real, parity[0].real)
+        im = np.where(odd, parity[1].imag, parity[0].imag)
+        for alpha, n in zip(alphas, occ.T):
+            # l(k) = l(k-1) alpha / sqrt(k), so neither alpha^k nor k! is formed
+            lad = np.empty(cutoff + 1, dtype=np.complex128)
+            lad[0] = start
+            for k in range(1, cutoff + 1):
+                lad[k] = lad[k - 1] * alpha / math.sqrt(k)
+            lr, li = lad.real[n], lad.imag[n]
+            re, im = re * lr - im * li, re * li + im * lr
+        amp = np.empty(occ.shape[0], dtype=np.complex128)
+        amp.real, amp.imag = re, im
+        norm_sq = float(np.sum(np.abs(amp) ** 2))
+    alpha_mag = math.sqrt(math.fsum(abs(a) * abs(a) for a in alphas))
+    _check_tail(weight * norm_sq, cutoff, alpha_mag, what)
+    amp /= math.sqrt(norm_sq)
+    return MultiModeState._from_canonical(layout, *_pruned(occ, amp))
 
 
 def make_coherent(layout: ModeLayout, alphas: Sequence[complex]) -> MultiModeState:
@@ -370,30 +398,8 @@ def make_coherent(layout: ModeLayout, alphas: Sequence[complex]) -> MultiModeSta
     alphas = [complex(a) for a in alphas]
     if not all(cmath.isfinite(a) for a in alphas):
         raise StateError(f"coherent amplitudes must be finite, got {alphas}")
-    ladders = [_ladder(a, layout.cutoff) for a in alphas]
-    occ = list(_tuples_upto(layout.n_modes, layout.cutoff))
-    amp = np.array(
-        [math.prod((lad[n] for lad, n in zip(ladders, tup)), start=1.0 + 0.0j) for tup in occ],
-        dtype=np.complex128,
-    )
-    occ = np.array(occ, dtype=np.int64)
-    norm_sq = float(np.sum(np.abs(amp) ** 2))
     lam = math.fsum(abs(a) * abs(a) for a in alphas)
-    _check_tail(math.exp(-lam) * norm_sq, layout.cutoff, math.sqrt(lam), "coherent-state")
-    amp /= math.sqrt(norm_sq)
-    occ, amp = _canonicalize(layout, occ, amp)
-    return MultiModeState._from_canonical(layout, occ, amp)
-
-
-def _tuples_upto(n_modes: int, total: int):
-    """All occupation tuples with entry sum <= total (lexicographic)."""
-    if n_modes == 1:
-        for n in range(total + 1):
-            yield (n,)
-        return
-    for n in range(total + 1):
-        for rest in _tuples_upto(n_modes - 1, total - n):
-            yield (n,) + rest
+    return _ladder_state(layout, alphas, 1.0, math.exp(-lam), (1.0 + 0.0j, 1.0 + 0.0j), "coherent-state")
 
 
 def tensor(s1: MultiModeState, s2: MultiModeState) -> MultiModeState:
@@ -453,69 +459,74 @@ def _falling(n: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _partner_sum(state: MultiModeState, delta, weight: np.ndarray) -> complex:
+    """sum_n conj(amp[n + delta]) * weight[n] * amp[n] over the kets n.
+
+    The partner ket n + delta is found by one search of the packed key
+    shifted by delta . strides. Only kets with weight > 0 are searched, and
+    for those n + delta must be an occupation within the cutoff, so that
+    the shifted key is its exact key.
+    """
+    keys, amp = state._keys, state._amp
+    live = weight > 0.0
+    shift = int(np.dot(delta, _key_strides(state.layout.n_modes, state.layout.cutoff)))
+    pos, hit = _find(keys, keys[live] + shift)
+    return complex(np.sum(np.conj(amp[pos[hit]]) * weight[live][hit] * amp[live][hit]))
+
+
 @mixture_average
 def normal_moment(state: AnyState, spec) -> complex:
-    """<prod_m (a_m^dag)^p_m (a_m)^q_m>, exact on the truncated space."""
-    spec = MomentSpec.coerce(spec)
-    layout = state.layout
-    n_modes = layout.n_modes
-    pvec = np.zeros(n_modes, dtype=np.int64)
-    qvec = np.zeros(n_modes, dtype=np.int64)
-    for mode, p, q in spec.factors:
+    """<prod_m (a_m^dag)^p_m (a_m)^q_m>, exact on the truncated space.
+
+    ``spec`` lists (mode, p, q) factors, each mode at most once, with
+    nonnegative exponents.
+    """
+    factors = tuple((str(m), int(p), int(q)) for m, p, q in spec)
+    if len({m for m, _, _ in factors}) != len(factors):
+        raise StateError(f"mode repeated in moment spec {factors}")
+    if any(p < 0 or q < 0 for _, p, q in factors):
+        raise StateError(f"negative exponent in moment spec {factors}")
+    layout, occ = state.layout, state._occ
+    delta = np.zeros(layout.n_modes, dtype=np.int64)
+    # sqrt of prod n!/(n-q)! * (n-q+p)!/(n-q)!, which is 0 where some n < q
+    coeff = np.ones(occ.shape[0], dtype=np.float64)
+    for mode, p, q in factors:
         col = layout.index(mode)
-        pvec[col] = p
-        qvec[col] = q
-    occ, amp = state._occ, state._amp
-    valid = np.all(occ >= qvec, axis=1)
-    if not np.any(valid):
-        return 0.0 + 0.0j
-    occ_k = occ[valid]
-    amp_k = amp[valid]
-    target = occ_k - qvec + pvec
-    inside = target.sum(axis=1) <= layout.cutoff
-    if not np.any(inside):
-        return 0.0 + 0.0j
-    occ_k, amp_k, target = occ_k[inside], amp_k[inside], target[inside]
-    coeff = np.ones(occ_k.shape[0], dtype=np.float64)
-    for mode, p, q in spec.factors:
-        col = layout.index(mode)
-        coeff *= _falling(occ_k[:, col], q)
-        coeff *= _falling(target[:, col], p)
-    coeff = np.sqrt(coeff)
-    pos, hit = _find(state._keys, _pack_keys(target, layout.cutoff))
-    if not np.any(hit):
-        return 0.0 + 0.0j
-    return complex(np.sum(np.conj(state._amp[pos[hit]]) * coeff[hit] * amp_k[hit]))
+        delta[col] = p - q
+        coeff *= _falling(occ[:, col], q)
+        coeff *= _falling(occ[:, col] - q + p, p)
+    coeff[occ.sum(axis=1) + delta.sum() > layout.cutoff] = 0.0
+    return _partner_sum(state, delta, np.sqrt(coeff))
 
 
 def mixture_from_density(fock_matrix, label: str = "a") -> MixedState:
     """Eigendecompose a single-mode density matrix into a pure ensemble.
 
-    Eigenvalues below 1e-12 are dropped and the remaining weights are
+    Eigenvalues below ZERO_TOL are dropped and the remaining weights are
     renormalized so they sum to 1.
     """
     rho = np.asarray(fock_matrix, dtype=np.complex128)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise StateError(f"density matrix must be square, got shape {rho.shape}")
-    if not np.allclose(rho, rho.conj().T, atol=1e-9):
+    if not np.allclose(rho, rho.conj().T, atol=NORM_TOL):
         raise StateError("density matrix is not hermitian")
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > NORM_TOL:
         raise NormalizationError(f"density matrix trace {tr!r} deviates from 1")
     evals, evecs = np.linalg.eigh(rho)
-    if np.min(evals) < -1e-9:
+    if np.min(evals) < -NORM_TOL:
         raise StateError(f"density matrix has negative eigenvalue {np.min(evals):.3e}")
     dim = rho.shape[0]
     layout = ModeLayout((label,), dim - 1)
     comps = []
     for idx in range(dim):
         w = float(evals[idx])
-        if w < 1e-12:
+        if w < ZERO_TOL:
             continue
         vec = evecs[:, idx]
         comps.append((w, make_pure(layout, [((n,), vec[n]) for n in range(dim)])))
     if not comps:
-        raise StateError("density matrix has no weight above 1e-12")
+        raise StateError(f"density matrix has no weight above {ZERO_TOL}")
     total = math.fsum(w for w, _ in comps)
     return MixedState(tuple((w / total, s) for w, s in comps))
 

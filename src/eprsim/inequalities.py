@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CorrelationAmplitudes, amplitudes, predict_E
+from .correlation import CorrelationAmplitudes, amplitudes, epr_holds, predict_E
 from .errors import OptimizerShortfall, StateError
 from .network import PhaseSetting
 
@@ -183,7 +183,7 @@ def classify(amps: CorrelationAmplitudes, state_b_max: float) -> InequalityRepor
         a1=a1,
         a2=a2,
         region=region,
-        epr_boundary=abs(total - 1.0) <= BOUND_TOL,
+        epr_boundary=epr_holds(amps, BOUND_TOL),
         stochastic_margin=0.5 - max(a1, a2),
         bell_margin=0.5 - circle,
         tsirelson_margin=1.0 - circle,

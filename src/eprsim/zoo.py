@@ -14,19 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import CatDegenerate, StateError
-from .fock import (
-    ModeLayout,
-    MultiModeState,
-    coherent_cutoff,
-    make_coherent,
-    make_pure,
-    _check_tail,
-    _ladder,
-    _tuples_upto,
-)
+from .fock import ModeLayout, MultiModeState, coherent_cutoff, make_coherent, make_pure, _ladder_state
 from .homodyne import SIGNAL_MODES, CoherenceFunctions
 from .network import STATION_MODES, two_photon_network
 
@@ -129,14 +118,10 @@ def _cat(p: CatParams, cutoff: Optional[int], labels: tuple[str, ...]) -> MultiM
     if cutoff is None:
         cutoff = coherent_cutoff(math.sqrt(2.0) * mag)
     modes = len(labels)
-    lad = _ladder(math.sqrt(2.0 / modes) * alpha, cutoff, math.exp(-asq / modes))
-    occ = list(_tuples_upto(modes, cutoff))
-    n = np.array(occ)
-    amp = (1.0 / math.sqrt(nsq_inv)) * (1.0 + cmath.exp(1j * p.phi) * (-1.0) ** n.sum(axis=1))
-    for col in n.T:
-        amp = amp * lad[col]
-    _check_tail(float(np.sum(np.abs(amp) ** 2)), cutoff, math.sqrt(2.0 * asq), "cat-state")
-    return make_pure(ModeLayout(labels, cutoff), zip(occ, amp))
+    norm, turn = 1.0 / math.sqrt(nsq_inv), cmath.exp(1j * p.phi)
+    return _ladder_state(ModeLayout(labels, cutoff), [math.sqrt(2.0 / modes) * alpha] * modes,
+                         math.exp(-asq / modes), 1.0, (norm * (1.0 + turn), norm * (1.0 - turn)),
+                         "cat-state")
 
 
 def split_cat(p: CatParams, cutoff: Optional[int] = None) -> MultiModeState:

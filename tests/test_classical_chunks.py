@@ -176,3 +176,14 @@ def test_memory_stays_flat_in_n():
             tracemalloc.stop()
         del e
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_mixture_is_drawn_in_place():
+    tracemalloc.start()
+    try:
+        e = make_ensemble("mixture", MIXTURE, 200_000, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ensemble = e.weights.nbytes + sum(f.nbytes for f in (e.alpha1, e.alpha2, e.beta1, e.beta2))
+    assert peak <= 1.1 * ensemble

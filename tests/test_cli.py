@@ -2,11 +2,12 @@
 
 import json
 import math
+import time
 import warnings
 
 import pytest
 
-from eprsim import ModeLayout, make_pure, save_state
+from eprsim import ModeLayout, fock, make_pure, save_state
 from eprsim.cli import main
 
 
@@ -137,6 +138,42 @@ def test_bad_numbers_fail_cleanly(capsys, argv, error):
     assert code == 1
     assert out.count("\n") == 1
     assert json.loads(out)["error"]["type"] == error
+
+
+@pytest.mark.parametrize("argv", [
+    ("state", "coherent", "--alpha", "300"),
+    ("state", "coherent", "--alpha", "1e8"),
+    ("state", "split-cat", "--alpha", "1e4"),
+    ("state", "coherent", "--cutoff", "100000000"),
+])
+def test_size_budget_is_checked_before_building(capsys, monkeypatch, argv):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("occupations were enumerated past the size budget")
+
+    monkeypatch.setattr(fock, "_occupations", forbidden)
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "CutoffError"
+    assert f"exceeds the size budget of {fock.TERM_BUDGET} terms" in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("state", "coherent", "--alpha", "40"),
+    ("state", "coherent", "--alpha", "1e200", "--cutoff", "5"),
+    ("state", "coherent", "--alpha", "19"),
+    ("state", "split-cat", "--alpha", "1e150", "--cutoff", "5"),
+])
+def test_overflowing_builders_warn_nothing(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, *argv)
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == "CutoffError"
 
 
 def test_figure3_output(capsys):

@@ -290,3 +290,29 @@ def test_evolution_backend_never_evaluates_input_moments(monkeypatch):
         for x, y in zip((got.cc, got.cd, got.dc, got.dd), (want.cc, want.cd, want.dc, want.dd)):
             assert x == pytest.approx(y, abs=1e-12)
         assert sinusoid_residual(state, grid_size=4, amps=amps) < 1e-12
+
+
+def test_evolution_backend_never_calls_the_partner_ket_kernel(monkeypatch):
+    import eprsim.correlation as correlation
+    import eprsim.fock as fock
+    from eprsim import LOConfig, coherent_pair, homodyne_network_state
+
+    lo_state = homodyne_network_state(coherent_pair(0.5, 0.5), LOConfig(0.5, 0.5))
+    mixed = MixedState(((0.3, entangled("sum")), (0.7, random_four_mode(np.random.default_rng(8)))))
+    cases = [(state, amplitudes(state)) for state in (lo_state, mixed)]
+    setting = PhaseSetting(0.4, -1.1)
+    expected = [output_correlators(state, setting, backend="expansion") for state, _ in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the evolution backend searched for a partner ket")
+
+    monkeypatch.setattr(fock, "_partner_sum", forbidden)
+    monkeypatch.setattr(correlation, "_partner_sum", forbidden)
+    # the expansion backend does reach the patched kernel
+    with pytest.raises(AssertionError, match="partner ket"):
+        output_correlators(lo_state, setting, backend="expansion")
+    for (state, amps), want in zip(cases, expected):
+        got = output_correlators(state, setting, backend="evolution")
+        for x, y in zip((got.cc, got.cd, got.dc, got.dd), (want.cc, want.cd, want.dc, want.dd)):
+            assert x == pytest.approx(y, abs=1e-12)
+        assert sinusoid_residual(state, grid_size=4, amps=amps) < 1e-12

@@ -117,6 +117,10 @@ def test_state_validation():
         MultiModeState(layout, {(-1, 0): 1.0})        # negative occupation
     with pytest.raises(StateError):
         MultiModeState(layout, {(2, 2): 1.0})         # beyond total cutoff
+    with pytest.raises(StateError):
+        MultiModeState(layout, {(2**62, 2**62): 1.0})  # the int64 row sum wraps
+    with pytest.raises(StateError):
+        MultiModeState(layout, {(10**30, 0): 1.0})    # beyond int64
     with pytest.raises(NormalizationError):
         MultiModeState(layout, {(1, 0): 0.5})         # not normalized
     with pytest.raises(StateError):

@@ -1,11 +1,13 @@
-"""Property tests for the grouped-sector optics and the one-pass moments.
+"""Property tests for the grouped-sector optics and the moment kernels.
 
 Random cutoff-3 four-mode states, pure and two-component mixtures, are
 drawn with small integer amplitude parts so that exact cancellations
 (Hong-Ou-Mandel-like zeros) occur as often as generic values. The
 references kept here are the implementations the fast paths replaced:
 ten ``normal_moment`` calls for the station moments and the
-repeat/unique splitter.
+repeat/unique splitter. Both moment paths share one partner-ket kernel,
+so ``normal_moment`` itself is checked against dense Kronecker-product
+ladder matrices.
 """
 
 import math
@@ -26,12 +28,12 @@ from eprsim import (
     output_correlators,
 )
 from eprsim.correlation import _evolution_rates, _station_moments
-from eprsim.fock import _canonicalize, _tuples_upto
+from eprsim.fock import _canonicalize, _occupations
 from eprsim.network import _sector_matrix
 
 STANDARD = ("a1", "b1", "a2", "b2")
 CUTOFF = 3
-OCCS = list(_tuples_upto(4, CUTOFF))
+OCCS = _occupations(4, CUTOFF).tolist()
 parts = arrays(np.int64, (2, len(OCCS)), elements=st.integers(-3, 3))
 
 
@@ -109,6 +111,45 @@ def test_one_pass_station_moments_match_normal_moments(state):
         assert abs(got[name] - want[name]) <= 1e-12, name
 
 
+def _dense_moment(state, spec):
+    """<psi| prod (a_m^dag)^p a_m^q |psi> with dense Kronecker-product ladder
+    matrices, each mode truncated at the total-photon cutoff."""
+    layout = state.layout
+    dim = layout.cutoff + 1
+    ladder = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    factors = {mode: (p, q) for mode, p, q in spec}
+    op = np.ones((1, 1))
+    for mode in layout.labels:
+        p, q = factors.get(mode, (0, 0))
+        op = np.kron(op, np.linalg.matrix_power(ladder.T, p) @ np.linalg.matrix_power(ladder, q))
+    vec = np.zeros(dim ** layout.n_modes, dtype=np.complex128)
+    for occ, amp in state.amplitudes().items():
+        vec[np.ravel_multi_index(occ, (dim,) * layout.n_modes)] = amp
+    return complex(vec.conj() @ op @ vec)
+
+
+@st.composite
+def moment_cases(draw):
+    """A pure 2- or 3-mode state and a moment spec over some of its modes."""
+    n_modes = draw(st.integers(2, 3))
+    cutoff = draw(st.integers(1, 4))
+    labels = tuple(f"m{i}" for i in range(n_modes))
+    occs = _occupations(n_modes, cutoff).tolist()
+    re_im = draw(arrays(np.int64, (2, len(occs)), elements=st.integers(-3, 3))
+                 .filter(lambda p: np.any(p != 0)))
+    modes = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=n_modes, unique=True))
+    spec = [(m, draw(st.integers(0, 3)), draw(st.integers(0, 3))) for m in modes]
+    return _pure(ModeLayout(labels, cutoff), occs, re_im), spec
+
+
+@settings(max_examples=80, deadline=None)
+@given(moment_cases())
+def test_normal_moment_matches_dense_kronecker_ladders(case):
+    state, spec = case
+    want = _dense_moment(state, spec)
+    assert abs(normal_moment(state, spec) - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def _reference_beamsplitter(state, mode_a, mode_b):
     """The repeat/unique splitter the grouped-sector kernel replaced."""
     layout = state.layout
@@ -140,7 +181,7 @@ def splitter_cases(draw):
     n_modes = draw(st.integers(2, 4))
     cutoff = draw(st.integers(1, 5))
     labels = tuple(f"m{i}" for i in range(n_modes))
-    occs = list(_tuples_upto(n_modes, cutoff))
+    occs = _occupations(n_modes, cutoff).tolist()
     re_im = draw(arrays(np.int64, (2, len(occs)), elements=st.integers(-3, 3))
                  .filter(lambda p: np.any(p != 0)))
     state = _pure(ModeLayout(labels, cutoff), occs, re_im)

@@ -4,9 +4,10 @@
         --title "what the change does" --parent-rev b7f3ee6 \
         --workload cli-paper:1001-1005 --workload lo-network:1101-1105
 
-DIR is a checkout (src/ and perfbench/) of each side. For every seed of a
-workload, ``perfbench/run.py --trace 0`` runs once from each checkout, the
-parent first on even pair indices and the change first on odd ones. The
+DIR is a checkout (src/, perfbench/ and BENCHMARK.json) of each side. For
+every seed of a workload, ``perfbench/run.py --trace 0`` runs once from each
+checkout for the ``run_seconds`` of the change's BENCHMARK.json, the parent
+first on even pair indices and the change first on odd ones. The
 output holds, per workload and side, the median and quartiles of every
 end-to-end metric, the pairs each side won (ties count for neither, lower
 is better), the failed operations and whether every run was correct. It is
@@ -26,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-RUN_SECONDS = 20  # the run length of BENCHMARK.json, the same for both sides
 RUN_TIMEOUT_S = 900
 
 
@@ -39,10 +39,15 @@ def parse_workload(text: str) -> tuple[str, list[int]]:
     return name, [int(x) for x in seeds.split(",")]
 
 
-def run_once(root: Path, workload: str, seed: int) -> dict:
+def run_seconds(root: Path) -> int:
+    """The run length that BENCHMARK.json in checkout ``root`` fixes."""
+    return json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
     """One untraced benchmark run from checkout ``root``; its final JSON line."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(RUN_SECONDS), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -100,6 +105,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = Path(f"BENCH_{args.pr}.json")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seconds = run_seconds(roots["change"])
 
     doc = {
         "change": args.title,
@@ -112,7 +118,7 @@ def main(argv=None) -> int:
         },
         "method": {
             "command": f"python3 perfbench/run.py --workload WORKLOAD --seed SEED "
-                       f"--seconds {RUN_SECONDS} --trace 0",
+                       f"--seconds {seconds} --trace 0",
             "pairs": "parent and change alternate which side runs first, one pair per seed; "
                      "each side runs from its own checkout",
             "quartiles": "numpy.percentile, linear interpolation, over the runs of one side",
@@ -127,7 +133,7 @@ def main(argv=None) -> int:
         for index, seed in enumerate(seeds):
             order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_once(roots[side], workload, seed))
+                runs[side].append(run_once(roots[side], workload, seed, seconds))
                 print(f"{workload} seed {seed} {side}: "
                       + ", ".join(f"{m} {v['value']:.4g}" for m, v in runs[side][-1]["metrics"].items()),
                       flush=True)
