@@ -42,6 +42,7 @@ from .fock import NORM_TOL
 CHUNK = 1 << 15
 BOOTSTRAP_RESAMPLES = 200
 BOOTSTRAP_GROUPS = 1024  # most groups per stratum
+SAMPLE_BUDGET = 10_000_000  # most samples per ensemble, 10x the largest used (1e6)
 
 __all__ = [
     "ClassicalEnsemble",
@@ -144,8 +145,8 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
     mixture is drawn straight into its own slice of them. Each stratum has
     one weight.
     """
-    if n < 1:
-        raise StateError("need n >= 1 samples")
+    if not 1 <= n <= SAMPLE_BUDGET:
+        raise StateError(f"need 1 <= n <= {SAMPLE_BUDGET} samples")
     seed = int(seed)
     if seed < 0:
         raise StateError(f"seed must be >= 0, got {seed}")

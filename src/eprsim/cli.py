@@ -27,7 +27,7 @@ from typing import Optional
 from . import correlation, homodyne, inequalities, zoo
 from .classical import bound_report, estimate_amplitudes, make_ensemble, pointwise_margin
 from .correlation import STATION_MODES
-from .errors import EprSimError, StateError
+from .errors import EprSimError, StateError, UsageError
 from .fock import load_state, reorder
 from .homodyne import SIGNAL_MODES
 from .zoo import CatParams
@@ -115,7 +115,7 @@ def _analyze(state, tol: float) -> dict:
     }
     if is_epr and state.layout.labels == STATION_MODES:
         # the four-mode network also shows the cross coincidences vanish
-        epr = correlation.epr_check(state, tol=tol)
+        epr = correlation.epr_check(state, tol=tol, amps=amps)
         total = epr.witness.total
         doc["epr_witness"] = {
             "cd_fraction": _f9(epr.witness.cd / total),
@@ -211,8 +211,13 @@ def cmd_sweep_cat(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a malformed command line is a JSON error too
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eprsim",
         description="Interferometric photon-number correlations and Bell bounds.",
     )
@@ -254,12 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except EprSimError as exc:
-        return _error_exit(exc)
-    except OSError as exc:
+    except (EprSimError, OSError) as exc:
         return _error_exit(exc)
 
 

@@ -22,13 +22,16 @@ Two backends compute the correlators. ``expansion`` evaluates the five
 input moments (ss, m1, m2, s1d2, d1s2) in one pass over the kets: ss is
 diagonal, and each other moment finds its partner ket by one search of
 the packed key shifted by the moment's occupation change. ``evolution``
-pushes the state through the analyzer optics: the phases act on the b
-arms, then each station's splitter is applied with the grouped-sector
-kernel of ``network``, laid out once per call and run on a block of
-settings at a time, and the rates are read as sum |amp|^2 n_x1 n_x2 on
-the output kets. The evolution path never evaluates an input moment, so
-the two agree to float precision only if both are right; the tests
-cross-check them.
+pushes blocks of settings through the analyzer optics (phases on the b
+arms, then each station's splitter) with the sector product of
+``network``, on rows computed without sort or search: station k mixes
+only within n_k = a_k + b_k, so every ket lies in the dense
+(n1+1) x (n2+1) block of its sector pair. It reads the rates as
+sum |amp|^2 n_x1 n_x2 and never evaluates an input moment, so the two
+agree to float precision only if both are right; the tests cross-check
+them. |amp|^2 <= ``PRUNE_TOL**2`` reads as 0, as in a stored state, so a
+cancelled coincidence is exactly 0. That absolute cut is safe because
+the optics are unitary on each normalised pure component.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 
 from .errors import EprSimError, StateError, ZeroCoincidence
 from .fock import PRUNE_TOL, ZERO_TOL, AnyState, _partner_sum, mixture_average, require_modes
-from .network import STATION_MODES, PhaseSetting, _mix, _pair_layout
+from .network import STATION_MODES, PhaseSetting, _mix_sectors
 
 NEGATIVE_RATE_TOL = 1e-12   # relative to the coincidence total
 SETTINGS_BLOCK = 16         # phase settings pushed through the optics together
@@ -184,35 +187,69 @@ def _moment_vector(state: AnyState) -> np.ndarray:
     ])
 
 
+def _station_layout(occ: np.ndarray, cutoff: int):
+    """Station 1's row of each ket and sectors, whose groups in sector n1 are
+    the (n2, a2) of its occupied pairs (n1, n2); station 1's row of each of
+    station 2's rows, station 2's sectors, whose groups in sector n2 are the
+    (n1, c1), and the weights (c1 c2, c1 d2, d1 c2, d1 d2) of those rows."""
+    size = cutoff + 1
+    a1, b1, a2, b2 = occ.T
+    key = (a1 + b1) * size + a2 + b2
+    pair = np.bincount(key, minlength=size * size).reshape(size, size) > 0
+    width = np.arange(1, size + 1)                  # the n + 1 splits of sector n
+    w1, w2 = pair * width, pair * width[:, None]    # groups of each pair at stations 1, 2
+    g1, g2 = w1.sum(1), w2.sum(0)
+    start1, start2 = np.cumsum(g1 * width) - g1 * width, np.cumsum(g2 * width) - g2 * width
+    base1 = start1[:, None] + np.cumsum(w1, 1) - w1   # station-1 row of (c1, a2) = (0, 0)
+    # the station-2 groups (n1, c1), sector n2 by sector n2, and their station-1 rows at a2 = 0
+    q2, q1 = np.nonzero(pair.T)
+    gn1 = np.repeat(q1, q1 + 1)
+    gc1 = np.arange(gn1.shape[0]) - np.repeat(np.cumsum(q1 + 1) - q1 - 1, q1 + 1)
+    gbase = base1[gn1, np.repeat(q2, q1 + 1)] + gc1 * g1[gn1]
+    # station-2 row block j of sector n2 runs over all groups of that sector
+    sec = np.flatnonzero(g2)
+    run_n2 = np.repeat(sec, sec + 1)
+    run_j = np.arange(run_n2.shape[0]) - np.repeat(np.cumsum(sec + 1) - sec - 1, sec + 1)
+    run_len = g2[run_n2]
+    skip = np.cumsum(run_len) - run_len - (np.cumsum(g2) - g2)[run_n2]
+    grp = np.arange(run_len.sum()) - np.repeat(skip, run_len)
+    cd1 = np.take(np.stack([gc1, gn1 - gc1]).astype(np.float64), grp, axis=1)
+    cd2 = np.repeat([run_j, run_n2 - run_j], run_len, axis=1)
+    sectors = lambda g, s0: tuple((n, int(s0[n]), int(g[n])) for n in np.flatnonzero(g).tolist())
+    return (base1.ravel()[key] + a1 * g1[a1 + b1] + a2, sectors(g1, start1), gbase[grp] + cd2[0],
+            sectors(g2, start2), (cd1[:, None] * cd2).reshape(4, -1))
+
+
 @mixture_average
 def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
     """Rates (cc, cd, dc, dd) x K settings from the analyzer optics.
 
-    Station 1 is laid out on the input kets and station 2 on station 1's
-    output kets, once per call; then blocks of ``SETTINGS_BLOCK`` phased
-    copies amp * e^{i(t1 n_b1 + t2 n_b2)} go through both splitters and
-    the rates are read as sum |amp|^2 n_x1 n_x2 on the output kets, with
-    c = a and d = b after each splitter. Mixtures are weighted per
+    Blocks of ``SETTINGS_BLOCK`` phased copies amp * e^{i(t1 n_b1 + t2 n_b2)}
+    go through station 1, are reordered for station 2 and go through it,
+    on the rows of ``_station_layout``; the rates are sum |amp|^2 n_x1 n_x2,
+    with c = a and d = b after each splitter. Mixtures are weighted per
     component.
     """
     occ, cutoff = state._occ, state.layout.cutoff
-    station1 = _pair_layout(occ, cutoff, 0, 1)            # a1, b1 -> c1, d1
-    station2 = _pair_layout(station1.occ, cutoff, 2, 3)   # a2, b2 -> c2, d2
-    c1, d1, c2, d2 = station2.occ.T.astype(np.float64)
-    pairs = np.stack([c1 * c2, c1 * d2, d1 * c2, d1 * d2])
+    rows, station1, order, station2, weights = _station_layout(occ, cutoff)
     ladder = np.arange(cutoff + 1)
     rates = np.empty((4, theta1.shape[0]))
     for lo in range(0, theta1.shape[0], SETTINGS_BLOCK):
         t1, t2 = theta1[lo:lo + SETTINGS_BLOCK], theta2[lo:lo + SETTINGS_BLOCK]
-        phased = (state._amp[:, None]
-                  * np.exp(1j * np.outer(ladder, t1))[occ[:, 1]]
-                  * np.exp(1j * np.outer(ladder, t2))[occ[:, 3]])
-        out = _mix(station2, _mix(station1, phased))
-        prob = out.real ** 2 + out.imag ** 2
+        out = np.zeros((order.shape[0], t1.shape[0]), dtype=np.complex128)
+        out[rows] = (state._amp[:, None]
+                     * np.exp(1j * np.outer(ladder, t1))[occ[:, 1]]
+                     * np.exp(1j * np.outer(ladder, t2))[occ[:, 3]])
+        _mix_sectors(out, station1)    # a1, b1 -> c1, d1
+        out = out[order]               # which frees the station-1 buffer
+        _mix_sectors(out, station2)    # a2, b2 -> c2, d2
+        np.square(out.view(np.float64), out=out.view(np.float64))   # re^2, im^2 in place
+        prob = out.real + out.imag
+        del out
         # as in a stored state, an amplitude below PRUNE_TOL is no amplitude:
         # a cancelled coincidence then reads exactly 0, not ~1e-34
         prob[prob <= PRUNE_TOL ** 2] = 0.0
-        rates[:, lo:lo + t1.shape[0]] = pairs @ prob
+        rates[:, lo:lo + t1.shape[0]] = weights @ prob
     return rates
 
 
@@ -312,16 +349,18 @@ def epr_holds(amps: CorrelationAmplitudes, tol: float) -> bool:
     return abs(amps.a1 + amps.a2 - 1.0) <= tol
 
 
-def epr_check(state: AnyState, tol: float = 1e-9) -> EprReport:
+def epr_check(state: AnyState, tol: float = 1e-9,
+              amps: Optional[CorrelationAmplitudes] = None) -> EprReport:
     """Test A1 + A2 = 1 and, when it holds, exhibit the matching phases.
 
     At theta1 = -(xi + zeta)/2, theta2 = (xi - zeta)/2 both cosines hit 1
     (a vanishing amplitude reports phase 0, which makes its constraint
     vacuous), so E = A1 + A2 there. For a perfectly correlated state the
     cross coincidences cd and dc vanish at that setting; they are returned
-    as the witness, computed with the evolution backend.
+    as the witness, computed with the evolution backend. ``amps``, when
+    given, must be ``amplitudes(state)``.
     """
-    amps = amplitudes(state)
+    amps = amplitudes(state) if amps is None else amps
     if not epr_holds(amps, tol):
         return EprReport(is_epr=False, amplitudes=amps, phases=None, witness=None)
     phases = PhaseSetting(-(amps.xi + amps.zeta) / 2.0, (amps.xi - amps.zeta) / 2.0)

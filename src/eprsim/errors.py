@@ -31,6 +31,10 @@ class StateFileError(StateError):
     """JSON state file failed to parse or validate."""
 
 
+class UsageError(EprSimError):
+    """Command-line arguments that do not parse."""
+
+
 class ZeroCoincidence(EprSimError):
     """Coincidence denominator <(n_a1+n_b1)(n_a2+n_b2)> vanishes."""
 

@@ -68,6 +68,14 @@ __all__ = [
 ]
 
 
+def _shown(value) -> str:
+    """repr of ``value``; an int of 16 or more digits rounded by Decimal, which takes any int."""
+    if not (isinstance(value, int) and abs(value) >= 10 ** 15):
+        return repr(value)
+    from decimal import Decimal  # only an error message needs it; keeps it out of import time
+    return f"{Decimal(value):.3e}"
+
+
 @dataclass(frozen=True)
 class ModeLayout:
     """Ordered mode labels sharing one total-photon cutoff."""
@@ -83,7 +91,7 @@ class ModeLayout:
         if len(set(labels)) != len(labels):
             raise StateError(f"duplicate mode labels in {labels}")
         if not isinstance(self.cutoff, (int, np.integer)) or self.cutoff < 0:
-            raise StateError(f"cutoff must be a nonnegative integer, got {self.cutoff!r}")
+            raise StateError(f"cutoff must be a nonnegative integer, got {_shown(self.cutoff)}")
         object.__setattr__(self, "cutoff", int(self.cutoff))
 
     @property
@@ -361,8 +369,10 @@ def _ladder_state(layout: ModeLayout, alphas: Sequence[complex], start: float,
     cutoff, n_modes = layout.cutoff, layout.n_modes
     if math.comb(cutoff + n_modes, n_modes) > TERM_BUDGET:
         raise CutoffError(
-            f"cutoff {cutoff} on {n_modes} modes exceeds the size budget of {TERM_BUDGET} terms"
+            f"cutoff {_shown(cutoff)} on {n_modes} modes exceeds the size budget of {TERM_BUDGET} terms"
         )
+    if start == 0.0:
+        raise CutoffError(f"{what} ladder start e^(-|beta|^2/2) underflows to 0, which no cutoff mends")
     occ = _occupations(n_modes, cutoff)
     with np.errstate(all="ignore"):
         odd = occ.sum(axis=1) % 2 == 1

@@ -33,6 +33,7 @@ from .network import PhaseSetting
 
 BOUND_TOL = 1e-9
 SHORTFALL_TOL = 1e-12   # relative to max(1, analytic): roundoff, not optimizer slack
+CURVE_BUDGET = 100_000  # most samples per figure3 curve
 
 __all__ = [
     "BellSettings",
@@ -202,8 +203,8 @@ def figure3_boundaries(samples_per_curve: int) -> list[tuple[str, float, float]]
     three curves lands exactly on (1/2, 1/2), where they intersect.
     """
     m = int(samples_per_curve)
-    if m < 2:
-        raise StateError("figure3_boundaries needs samples_per_curve >= 2")
+    if not 2 <= m <= CURVE_BUDGET:
+        raise StateError(f"figure3_boundaries needs 2 <= samples_per_curve <= {CURVE_BUDGET}")
     rows: list[tuple[str, float, float]] = []
     for i in range(m):
         s = i / (m - 1)

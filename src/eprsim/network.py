@@ -21,13 +21,15 @@ cutoff stays inside it.
 Grouped-sector kernel
 ---------------------
 The splitter mixes only kets that agree on every other mode and on the
-pair sector n = n_a + n_b. ``_pair_layout`` groups the kets that way once
-and gives each group's n+1 output kets their own rows, sector by sector,
-so sector n is a dense (n+1, groups) block and the splitter is one
-product with the (n+1, n+1) sector matrix. ``_mix`` applies it to an
-(N, K) block of amplitudes: K = 1 is ``beamsplitter`` (followed by the
-prune and canonical sort), and the evolution backend of ``correlation``
-pushes K phase settings through a station at once.
+pair sector n = n_a + n_b. Lay the kets out so that sector n is one
+dense (n+1, groups) block of rows, ket j of group g at row
+start + j*groups + g, and the splitter is one product with the
+(n+1, n+1) sector matrix per sector: ``_mix_sectors`` is that loop, and
+the only one. ``beamsplitter`` takes its layout from ``_pair_layout``,
+which groups the kets of a stored state by sorting, since such a state
+may carry any other modes; the evolution backend of ``correlation``
+computes the layout of its two stations in closed form and pushes a
+block of phase settings through them at once.
 """
 
 from __future__ import annotations
@@ -106,26 +108,10 @@ def _sector_matrix(n: int) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
-class _PairLayout:
-    """Where the grouped-sector kernel puts each ket of one splitter pair.
-
-    A group is one occupation of the other modes together with the pair
-    sector n = n_a + n_b; its n+1 output kets differ only in the split
-    (j, n-j). Groups are numbered sector by sector, and sector n owns the
-    block of rows ``start .. start + (n+1)*groups``, where the ket (g, j)
-    of its g-th group sits at row start + j*groups + g. Each sector block
-    is therefore one (n+1, groups) matrix that the splitter mixes with a
-    single product, and no output ket needs merging or searching.
-    """
-
-    rows: np.ndarray                            # row of each input ket (its n_a as j)
-    sectors: tuple[tuple[int, int, int], ...]   # (n, start, groups)
-    occ: np.ndarray                             # occupation of every output row
-
-
-def _pair_layout(occ: np.ndarray, cutoff: int, ia: int, ib: int) -> _PairLayout:
-    """Group the kets ``occ`` for a splitter on columns (ia, ib)."""
+def _pair_layout(occ: np.ndarray, cutoff: int, ia: int, ib: int):
+    """Rows (j = n_a) of the kets ``occ`` of a stored state for a splitter on
+    columns (ia, ib), the sectors and the occupation of every output row;
+    a group is one occupation of the other modes and of n = n_a + n_b."""
     sector = occ[:, ia] + occ[:, ib]
     # sector first, so that groups come out ordered sector by sector
     key = _pack_keys(np.column_stack([sector, np.delete(occ, [ia, ib], axis=1)]), cutoff)
@@ -147,23 +133,17 @@ def _pair_layout(occ: np.ndarray, cutoff: int, ia: int, ib: int) -> _PairLayout:
         block[:, :, ia] = split
         block[:, :, ib] = n - split
         sectors.append((n, s0, g))
-    return _PairLayout(rows, tuple(sectors), out)
+    return rows, tuple(sectors), out
 
 
-def _mix(layout: _PairLayout, amps: np.ndarray) -> np.ndarray:
-    """Push an (N, K) block of ket amplitudes through the 50:50 splitter.
-
-    Returns the (R, K) amplitudes of the layout's output rows; each column
-    is one independent state (one phase setting).
-    """
-    k = amps.shape[1]
-    out = np.zeros((layout.occ.shape[0], k), dtype=np.complex128)
-    out[layout.rows] = amps
-    for n, s0, g in layout.sectors:
+def _mix_sectors(out: np.ndarray, sectors) -> None:
+    """Push the (R, K) amplitudes ``out`` (a state per column) through the
+    50:50 splitter in place; ``sectors`` lists the (n, start, groups) blocks."""
+    k = out.shape[1]
+    for n, s0, g in sectors:
         # the real sector matrix acts on the interleaved (re, im) pairs
         block = out[s0:s0 + (n + 1) * g].view(np.float64).reshape(n + 1, 2 * g * k)
         block[...] = _sector_matrix(n) @ block
-    return out
 
 
 @per_component
@@ -180,9 +160,11 @@ def beamsplitter(state: AnyState, mode_a: str, mode_b: str):
         raise StateError("beamsplitter needs two distinct modes")
     # total-photon cutoff: the pair sector n = n_a + n_b never exceeds it,
     # so every output occupation stays representable
-    pairs = _pair_layout(state._occ, layout.cutoff, ia, ib)
-    amp = _mix(pairs, state._amp[:, None])[:, 0]
-    occ, amp = _canonicalize(layout, pairs.occ, amp)
+    rows, sectors, occ = _pair_layout(state._occ, layout.cutoff, ia, ib)
+    amp = np.zeros((occ.shape[0], 1), dtype=np.complex128)
+    amp[rows, 0] = state._amp
+    _mix_sectors(amp, sectors)
+    occ, amp = _canonicalize(layout, occ, amp[:, 0])
     return MultiModeState._from_canonical(layout, occ, amp)
 
 

@@ -1,13 +1,16 @@
 """CLI surface: the four subcommands, both output formats, error paths."""
 
+import contextlib
+import io
 import json
 import math
 import time
 import warnings
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from eprsim import ModeLayout, fock, make_pure, save_state
+from eprsim import ModeLayout, correlation, fock, make_pure, save_state
 from eprsim.cli import main
 
 
@@ -274,3 +277,95 @@ def test_underflowing_field_moments_are_not_a_zero_denominator(capsys):
     code, doc = run_json(capsys, "classical", "--kind", "delta", "--point", "1,0,1,0")
     assert code == 1
     assert doc["error"]["type"] == "ZeroDenominator"
+
+
+def test_state_computes_the_amplitudes_once(capsys, monkeypatch):
+    calls = []
+    moments = correlation._station_moments
+
+    def counted(state):
+        calls.append(state)
+        return moments(state)
+
+    monkeypatch.setattr(correlation, "_station_moments", counted)
+    code, doc = run_json(capsys, "state", "entangled-sum")
+    assert code == 0
+    assert doc["is_epr"] is True and "epr_witness" in doc
+    assert len(calls) == 1
+
+
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ("state", "split-cat", "--alpha", "1e150"),
+    ("state", "coherent", "--cutoff", HUGE),
+])
+def test_budget_error_shows_a_long_cutoff_short(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out.count("\n") == 1 and len(out) < 200
+    error = json.loads(out)["error"]
+    assert error["type"] == "CutoffError"
+    assert "e+" in error["message"] and "size budget" in error["message"]
+
+
+# values an option may be given: an extreme (about half the draws; those
+# past a size budget among them) or a small number, which keeps each run
+# that passes every check fast
+REAL_EXTREMES = ("nan", "-nan", "inf", "-inf", "1e400", "1e308", "-1e200", "1e150", "1e-320",
+                 "-1", "0", "abc", "", "1,2", "1+2j", "nanj")
+INT_EXTREMES = ("-1", "0", HUGE, "-" + HUGE, "100000000", "1e3", "0x10", "abc", "")
+reals = st.one_of(st.sampled_from(REAL_EXTREMES), st.floats(-5.0, 5.0).map(repr))
+ints = st.one_of(st.sampled_from(INT_EXTREMES), st.integers(-3, 30).map(str))
+lists = st.lists(reals, min_size=1, max_size=3).map(",".join)
+
+
+def _options(choices):
+    """Some of the (flag, strategy) choices, each with one drawn value."""
+    chosen = st.lists(st.sampled_from(choices), unique_by=lambda c: c[0], max_size=len(choices))
+    return chosen.flatmap(lambda picks: st.tuples(*[v.map(lambda x, f=f: (f, x)) for f, v in picks]))
+
+
+COMMANDS = {
+    "state": (st.sampled_from(["entangled-sum", "entangled-diff", "two-photon", "coherent",
+                               "split-photon", "split-cat", "no-such-source"]).map(lambda s: [s]),
+              [("--alpha", reals), ("--alpha2", reals), ("--phi", reals), ("--cutoff", ints),
+               ("--tol", reals), ("--format", st.sampled_from(["json", "csv", "xml"]))]),
+    "figure3": (st.just([]), [("--samples", ints), ("--cutoff", ints)]),
+    "classical": (st.sampled_from(["delta", "thermal", "correlated_lo", "mixture"]).map(lambda k: ["--kind", k]),
+                  [("--nbar", reals), ("--point", lists), ("--samples", ints), ("--seed", ints)]),
+    "sweep-cat": (st.just([]), [("--alphas", lists), ("--phis", lists), ("--cutoff", ints)]),
+}
+
+
+@st.composite
+def argv_lists(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    head, options = COMMANDS[command]
+    return [command] + draw(head) + [x for pair in draw(_options(options)) for x in pair]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv_lists())
+@example(["classical", "--kind", "thermal", "--samples", HUGE])
+@example(["classical", "--kind", "thermal", "--samples", "100000000"])
+@example(["figure3", "--samples", HUGE])
+@example(["state", "coherent", "--cutoff", "-" + HUGE])
+@example(["state", "coherent", "--alpha", "1e150j"])
+@example(["sweep-cat", "--alphas", "nan,1e400"])
+@example(["state"])
+@example([])
+def test_any_argv_ends_in_success_or_the_one_line_json_error(argv):
+    # the size budgets are in force: no value may allocate or loop without bound
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    if code == 0:
+        assert out.getvalue()
+        return
+    assert code == 1
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert set(error) == {"type", "message"} and error["message"]

@@ -316,3 +316,34 @@ def test_evolution_backend_never_calls_the_partner_ket_kernel(monkeypatch):
         for x, y in zip((got.cc, got.cd, got.dc, got.dd), (want.cc, want.cd, want.dc, want.dd)):
             assert x == pytest.approx(y, abs=1e-12)
         assert sinusoid_residual(state, grid_size=4, amps=amps) < 1e-12
+
+
+def test_evolution_backend_never_sorts_or_searches(monkeypatch):
+    import eprsim.correlation as correlation
+    import eprsim.network as network
+    from eprsim import LOConfig, coherent_pair, homodyne_network_state
+
+    lo_state = homodyne_network_state(coherent_pair(0.5, 0.5), LOConfig(0.5, 0.5))
+    mixed = MixedState(((0.3, entangled("sum")), (0.7, random_four_mode(np.random.default_rng(8)))))
+    cases = [(state, amplitudes(state)) for state in (lo_state, mixed, entangled("sum"))]
+    setting = PhaseSetting(0.4, -1.1)
+    expected = [output_correlators(state, setting, backend="expansion") for state, _ in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the evolution backend sorted or searched")
+
+    monkeypatch.setattr(network, "_pair_layout", forbidden)
+    monkeypatch.setattr(correlation, "_pair_layout", forbidden, raising=False)
+    # the stored-state splitter does reach the patched layout
+    with pytest.raises(AssertionError, match="sorted or searched"):
+        network.beamsplitter(lo_state, "a1", "b1")
+    for name in ("unique", "argsort", "searchsorted", "sort", "lexsort"):
+        monkeypatch.setattr(np, name, forbidden)
+    for (state, amps), want in zip(cases, expected):
+        got = output_correlators(state, setting, backend="evolution")
+        assert [got.cc, got.cd, got.dc, got.dd] == pytest.approx(
+            [want.cc, want.cd, want.dc, want.dd], abs=1e-12)
+        assert sinusoid_residual(state, grid_size=4, amps=amps) < 1e-12
+    # a cancelled coincidence reads exactly 0
+    state, amps = cases[2]
+    assert epr_check(state, amps=amps).witness.cd == 0.0

@@ -7,7 +7,9 @@ references kept here are the implementations the fast paths replaced:
 ten ``normal_moment`` calls for the station moments and the
 repeat/unique splitter. Both moment paths share one partner-ket kernel,
 so ``normal_moment`` itself is checked against dense Kronecker-product
-ladder matrices.
+ladder matrices. The evolution backend's closed-form station layout is
+checked against the stored-state optics chain on states with few
+occupied sector pairs (n1, n2).
 """
 
 import math
@@ -26,6 +28,7 @@ from eprsim import (
     make_pure,
     normal_moment,
     output_correlators,
+    phase_shift,
 )
 from eprsim.correlation import _evolution_rates, _station_moments
 from eprsim.fock import _canonicalize, _occupations
@@ -199,3 +202,46 @@ def test_beamsplitter_matches_repeat_unique_reference(case):
     # may be kept by one and dropped by the other
     for occ in set(got) | set(want):
         assert abs(got.get(occ, 0.0) - want.get(occ, 0.0)) <= 1e-14, occ
+
+
+@st.composite
+def sector_pair_states(draw):
+    """A pure state at cutoff 0-5 on a few (n1, n2) sector pairs, or a mixture
+    of two; cutoff 0 is the vacuum, one pair a single sector."""
+    cutoff = draw(st.integers(0, 5))
+    layout = ModeLayout(STANDARD, cutoff)
+    pairs = [(n1, n2) for n1 in range(cutoff + 1) for n2 in range(cutoff + 1 - n1)]
+
+    def pure():
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True))
+        occs = [(a1, n1 - a1, a2, n2 - a2) for n1, n2 in chosen
+                for a1 in range(n1 + 1) for a2 in range(n2 + 1)]
+        re_im = draw(arrays(np.int64, (2, len(occs)), elements=st.integers(-3, 3)))
+        re_im[0, 0] += not np.any(re_im)   # an all-zero draw becomes the first ket
+        return _pure(layout, occs, re_im)
+
+    if not draw(st.booleans()):
+        return pure()
+    w = draw(st.floats(0.05, 0.95))
+    return MixedState(((w, pure()), (1.0 - w, pure())))
+
+
+def _chain_rates(state, t1, t2):
+    """(cc, cd, dc, dd) by the stored-state optics: phases on the b arms,
+    each station's splitter, then <n_x1 n_x2> with c = a and d = b."""
+    out = phase_shift(phase_shift(state, "b1", t1), "b2", t2)
+    out = beamsplitter(beamsplitter(out, "a1", "b1"), "a2", "b2")
+    return np.array([normal_moment(out, [(x1, 1, 1), (x2, 1, 1)]).real
+                     for x1 in ("a1", "b1") for x2 in ("a2", "b2")])
+
+
+@settings(max_examples=80, deadline=None)
+@given(sector_pair_states(), st.lists(st.tuples(st.floats(-math.pi, math.pi),
+                                                st.floats(-math.pi, math.pi)), min_size=1, max_size=5))
+def test_closed_form_station_layout_matches_stored_state_optics(state, pairs):
+    theta1 = np.array([t1 for t1, _ in pairs])
+    theta2 = np.array([t2 for _, t2 in pairs])
+    got = _evolution_rates(state, theta1, theta2)
+    for k, (t1, t2) in enumerate(pairs):
+        want = _chain_rates(state, t1, t2)
+        assert np.all(np.abs(got[:, k] - want) <= 1e-12 * want.sum()), (got[:, k], want)

@@ -164,3 +164,11 @@ def test_default_cutoff_is_applied():
     s = split_cat(CatParams(0.5, 0.0))
     assert s.layout.cutoff >= 14
     assert s.norm_sq() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cat_ladder_underflow_is_named_without_a_cutoff_hint():
+    # e^(-|beta|^2/2) is e^(-900) for the one-mode cat at alpha 30 and
+    # e^(-800) for the split cat at alpha 40: 0 in float64, whatever the cutoff
+    for build, alpha, cutoff in ((single_mode_cat, 30, None), (split_cat, 40, 50)):
+        with pytest.raises(CutoffError, match=r"ladder start e\^\(-\|beta\|\^2/2\) underflows to 0, which no cutoff mends$"):
+            build(CatParams(alpha, 0), cutoff=cutoff)
