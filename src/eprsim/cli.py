@@ -80,18 +80,24 @@ def _resolve_state(args):
     )
 
 
-def _assess(state):
-    """Amplitudes, Bell maximum and bound report of a station or signal state."""
+def _amplitudes(state):
+    """(A1, A2, xi, zeta) of a station or signal state."""
     if state.layout.labels == STATION_MODES:
-        amps = correlation.amplitudes(state)
-    else:
-        amps = homodyne.signal_amplitudes(state)
+        return correlation.amplitudes(state)
+    return homodyne.signal_amplitudes(state)
+
+
+def _assess(amps):
+    """Bell maximum and bound report of a state's amplitudes."""
     best = inequalities.bell_max(amps)
-    return amps, best, inequalities.classify(amps, best.b_max)
+    return best, inequalities.classify(amps, best.b_max)
 
 
 def _analyze(state, tol: float) -> dict:
-    amps, best, report = _assess(state)
+    # a station state's EPR test computes its amplitudes, in one moment pass
+    epr = correlation.epr_check(state, tol=tol) if state.layout.labels == STATION_MODES else None
+    amps = _amplitudes(state) if epr is None else epr.amplitudes
+    best, report = _assess(amps)
     is_epr = correlation.epr_holds(amps, tol)
     doc = {
         "a1": _f9(amps.a1),
@@ -113,9 +119,8 @@ def _analyze(state, tol: float) -> dict:
             "quantum": _f9(report.quantum_margin),
         },
     }
-    if is_epr and state.layout.labels == STATION_MODES:
+    if epr is not None and epr.is_epr:
         # the four-mode network also shows the cross coincidences vanish
-        epr = correlation.epr_check(state, tol=tol, amps=amps)
         total = epr.witness.total
         doc["epr_witness"] = {
             "cd_fraction": _f9(epr.witness.cd / total),
@@ -147,7 +152,8 @@ def _zoo_points(cutoff: Optional[int]) -> list[tuple[str, float, float]]:
     for name, build in zoo.ZOO.items():
         points = FIGURE3_CATS.get(name, {"": (STATE_ALPHA, STATE_PHI)})
         for suffix, (alpha, phi) in points.items():
-            amps, _, report = _assess(build(alpha=alpha, alpha2=None, phi=phi, cutoff=cutoff))
+            amps = _amplitudes(build(alpha=alpha, alpha2=None, phi=phi, cutoff=cutoff))
+            _, report = _assess(amps)
             rows.append((f"state:{name}{suffix}:{report.region}", amps.a1, amps.a2))
     return rows
 

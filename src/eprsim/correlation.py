@@ -187,37 +187,77 @@ def _moment_vector(state: AnyState) -> np.ndarray:
     ])
 
 
-def _station_layout(occ: np.ndarray, cutoff: int):
-    """Station 1's row of each ket and sectors, whose groups in sector n1 are
-    the (n2, a2) of its occupied pairs (n1, n2); station 1's row of each of
-    station 2's rows, station 2's sectors, whose groups in sector n2 are the
-    (n1, c1), and the weights (c1 c2, c1 d2, d1 c2, d1 d2) of those rows."""
-    size = cutoff + 1
+@dataclass(frozen=True)
+class _StationLayout:
+    """Rows of the evolution backend's two stations; see ``_station_layout``."""
+
+    rows: np.ndarray        # station-1 row of each ket
+    station1: tuple         # (n1, start, groups) blocks of station 1
+    order: np.ndarray       # station-1 row of each station-2 row
+    station2: tuple         # (n2, start, groups) blocks of station 2
+    weights: np.ndarray     # (c1 c2, c1 d2, d1 c2, d1 d2) of each station-2 row
+
+
+def _occupied(n: np.ndarray):
+    """The occupied values of ``n``, ascending, and each entry's rank among them."""
+    seen = np.bincount(n) > 0
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[n]
+
+
+def _runs(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., m - 1 for each run length m, concatenated."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+def _blocks(sector: np.ndarray, groups: np.ndarray):
+    """Start row of each sector whose n + 1 splits hold ``groups`` rows each,
+    and the (n, start, groups) blocks that ``network._mix_sectors`` takes."""
+    size = groups * (sector + 1)
+    start = np.cumsum(size) - size
+    return start, tuple(zip(sector.tolist(), start.tolist(), groups.tolist()))
+
+
+def _station_layout(occ: np.ndarray) -> _StationLayout:
+    """Both stations' rows of a four-mode state, by arithmetic on its sectors.
+
+    At station 1 the groups of sector n1 are the (n2, a2) of its occupied
+    pairs (n1, n2); at station 2 the groups of sector n2 are the (n1, c1).
+    The pair grid spans the occupied sectors only: each adds at least n + 1
+    station-2 rows, so the grid holds at most twice those rows, whatever
+    the cutoff.
+    """
     a1, b1, a2, b2 = occ.T
-    key = (a1 + b1) * size + a2 + b2
-    pair = np.bincount(key, minlength=size * size).reshape(size, size) > 0
-    width = np.arange(1, size + 1)                  # the n + 1 splits of sector n
-    w1, w2 = pair * width, pair * width[:, None]    # groups of each pair at stations 1, 2
-    g1, g2 = w1.sum(1), w2.sum(0)
-    start1, start2 = np.cumsum(g1 * width) - g1 * width, np.cumsum(g2 * width) - g2 * width
+    sec1, r1 = _occupied(a1 + b1)
+    sec2, r2 = _occupied(a2 + b2)
+    pair = np.bincount(r1 * sec2.shape[0] + r2, minlength=sec1.shape[0] * sec2.shape[0])
+    pair = pair.reshape(sec1.shape[0], sec2.shape[0]) > 0
+    w1 = pair * (sec2 + 1)             # station-1 groups (n2, a2) of each pair
+    w2 = pair * (sec1 + 1)[:, None]    # station-2 groups (n1, c1) of each pair
+    g1 = w1.sum(1)
+    g2 = w2.sum(0)
+    start1, station1 = _blocks(sec1, g1)
+    start2, station2 = _blocks(sec2, g2)
     base1 = start1[:, None] + np.cumsum(w1, 1) - w1   # station-1 row of (c1, a2) = (0, 0)
     # the station-2 groups (n1, c1), sector n2 by sector n2, and their station-1 rows at a2 = 0
     q2, q1 = np.nonzero(pair.T)
-    gn1 = np.repeat(q1, q1 + 1)
-    gc1 = np.arange(gn1.shape[0]) - np.repeat(np.cumsum(q1 + 1) - q1 - 1, q1 + 1)
-    gbase = base1[gn1, np.repeat(q2, q1 + 1)] + gc1 * g1[gn1]
+    gq1 = np.repeat(q1, sec1[q1] + 1)
+    gn1 = sec1[gq1]
+    gc1 = _runs(sec1[q1] + 1)
+    gbase = base1[gq1, np.repeat(q2, sec1[q1] + 1)] + gc1 * g1[gq1]
     # station-2 row block j of sector n2 runs over all groups of that sector
-    sec = np.flatnonzero(g2)
-    run_n2 = np.repeat(sec, sec + 1)
-    run_j = np.arange(run_n2.shape[0]) - np.repeat(np.cumsum(sec + 1) - sec - 1, sec + 1)
-    run_len = g2[run_n2]
-    skip = np.cumsum(run_len) - run_len - (np.cumsum(g2) - g2)[run_n2]
-    grp = np.arange(run_len.sum()) - np.repeat(skip, run_len)
+    run_q2 = np.repeat(np.arange(sec2.shape[0]), sec2 + 1)
+    run_j = _runs(sec2 + 1)
+    run_len = g2[run_q2]
+    grp = _runs(run_len) + np.repeat((np.cumsum(g2) - g2)[run_q2], run_len)
     cd1 = np.take(np.stack([gc1, gn1 - gc1]).astype(np.float64), grp, axis=1)
-    cd2 = np.repeat([run_j, run_n2 - run_j], run_len, axis=1)
-    sectors = lambda g, s0: tuple((n, int(s0[n]), int(g[n])) for n in np.flatnonzero(g).tolist())
-    return (base1.ravel()[key] + a1 * g1[a1 + b1] + a2, sectors(g1, start1), gbase[grp] + cd2[0],
-            sectors(g2, start2), (cd1[:, None] * cd2).reshape(4, -1))
+    cd2 = np.repeat([run_j, sec2[run_q2] - run_j], run_len, axis=1)
+    return _StationLayout(
+        rows=base1[r1, r2] + a1 * g1[r1] + a2,
+        station1=station1,
+        order=gbase[grp] + cd2[0],
+        station2=station2,
+        weights=(cd1[:, None] * cd2).reshape(4, -1),
+    )
 
 
 @mixture_average
@@ -230,26 +270,26 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
     with c = a and d = b after each splitter. Mixtures are weighted per
     component.
     """
-    occ, cutoff = state._occ, state.layout.cutoff
-    rows, station1, order, station2, weights = _station_layout(occ, cutoff)
-    ladder = np.arange(cutoff + 1)
+    occ = state._occ
+    lay = _station_layout(occ)
+    ladder = np.arange(int(occ[:, [1, 3]].max()) + 1)    # the b-arm photon counts
     rates = np.empty((4, theta1.shape[0]))
     for lo in range(0, theta1.shape[0], SETTINGS_BLOCK):
         t1, t2 = theta1[lo:lo + SETTINGS_BLOCK], theta2[lo:lo + SETTINGS_BLOCK]
-        out = np.zeros((order.shape[0], t1.shape[0]), dtype=np.complex128)
-        out[rows] = (state._amp[:, None]
-                     * np.exp(1j * np.outer(ladder, t1))[occ[:, 1]]
-                     * np.exp(1j * np.outer(ladder, t2))[occ[:, 3]])
-        _mix_sectors(out, station1)    # a1, b1 -> c1, d1
-        out = out[order]               # which frees the station-1 buffer
-        _mix_sectors(out, station2)    # a2, b2 -> c2, d2
+        out = np.zeros((lay.order.shape[0], t1.shape[0]), dtype=np.complex128)
+        out[lay.rows] = (state._amp[:, None]
+                         * np.exp(1j * np.outer(ladder, t1))[occ[:, 1]]
+                         * np.exp(1j * np.outer(ladder, t2))[occ[:, 3]])
+        _mix_sectors(out, lay.station1)    # a1, b1 -> c1, d1
+        out = out[lay.order]               # which frees the station-1 buffer
+        _mix_sectors(out, lay.station2)    # a2, b2 -> c2, d2
         np.square(out.view(np.float64), out=out.view(np.float64))   # re^2, im^2 in place
         prob = out.real + out.imag
         del out
         # as in a stored state, an amplitude below PRUNE_TOL is no amplitude:
         # a cancelled coincidence then reads exactly 0, not ~1e-34
         prob[prob <= PRUNE_TOL ** 2] = 0.0
-        rates[:, lo:lo + t1.shape[0]] = weights @ prob
+        rates[:, lo:lo + t1.shape[0]] = lay.weights @ prob
     return rates
 
 
@@ -349,18 +389,16 @@ def epr_holds(amps: CorrelationAmplitudes, tol: float) -> bool:
     return abs(amps.a1 + amps.a2 - 1.0) <= tol
 
 
-def epr_check(state: AnyState, tol: float = 1e-9,
-              amps: Optional[CorrelationAmplitudes] = None) -> EprReport:
+def epr_check(state: AnyState, tol: float = 1e-9) -> EprReport:
     """Test A1 + A2 = 1 and, when it holds, exhibit the matching phases.
 
     At theta1 = -(xi + zeta)/2, theta2 = (xi - zeta)/2 both cosines hit 1
     (a vanishing amplitude reports phase 0, which makes its constraint
     vacuous), so E = A1 + A2 there. For a perfectly correlated state the
     cross coincidences cd and dc vanish at that setting; they are returned
-    as the witness, computed with the evolution backend. ``amps``, when
-    given, must be ``amplitudes(state)``.
+    as the witness, computed with the evolution backend.
     """
-    amps = amplitudes(state) if amps is None else amps
+    amps = amplitudes(state)
     if not epr_holds(amps, tol):
         return EprReport(is_epr=False, amplitudes=amps, phases=None, witness=None)
     phases = PhaseSetting(-(amps.xi + amps.zeta) / 2.0, (amps.xi - amps.zeta) / 2.0)

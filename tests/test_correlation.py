@@ -344,6 +344,30 @@ def test_evolution_backend_never_sorts_or_searches(monkeypatch):
         assert [got.cc, got.cd, got.dc, got.dd] == pytest.approx(
             [want.cc, want.cd, want.dc, want.dd], abs=1e-12)
         assert sinusoid_residual(state, grid_size=4, amps=amps) < 1e-12
-    # a cancelled coincidence reads exactly 0
+    # a cancelled coincidence reads exactly 0, at the phases of the EPR test
     state, amps = cases[2]
-    assert epr_check(state, amps=amps).witness.cd == 0.0
+    phases = PhaseSetting(-(amps.xi + amps.zeta) / 2.0, (amps.xi - amps.zeta) / 2.0)
+    assert output_correlators(state, phases, backend="evolution").cd == 0.0
+
+
+def test_evolution_layout_grows_with_the_occupied_sectors_not_the_cutoff():
+    import tracemalloc
+
+    layout = ModeLayout(STANDARD, 30_000)
+    wide_sum = make_pure(layout, [((1, 0, 1, 0), 1.0), ((0, 1, 0, 1), 1.0)])
+    far_pairs = make_pure(layout, [((40, 0, 1, 0), 1.0), ((0, 1, 0, 40), 1.0j)])
+    setting = PhaseSetting(0.4, -1.1)
+    tracemalloc.start()
+    try:
+        report = epr_check(wide_sum)
+        got = [output_correlators(s, setting, backend="evolution") for s in (wide_sum, far_pairs)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a grid over the cutoff would take (30 001)^2 entries per array
+    assert peak < 2_000_000
+    assert report.is_epr and report.witness == epr_check(entangled("sum")).witness
+    for state, rates in zip((entangled("sum"), far_pairs), got):
+        want = output_correlators(state, setting, backend="expansion")
+        assert [rates.cc, rates.cd, rates.dc, rates.dd] == pytest.approx(
+            [want.cc, want.cd, want.dc, want.dd], abs=1e-12)
