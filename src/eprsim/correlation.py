@@ -26,12 +26,14 @@ pushes blocks of settings through the analyzer optics (phases on the b
 arms, then each station's splitter) with the sector product of
 ``network``, on rows computed without sort or search: station k mixes
 only within n_k = a_k + b_k, so every ket lies in the dense
-(n1+1) x (n2+1) block of its sector pair. It reads the rates as
+(n1+1) x (n2+1) block of its sector pair. A block of settings fills at
+most ``BLOCK_BYTES``, so its buffers stay in cache. It reads the rates as
 sum |amp|^2 n_x1 n_x2 and never evaluates an input moment, so the two
 agree to float precision only if both are right; the tests cross-check
 them. |amp|^2 <= ``PRUNE_TOL**2`` reads as 0, as in a stored state, so a
 cancelled coincidence is exactly 0. That absolute cut is safe because
-the optics are unitary on each normalised pure component.
+the optics are unitary on each normalised pure component. So is ``ZERO_TOL``
+on a coincidence total: the total is at least P(both stations fire).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .fock import PRUNE_TOL, ZERO_TOL, AnyState, _partner_sum, mixture_average, 
 from .network import STATION_MODES, PhaseSetting, _mix_sectors
 
 NEGATIVE_RATE_TOL = 1e-12   # relative to the coincidence total
-SETTINGS_BLOCK = 16         # phase settings pushed through the optics together
+BLOCK_BYTES = 4 << 20       # per block of settings: 2-4 MiB stays in cache, 8 MiB did not
 
 __all__ = [
     "OutputCorrelators",
@@ -108,7 +110,7 @@ class OutputCorrelators:
 
     def E(self) -> float:
         total = self.total
-        if abs(total) <= ZERO_TOL:
+        if abs(total) <= ZERO_TOL:     # absolute: the module docstring says why
             raise ZeroCoincidence(f"coincidence total {total!r} below {ZERO_TOL}")
         return (self.cc - self.cd - self.dc + self.dd) / total
 
@@ -264,31 +266,35 @@ def _station_layout(occ: np.ndarray) -> _StationLayout:
 def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
     """Rates (cc, cd, dc, dd) x K settings from the analyzer optics.
 
-    Blocks of ``SETTINGS_BLOCK`` phased copies amp * e^{i(t1 n_b1 + t2 n_b2)}
-    go through station 1, are reordered for station 2 and go through it,
-    on the rows of ``_station_layout``; the rates are sum |amp|^2 n_x1 n_x2,
-    with c = a and d = b after each splitter. Mixtures are weighted per
-    component.
+    Blocks of phased copies amp * e^{i(t1 n_b1 + t2 n_b2)}, each at most
+    ``BLOCK_BYTES``, go through station 1, are reordered for station 2 and
+    go through it, on the rows of ``_station_layout``; the rates are
+    sum |amp|^2 n_x1 n_x2, with c = a and d = b after each splitter.
+    Mixtures are weighted per component. A 16-setting block of 137k rows
+    was 35 MB, past glibc's mmap threshold, and so paged in on every call.
     """
     occ = state._occ
     lay = _station_layout(occ)
     ladder = np.arange(int(occ[:, [1, 3]].max()) + 1)    # the b-arm photon counts
+    src = np.full(lay.order.shape[0], occ.shape[0])      # the ket of each station-1 row,
+    src[lay.rows] = np.arange(occ.shape[0])              # or the zero row after the kets
+    block = max(1, BLOCK_BYTES // (16 * src.shape[0]))
     rates = np.empty((4, theta1.shape[0]))
-    for lo in range(0, theta1.shape[0], SETTINGS_BLOCK):
-        t1, t2 = theta1[lo:lo + SETTINGS_BLOCK], theta2[lo:lo + SETTINGS_BLOCK]
-        out = np.zeros((lay.order.shape[0], t1.shape[0]), dtype=np.complex128)
-        out[lay.rows] = (state._amp[:, None]
-                         * np.exp(1j * np.outer(ladder, t1))[occ[:, 1]]
-                         * np.exp(1j * np.outer(ladder, t2))[occ[:, 3]])
-        _mix_sectors(out, lay.station1)    # a1, b1 -> c1, d1
-        out = out[lay.order]               # which frees the station-1 buffer
-        _mix_sectors(out, lay.station2)    # a2, b2 -> c2, d2
+    for lo in range(0, theta1.shape[0], block):
+        t1, t2 = theta1[lo:lo + block], theta2[lo:lo + block]
+        out = np.zeros((occ.shape[0] + 1, t1.shape[0]), dtype=np.complex128)
+        # np.take(a, i, axis=0) gathers rows on numpy's fast path, a[i] on 2-d a does not
+        out[:-1] = (state._amp[:, None]
+                    * np.take(np.exp(1j * np.outer(ladder, t1)), occ[:, 1], axis=0)
+                    * np.take(np.exp(1j * np.outer(ladder, t2)), occ[:, 3], axis=0))
+        out = np.take(out, src, axis=0)          # station-1 rows; frees the phased copy
+        _mix_sectors(out, lay.station1)          # a1, b1 -> c1, d1
+        out = np.take(out, lay.order, axis=0)    # and frees the station-1 buffer
+        _mix_sectors(out, lay.station2)          # a2, b2 -> c2, d2
         np.square(out.view(np.float64), out=out.view(np.float64))   # re^2, im^2 in place
         prob = out.real + out.imag
         del out
-        # as in a stored state, an amplitude below PRUNE_TOL is no amplitude:
-        # a cancelled coincidence then reads exactly 0, not ~1e-34
-        prob[prob <= PRUNE_TOL ** 2] = 0.0
+        prob[prob <= PRUNE_TOL ** 2] = 0.0    # as in a stored state: a cancelled coincidence is 0, not ~1e-34
         rates[:, lo:lo + t1.shape[0]] = lay.weights @ prob
     return rates
 
@@ -327,7 +333,7 @@ def amplitudes(state: AnyState) -> CorrelationAmplitudes:
     require_modes(state, STATION_MODES, "state")
     mom = _station_moments(state)
     den = mom["ss"].real
-    if den <= ZERO_TOL:
+    if den <= ZERO_TOL:    # absolute: a normalised state's P(both stations fire) <= den
         raise ZeroCoincidence(
             f"coincidence denominator <(n_a1+n_b1)(n_a2+n_b2)> = {den!r} below {ZERO_TOL}"
         )

@@ -355,13 +355,13 @@ def _occupations(n_modes: int, total: int) -> np.ndarray:
     return occ
 
 
-def _ladder_state(layout: ModeLayout, alphas: Sequence[complex], start: float,
+def _ladder_state(layout: ModeLayout, alphas: Sequence[complex], log_start: float,
                   weight: float, parity: tuple[complex, complex], what: str) -> MultiModeState:
     """The truncated-ladder builder of coherent and cat states.
 
     Occupation n with N photons in all gets parity[N % 2] * prod_m l_m(n_m),
-    with the ladder l_m(k) = start alpha_m^k / sqrt(k!), on every n within
-    the cutoff. The product is taken left to right in real arithmetic, as
+    with l_m(k) = e^{log_start} alpha_m^k / sqrt(k!), on every n within the
+    cutoff. The product is taken left to right in real arithmetic, as
     Python's complex product does, so no numpy complex kernel can move its
     bits. The kept mass weight * sum |amp|^2 must pass ``_check_tail``, which
     also rejects an overflowed one, before the state is renormalized.
@@ -371,7 +371,7 @@ def _ladder_state(layout: ModeLayout, alphas: Sequence[complex], start: float,
         raise CutoffError(
             f"cutoff {_shown(cutoff)} on {n_modes} modes exceeds the size budget of {TERM_BUDGET} terms"
         )
-    if start == 0.0:
+    if math.exp(log_start) == 0.0:
         raise CutoffError(f"{what} ladder start e^(-|beta|^2/2) underflows to 0, which no cutoff mends")
     occ = _occupations(n_modes, cutoff)
     with np.errstate(all="ignore"):
@@ -381,9 +381,13 @@ def _ladder_state(layout: ModeLayout, alphas: Sequence[complex], start: float,
         for alpha, n in zip(alphas, occ.T):
             # l(k) = l(k-1) alpha / sqrt(k), so neither alpha^k nor k! is formed
             lad = np.empty(cutoff + 1, dtype=np.complex128)
-            lad[0] = start
+            lad[0] = math.exp(log_start)
             for k in range(1, cutoff + 1):
                 lad[k] = lad[k - 1] * alpha / math.sqrt(k)
+            # |exact / float|^2 at the first normal step k undoes a subnormal start's rounding, else is 1
+            k = int(np.argmax(np.abs(lad) >= np.finfo(float).tiny))
+            exact = math.exp(log_start + math.log(abs(alpha) ** k / math.factorial(k) ** 0.5))
+            weight *= (exact / abs(lad.item(k))) ** 2
             lr, li = lad.real[n], lad.imag[n]
             re, im = re * lr - im * li, re * li + im * lr
         amp = np.empty(occ.shape[0], dtype=np.complex128)
@@ -409,7 +413,7 @@ def make_coherent(layout: ModeLayout, alphas: Sequence[complex]) -> MultiModeSta
     if not all(cmath.isfinite(a) for a in alphas):
         raise StateError(f"coherent amplitudes must be finite, got {alphas}")
     lam = math.fsum(abs(a) * abs(a) for a in alphas)
-    return _ladder_state(layout, alphas, 1.0, math.exp(-lam), (1.0 + 0.0j, 1.0 + 0.0j), "coherent-state")
+    return _ladder_state(layout, alphas, 0.0, math.exp(-lam), (1.0 + 0.0j, 1.0 + 0.0j), "coherent-state")
 
 
 def tensor(s1: MultiModeState, s2: MultiModeState) -> MultiModeState:

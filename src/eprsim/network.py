@@ -28,8 +28,8 @@ start + j*groups + g, and the splitter is one product with the
 the only one. ``beamsplitter`` takes its layout from ``_pair_layout``,
 which groups the kets of a stored state by sorting, since such a state
 may carry any other modes; the evolution backend of ``correlation``
-computes the layout of its two stations in closed form and pushes a
-block of phase settings through them at once.
+computes the layout of its two stations in closed form and pushes
+blocks of phase settings, sized in bytes to stay in cache, through them.
 """
 
 from __future__ import annotations

@@ -120,7 +120,7 @@ def _cat(p: CatParams, cutoff: Optional[int], labels: tuple[str, ...]) -> MultiM
     modes = len(labels)
     norm, turn = 1.0 / math.sqrt(nsq_inv), cmath.exp(1j * p.phi)
     return _ladder_state(ModeLayout(labels, cutoff), [math.sqrt(2.0 / modes) * alpha] * modes,
-                         math.exp(-asq / modes), 1.0, (norm * (1.0 + turn), norm * (1.0 - turn)),
+                         -asq / modes, 1.0, (norm * (1.0 + turn), norm * (1.0 - turn)),
                          "cat-state")
 
 

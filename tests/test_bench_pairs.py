@@ -1,0 +1,46 @@
+"""tools/bench_pairs.py: the report parser and the per-workload summary."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+REPORT = """workload lo-network, seed 1, seconds 4, trace 0
+nominal s each: 0.3474, 0.3341, 0.3539
+terms[split-cat+lo alpha 1.0] = 40821 terms  (cutoff 48)
+setup wall s: 0.1755, 0.1549, 0.1367, 0.1363, 0.1872, reference s: 0.0414, 0.0380, 0.0362, 0.0337, 0.0417
+unscaled wall medians: setup 0.1549 s, round 0.3419 s
+fail_ratio = 0 (0 failed / 165 attempted ops)
+{"correct": true, "attempted": 165, "failed": 0, "metrics": {"round_s": {"value": 0.3732818049120825, "unit": "s"}}}
+"""
+
+def test_parse_unscaled_reads_the_wall_medians_line():
+    assert bench_pairs.parse_unscaled(REPORT) == {"setup_s": 0.1549, "round_s": 0.3419}
+    assert bench_pairs.parse_unscaled("round 1.5e-3 s\n") is None
+    assert bench_pairs.parse_unscaled(
+        "unscaled wall medians: setup 1.2e-01 s, round 4.5e-02 s\n") == {"setup_s": 0.12, "round_s": 0.045}
+
+
+def _run(round_s, unscaled):
+    return {"correct": True, "attempted": 3, "failed": 0, "unscaled": unscaled,
+            "metrics": {"round_s": {"value": round_s, "unit": "s"}}}
+
+
+def test_workload_entry_summarises_the_unscaled_wall_per_side():
+    runs = {
+        "parent": [_run(0.40, {"setup_s": 0.10, "round_s": 0.30}), _run(0.42, {"setup_s": 0.12, "round_s": 0.34})],
+        "change": [_run(0.36, {"setup_s": 0.11, "round_s": 0.26}), _run(0.37, {"setup_s": 0.11, "round_s": 0.28})],
+    }
+    entry = bench_pairs.workload_entry([1, 2], runs)
+    assert entry["parent"]["round_s"]["median"] == pytest.approx(0.41)
+    assert entry["unscaled_wall_s"]["parent"]["round_s"]["median"] == pytest.approx(0.32)
+    assert entry["unscaled_wall_s"]["change"]["setup_s"] == {"median": 0.11, "q1": 0.11, "q3": 0.11, "n": 2}
+    assert entry["pairs_won"]["round_s"] == {"change": 2, "parent": 0, "pairs": 2}
+    # a side whose report lacked the line gets no summary, not a partial one
+    runs["change"][1]["unscaled"] = None
+    assert list(bench_pairs.workload_entry([1, 2], runs)["unscaled_wall_s"]) == ["parent"]

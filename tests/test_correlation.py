@@ -371,3 +371,25 @@ def test_evolution_layout_grows_with_the_occupied_sectors_not_the_cutoff():
         want = output_correlators(state, setting, backend="expansion")
         assert [rates.cc, rates.cd, rates.dc, rates.dd] == pytest.approx(
             [want.cc, want.cd, want.dc, want.dd], abs=1e-12)
+
+
+def test_evolution_settings_blocks_stay_within_the_byte_budget():
+    import tracemalloc
+
+    import eprsim.correlation as correlation
+    from eprsim import LOConfig, coherent_pair, homodyne_network_state, optimal_lo
+
+    signal = coherent_pair(1.0, 1.0, 18)
+    state = homodyne_network_state(signal, LOConfig(*optimal_lo(signal)), lo_cutoff=18)
+    assert len(state.amplitudes()) == 36_032
+    peaks = []
+    for k in (1, 64):
+        theta = np.linspace(-3.0, 3.0, k)
+        tracemalloc.start()
+        try:
+            correlation._evolution_rates(state, theta, -theta)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 16-setting blocks of this state's 90 680 rows held 23 MB per buffer
+    assert peaks[1] - peaks[0] <= 2 * correlation.BLOCK_BYTES

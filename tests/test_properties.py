@@ -9,10 +9,12 @@ repeat/unique splitter. Both moment paths share one partner-ket kernel,
 so ``normal_moment`` itself is checked against dense Kronecker-product
 ladder matrices. The evolution backend's closed-form station layout is
 checked against the stored-state optics chain on states with few
-occupied sector pairs (n1, n2).
+occupied sector pairs (n1, n2), and its settings blocks against one
+setting at a time.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -30,9 +32,10 @@ from eprsim import (
     output_correlators,
     phase_shift,
 )
-from eprsim.correlation import _evolution_rates, _station_moments
+import eprsim.correlation as correlation
+from eprsim.correlation import _evolution_rates, _station_layout, _station_moments
 from eprsim.fock import _canonicalize, _occupations
-from eprsim.network import _sector_matrix
+from eprsim.network import _mix_sectors, _sector_matrix
 
 STANDARD = ("a1", "b1", "a2", "b2")
 CUTOFF = 3
@@ -87,6 +90,46 @@ def test_batched_evolution_matches_single_settings_and_expansion(state, pairs):
             except ZeroCoincidence:
                 continue
             assert abs(e) <= 1.0
+
+
+@st.composite
+def block_cases(draw):
+    """A station state, a block size b of 1-3 settings and 1-3 blocks of
+    settings, the last one partial when b > 1."""
+    state = draw(station_states())
+    block = draw(st.integers(1, 3))
+    count = block * draw(st.integers(1, 3)) - (draw(st.integers(1, block - 1)) if block > 1 else 0)
+    pairs = draw(st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+                          min_size=count, max_size=count))
+    return state, block, pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_cases())
+def test_settings_blocks_match_one_setting_at_a_time(case):
+    state, block, pairs = case
+    theta1 = np.array([t1 for t1, _ in pairs])
+    theta2 = np.array([t2 for _, t2 in pairs])
+    comps = state.components if isinstance(state, MixedState) else ((1.0, state),)
+    rows = [_station_layout(s._occ).order.shape[0] for _, s in comps]
+    widths = []
+
+    def mix(out, sectors):
+        widths.append(out.shape[1])
+        _mix_sectors(out, sectors)
+
+    # the budget gives the component with the fewest rows blocks of b settings
+    with mock.patch.object(correlation, "BLOCK_BYTES", 16 * min(rows) * block), \
+            mock.patch.object(correlation, "_mix_sectors", mix):
+        got = _evolution_rates(state, theta1, theta2)
+    full, last = divmod(len(pairs), block)
+    assert (last > 0) == (block > 1)
+    if len(rows) == 1:
+        assert widths == [w for w in [block] * full + [last] * (last > 0) for _ in (0, 1)]
+    assert max(widths) <= 3
+    for k, (t1, t2) in enumerate(pairs):
+        want = _rates(output_correlators(state, PhaseSetting(t1, t2), backend="evolution"))
+        assert np.all(np.abs(got[:, k] - want) <= 1e-12 * want.sum()), (got[:, k], want)
 
 
 def _reference_station_moments(state):

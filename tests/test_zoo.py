@@ -172,3 +172,14 @@ def test_cat_ladder_underflow_is_named_without_a_cutoff_hint():
     for build, alpha, cutoff in ((single_mode_cat, 30, None), (split_cat, 40, 50)):
         with pytest.raises(CutoffError, match=r"ladder start e\^\(-\|beta\|\^2/2\) underflows to 0, which no cutoff mends$"):
             build(CatParams(alpha, 0), cutoff=cutoff)
+
+
+def test_cat_with_a_subnormal_ladder_start_builds():
+    # e^(-|alpha|^2) lies below the smallest normal float from |alpha| 26.62 on,
+    # and rounds to 0 from 27.3: the lost bits are rounding, not truncation
+    for alpha in np.arange(26.5, 27.2001, 0.05):
+        s = single_mode_cat(CatParams(float(alpha), 0.0))
+        assert s.norm_sq() == pytest.approx(1.0, abs=1e-12)
+    assert single_mode_cat(CatParams(26.9, 0.0)).layout.cutoff == 1762
+    with pytest.raises(CutoffError, match="underflows to 0, which no cutoff mends$"):
+        single_mode_cat(CatParams(27.3, 0.0))

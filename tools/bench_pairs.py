@@ -10,7 +10,9 @@ checkout for the ``run_seconds`` of the change's BENCHMARK.json, the parent
 first on even pair indices and the change first on odd ones. The
 output holds, per workload and side, the median and quartiles of every
 end-to-end metric, the pairs each side won (ties count for neither, lower
-is better), the failed operations and whether every run was correct. It is
+is better), the median and quartiles of the unscaled wall seconds that
+the report prints above its JSON, the failed operations and whether every
+run was correct. It is
 rewritten after each pair, so an interrupted series keeps its finished
 pairs. Only the standard library and numpy are used.
 """
@@ -21,6 +23,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,13 +47,26 @@ def run_seconds(root: Path) -> int:
     return json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 
 
+UNSCALED = re.compile(r"^unscaled wall medians: setup ([0-9.eE+-]+) s, round ([0-9.eE+-]+) s$", re.M)
+
+
+def parse_unscaled(stdout: str) -> dict | None:
+    """The unscaled wall medians that ``perfbench/run.py`` prints above its JSON,
+    as {"setup_s": ..., "round_s": ...}, or None if the report has no such line."""
+    match = UNSCALED.search(stdout)
+    return None if match is None else {"setup_s": float(match[1]), "round_s": float(match[2])}
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced benchmark run from checkout ``root``; its final JSON line."""
+    """One untraced benchmark run from checkout ``root``: its final JSON line,
+    with the unscaled wall medians of its report under "unscaled"."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    run = json.loads(proc.stdout.strip().splitlines()[-1])
+    run["unscaled"] = parse_unscaled(proc.stdout)
+    return run
 
 
 def summary(values: list[float]) -> dict:
@@ -73,6 +89,12 @@ def workload_entry(seeds: list[int], runs: dict[str, list[dict]]) -> dict:
             "parent": sum(value(p, m) < value(c, m) for p, c in pairs),
             "pairs": len(pairs),
         }
+    # wall seconds before the reference kernel's scaling, which follows the
+    # worker's allocator state as well as the host
+    entry["unscaled_wall_s"] = {
+        side: {m: summary([r["unscaled"][m] for r in runs[side]]) for m in ("setup_s", "round_s")}
+        for side in ("parent", "change") if runs[side] and all(r["unscaled"] for r in runs[side])
+    }
     entry["failed_ops"] = {
         side: f"{sum(r['failed'] for r in runs[side])}/{sum(r['attempted'] for r in runs[side])}"
         for side in ("parent", "change")
@@ -122,7 +144,8 @@ def main(argv=None) -> int:
             "pairs": "parent and change alternate which side runs first, one pair per seed; "
                      "each side runs from its own checkout",
             "quartiles": "numpy.percentile, linear interpolation, over the runs of one side",
-            "units": "round_s and setup_s in perfbench nominal seconds; peak_rss_mb in MB",
+            "units": "round_s and setup_s in perfbench nominal seconds; peak_rss_mb in MB; "
+                     "unscaled_wall_s in wall seconds, before the reference kernel's scaling",
             "seeds_not_used_in_development": args.seeds_note,
             "tool": "tools/bench_pairs.py",
         },
