@@ -90,7 +90,7 @@ class ModeLayout:
             raise StateError("layout needs at least one mode label")
         if len(set(labels)) != len(labels):
             raise StateError(f"duplicate mode labels in {labels}")
-        if not isinstance(self.cutoff, (int, np.integer)) or self.cutoff < 0:
+        if type(self.cutoff) is bool or not isinstance(self.cutoff, (int, np.integer)) or self.cutoff < 0:
             raise StateError(f"cutoff must be a nonnegative integer, got {_shown(self.cutoff)}")
         object.__setattr__(self, "cutoff", int(self.cutoff))
 
@@ -567,7 +567,8 @@ def load_state(path) -> MultiModeState:
     modes = doc["modes"]
     if not isinstance(modes, list) or not all(isinstance(m, str) for m in modes):
         raise StateFileError(f"{path}: 'modes' must be a list of strings")
-    if not isinstance(doc["cutoff"], int):
+    # parsed JSON holds exact int/float/bool types; bool is an int subclass
+    if type(doc["cutoff"]) is not int:
         raise StateFileError(f"{path}: 'cutoff' must be an integer")
     if not isinstance(doc["terms"], list):
         raise StateFileError(f"{path}: 'terms' must be a list")
@@ -581,13 +582,13 @@ def load_state(path) -> MultiModeState:
         if not isinstance(term, dict):
             raise StateFileError(f"{where}: must be an object")
         occ = term.get("occ")
-        if not isinstance(occ, list) or not all(isinstance(x, int) for x in occ):
+        if not isinstance(occ, list) or not all(type(x) is int for x in occ):
             raise StateFileError(f"{where}.occ: must be a list of integers")
         if len(occ) != layout.n_modes:
             raise StateFileError(f"{where}.occ: length {len(occ)} != {layout.n_modes} modes")
         re_part = term.get("re", 0.0)
         im_part = term.get("im", 0.0)
-        if not isinstance(re_part, (int, float)) or not isinstance(im_part, (int, float)):
+        if type(re_part) not in (int, float) or type(im_part) not in (int, float):
             raise StateFileError(f"{where}: 're'/'im' must be numbers")
         terms.append((tuple(occ), complex(re_part, im_part)))
     try:

@@ -240,13 +240,13 @@ def test_sweep_cat_matches_formulas(capsys):
         assert float(cols[6]) == pytest.approx(float(cols[7]), abs=1e-5)
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(subprocess_env):
     import subprocess
     import sys
 
     proc = subprocess.run(
         [sys.executable, "-m", "eprsim", "state", "split-photon"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=subprocess_env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["a1"] == 1.0
 

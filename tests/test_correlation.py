@@ -85,6 +85,18 @@ def test_backends_agree_on_random_states():
                 assert x == pytest.approx(y, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [60, 80, 100, 120, 150, 200])
+def test_backends_agree_in_high_photon_sectors(n):
+    h = n // 2
+    s = make_pure(ModeLayout(STANDARD, 2 * n),
+                  [((h, n - h, h, n - h), 1.0), ((h + 1, n - h - 1, h - 1, n - h + 1), 1.0j)])
+    for setting in (PhaseSetting(0.3, -0.9), PhaseSetting(1.7, 0.4)):
+        a = output_correlators(s, setting, backend="expansion")
+        b = output_correlators(s, setting, backend="evolution")
+        gap = max(abs(x - y) for x, y in zip((a.cc, a.cd, a.dc, a.dd), (b.cc, b.cd, b.dc, b.dd)))
+        assert gap <= 1e-12 * a.total
+
+
 def test_backend_name_is_validated():
     with pytest.raises(StateError):
         output_correlators(entangled("sum"), PhaseSetting(0, 0), backend="exact")

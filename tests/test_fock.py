@@ -267,6 +267,20 @@ def test_state_file_errors(tmp_path):
     with pytest.raises(StateFileError):
         load_state(negative)
 
+    # JSON booleans are not numbers, though Python's bool is an int
+    good = {"modes": ["a1", "b1", "a2", "b2"], "cutoff": 1, "terms": [{"occ": [1, 0, 0, 0], "re": 1}]}
+    (tmp_path / "good.json").write_text(json.dumps(good))
+    assert load_state(tmp_path / "good.json").amplitude((1, 0, 0, 0)) == 1.0
+    for field, value in [("cutoff", True), ("occ", [1, 0, 0, False]), ("re", True), ("im", False)]:
+        doc = json.loads(json.dumps(good))
+        (doc if field == "cutoff" else doc["terms"][0])[field] = value
+        boolean = tmp_path / f"bool-{field}.json"
+        boolean.write_text(json.dumps(doc))
+        with pytest.raises(StateFileError):
+            load_state(boolean)
+    with pytest.raises(StateError):
+        ModeLayout(("a",), True)
+
 
 def test_loaded_terms_are_normalized(tmp_path):
     path = tmp_path / "unnorm.json"

@@ -108,13 +108,13 @@ def test_non_finite_amplitudes_are_rejected():
         bell_max(amps)
 
 
-def test_import_leaves_scipy_out():
+def test_import_leaves_scipy_out(subprocess_env):
     import subprocess
     import sys
 
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, eprsim; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True, check=True, env=subprocess_env)
     assert proc.stdout.strip() == "False"
 
 

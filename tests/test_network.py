@@ -1,6 +1,7 @@
 """Linear-optics layer: splitter unitarity, interference signatures, networks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,9 +30,43 @@ SQ2 = math.sqrt(2.0)
 
 
 def test_sector_matrices_are_unitary():
-    for n in range(13):
+    for n in [*range(13), 55, 60, 80, 100, 200, 300]:
         mat = _sector_matrix(n)
-        assert np.allclose(mat @ mat.T, np.eye(n + 1), atol=1e-12)
+        assert np.abs(mat @ mat.T - np.eye(n + 1)).max() <= 1e-13, n
+
+
+def _exact_sector_matrix(n):
+    """The splitter in sector n from exact integers: the coefficient of x^j in
+    (x - 1)^k (x + 1)^{n-k}, times sqrt(j! (n-j)! / (2^n k! (n-k)!))."""
+    fact = [math.factorial(i) for i in range(n + 1)]
+    mat = np.empty((n + 1, n + 1))
+    for k in range(n + 1):
+        coef = [0] * (n + 1)
+        for i in range(k + 1):
+            for m in range(n - k + 1):
+                coef[i + m] += (-1) ** (k - i) * math.comb(k, i) * math.comb(n - k, m)
+        for j in range(n + 1):
+            sq = Fraction(coef[j] ** 2 * fact[j] * fact[n - j], 2 ** n * fact[k] * fact[n - k])
+            mat[j, k] = math.copysign(math.sqrt(sq), coef[j])
+    return mat
+
+
+@pytest.mark.parametrize("n", [*range(13), 60, 80])
+def test_sector_matrix_matches_the_exact_expansion(n):
+    assert np.abs(_sector_matrix(n) - _exact_sector_matrix(n)).max() <= 1e-14
+
+
+def test_sector_matrix_cache_is_bounded():
+    # every sector (0-33 per station) of the paper's LO states stays cached,
+    # but a run through high photon numbers cannot keep all its matrices
+    maxsize = _sector_matrix.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 34
+
+
+@pytest.mark.parametrize("n", [60, 80, 100, 120])
+def test_splitter_keeps_the_norm_at_high_photon_number(n):
+    s = make_pure(ModeLayout(("a", "b"), n), [((n // 2, n // 2), 1.0)])
+    assert beamsplitter(s, "a", "b").norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_splitter_preserves_norm_and_photon_number():
