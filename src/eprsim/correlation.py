@@ -28,12 +28,15 @@ arms, then each station's splitter) with the sector product of
 only within n_k = a_k + b_k, so every ket lies in the dense
 (n1+1) x (n2+1) block of its sector pair. A block of settings fills at
 most ``BLOCK_BYTES``, so its buffers stay in cache. It reads the rates as
-sum |amp|^2 n_x1 n_x2 and never evaluates an input moment, so the two
-agree to float precision only if both are right; the tests cross-check
-them. |amp|^2 <= ``PRUNE_TOL**2`` reads as 0, as in a stored state, so a
-cancelled coincidence is exactly 0. That absolute cut is safe because
-the optics are unitary on each normalised pure component. So is ``ZERO_TOL``
-on a coincidence total: the total is at least P(both stations fire).
+sum |amp|^2 n_x1 n_x2 in per-sector sums, with no weight per row: each
+station-2 sector weights its splits j by (j, n2 - j) in one product, and
+each group's (c1, d1) finishes the rates. It never evaluates an input
+moment, so the two agree to float precision only if both are right; the
+tests cross-check them. |amp|^2 <= ``PRUNE_TOL**2`` reads as 0, as in a
+stored state, so a cancelled coincidence is exactly 0. That absolute cut
+is safe because the optics are unitary on each normalised pure component.
+So is ``ZERO_TOL`` on a coincidence total: the total is at least
+P(both stations fire).
 """
 
 from __future__ import annotations
@@ -191,31 +194,33 @@ def _moment_vector(state: AnyState) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _StationLayout:
-    """Rows of the evolution backend's two stations; see ``_station_layout``."""
+    """Rows of the evolution backend's two stations, and its rate weights per
+    station-2 group and split, not per row; see ``_station_layout``."""
 
     rows: np.ndarray        # station-1 row of each ket
     station1: tuple         # (n1, start, groups) blocks of station 1
     order: np.ndarray       # station-1 row of each station-2 row
     station2: tuple         # (n2, start, groups) blocks of station 2
-    weights: np.ndarray     # (c1 c2, c1 d2, d1 c2, d1 d2) of each station-2 row
+    cd1: np.ndarray         # (c1, d1) of each station-2 group, 2 x groups
+    cd2: np.ndarray         # (c2, d2) = (j, n2 - j) of each station-2 split j, sector by sector
 
 
 def _occupied(n: np.ndarray):
     """The occupied values of ``n``, ascending, and each entry's rank among them."""
     seen = np.bincount(n) > 0
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[n]
+    return seen.nonzero()[0], (seen.cumsum() - 1)[n]
 
 
 def _runs(lengths: np.ndarray) -> np.ndarray:
     """0, 1, ..., m - 1 for each run length m, concatenated."""
-    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return np.arange(lengths.sum()) - (lengths.cumsum() - lengths).repeat(lengths)
 
 
 def _blocks(sector: np.ndarray, groups: np.ndarray):
     """Start row of each sector whose n + 1 splits hold ``groups`` rows each,
     and the (n, start, groups) blocks that ``network._mix_sectors`` takes."""
     size = groups * (sector + 1)
-    start = np.cumsum(size) - size
+    start = size.cumsum() - size
     return start, tuple(zip(sector.tolist(), start.tolist(), groups.tolist()))
 
 
@@ -226,7 +231,8 @@ def _station_layout(occ: np.ndarray) -> _StationLayout:
     pairs (n1, n2); at station 2 the groups of sector n2 are the (n1, c1).
     The pair grid spans the occupied sectors only: each adds at least n + 1
     station-2 rows, so the grid holds at most twice those rows, whatever
-    the cutoff.
+    the cutoff. Array methods stand in for numpy's functions, whose
+    dispatch costs as much as the small arrays of a cutoff-3 state.
     """
     a1, b1, a2, b2 = occ.T
     sec1, r1 = _occupied(a1 + b1)
@@ -238,27 +244,29 @@ def _station_layout(occ: np.ndarray) -> _StationLayout:
     g1 = w1.sum(1)
     g2 = w2.sum(0)
     start1, station1 = _blocks(sec1, g1)
-    start2, station2 = _blocks(sec2, g2)
-    base1 = start1[:, None] + np.cumsum(w1, 1) - w1   # station-1 row of (c1, a2) = (0, 0)
+    _, station2 = _blocks(sec2, g2)
+    base1 = start1[:, None] + w1.cumsum(1) - w1   # station-1 row of (c1, a2) = (0, 0)
     # the station-2 groups (n1, c1), sector n2 by sector n2, and their station-1 rows at a2 = 0
-    q2, q1 = np.nonzero(pair.T)
-    gq1 = np.repeat(q1, sec1[q1] + 1)
-    gn1 = sec1[gq1]
-    gc1 = _runs(sec1[q1] + 1)
-    gbase = base1[gq1, np.repeat(q2, sec1[q1] + 1)] + gc1 * g1[gq1]
-    # station-2 row block j of sector n2 runs over all groups of that sector
-    run_q2 = np.repeat(np.arange(sec2.shape[0]), sec2 + 1)
+    q2, q1 = pair.T.nonzero()
+    splits1 = sec1[q1] + 1
+    gq1 = q1.repeat(splits1)
+    gc1 = _runs(splits1)
+    gbase = base1[gq1, q2.repeat(splits1)] + gc1 * g1[gq1]
+    # station-2 row block j of sector n2 runs over the groups of that sector in
+    # turn, and the station-1 row of group i at split j is gbase[i] + a2 = gbase[i] + j
+    run_q2 = np.arange(sec2.shape[0]).repeat(sec2 + 1)
     run_j = _runs(sec2 + 1)
     run_len = g2[run_q2]
-    grp = _runs(run_len) + np.repeat((np.cumsum(g2) - g2)[run_q2], run_len)
-    cd1 = np.take(np.stack([gc1, gn1 - gc1]).astype(np.float64), grp, axis=1)
-    cd2 = np.repeat([run_j, sec2[run_q2] - run_j], run_len, axis=1)
+    shift = run_len.cumsum() - run_len - (g2.cumsum() - g2)[run_q2]   # first row - first group
+    order = gbase.take(np.arange(run_len.sum()) - shift.repeat(run_len))
+    order += run_j.repeat(run_len)
     return _StationLayout(
         rows=base1[r1, r2] + a1 * g1[r1] + a2,
         station1=station1,
-        order=gbase[grp] + cd2[0],
+        order=order,
         station2=station2,
-        weights=(cd1[:, None] * cd2).reshape(4, -1),
+        cd1=np.array([gc1, sec1[gq1] - gc1], dtype=np.float64),
+        cd2=np.array([run_j, sec2[run_q2] - run_j], dtype=np.float64),
     )
 
 
@@ -269,7 +277,10 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
     Blocks of phased copies amp * e^{i(t1 n_b1 + t2 n_b2)}, each at most
     ``BLOCK_BYTES``, go through station 1, are reordered for station 2 and
     go through it, on the rows of ``_station_layout``; the rates are
-    sum |amp|^2 n_x1 n_x2, with c = a and d = b after each splitter.
+    sum |amp|^2 n_x1 n_x2, with c = a and d = b after each splitter: one
+    product per station-2 sector sums each group's probabilities over the
+    splits j with the weights (j, n2 - j), and the groups' (c1, d1) finish
+    them. The explicit n2 - j keeps a cancelled coincidence exactly 0.
     Mixtures are weighted per component. A 16-setting block of 137k rows
     was 35 MB, past glibc's mmap threshold, and so paged in on every call.
     """
@@ -282,7 +293,8 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
     rates = np.empty((4, theta1.shape[0]))
     for lo in range(0, theta1.shape[0], block):
         t1, t2 = theta1[lo:lo + block], theta2[lo:lo + block]
-        out = np.zeros((occ.shape[0] + 1, t1.shape[0]), dtype=np.complex128)
+        k = t1.shape[0]
+        out = np.zeros((occ.shape[0] + 1, k), dtype=np.complex128)
         # np.take(a, i, axis=0) gathers rows on numpy's fast path, a[i] on 2-d a does not
         out[:-1] = (state._amp[:, None]
                     * np.take(np.exp(1j * np.outer(ladder, t1)), occ[:, 1], axis=0)
@@ -295,7 +307,13 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
         prob = out.real + out.imag
         del out
         prob[prob <= PRUNE_TOL ** 2] = 0.0    # as in a stored state: a cancelled coincidence is 0, not ~1e-34
-        rates[:, lo:lo + t1.shape[0]] = lay.weights @ prob
+        sums = np.empty((2, lay.cd1.shape[1] * k))   # (c2, d2)-weighted sums of each group
+        g0 = j0 = 0
+        for n, s0, g in lay.station2:
+            np.matmul(lay.cd2[:, j0:j0 + n + 1], prob[s0:s0 + (n + 1) * g].reshape(n + 1, -1),
+                      out=sums[:, g0 * k:(g0 + g) * k])
+            g0, j0 = g0 + g, j0 + n + 1
+        rates[:, lo:lo + k] = (lay.cd1 @ sums.reshape(2, -1, k)).swapaxes(0, 1).reshape(4, k)
     return rates
 
 

@@ -100,7 +100,9 @@ def _sector_matrix(n: int) -> np.ndarray:
     w = np.sqrt((k + 1.0) * (n - k))
     lam, v = np.linalg.eigh(np.diag(w, 1) + np.diag(w, -1))
     d = np.array([1, 1j, -1, -1j])[np.arange(n + 1) % 4]  # i^k, exactly
-    return ((d[:, None] * v * np.exp(-0.25j * np.pi * lam)) @ (v.T * d.conj())).real.copy()
+    m = ((d[:, None] * v * np.exp(-0.25j * np.pi * lam)) @ (v.T * d.conj())).real.copy()
+    m.setflags(write=False)    # every caller shares the cached matrix
+    return m
 
 
 def _pair_layout(occ: np.ndarray, cutoff: int, ia: int, ib: int):
@@ -136,8 +138,9 @@ def _mix_sectors(out: np.ndarray, sectors) -> None:
     50:50 splitter in place; ``sectors`` lists the (n, start, groups) blocks."""
     k = out.shape[1]
     for n, s0, g in sectors:
-        # the real sector matrix acts on the interleaved (re, im) pairs
-        block = out[s0:s0 + (n + 1) * g].view(np.float64).reshape(n + 1, 2 * g * k)
+        # the real sector matrix acts on the interleaved (re, im) pairs; a block
+        # that is no view of ``out`` raises rather than leaving ``out`` unmixed
+        block = out[s0:s0 + (n + 1) * g].view(np.float64).reshape(n + 1, -1, copy=False)
         block[...] = _sector_matrix(n) @ block
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -225,6 +226,17 @@ def test_classical_thermal_seeded(capsys):
     _, doc2 = run_json(capsys, "classical", "--kind", "thermal",
                        "--samples", "20000", "--seed", "13")
     assert doc == doc2
+
+
+def test_classical_thermal_matches_the_readme(capsys):
+    # complex products round differently with the form of their operands,
+    # so a reordered field product shows here in the last printed digits
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    command = "eprsim classical --kind thermal --nbar 1.0 --samples 100000 --seed 7"
+    block = readme.split(command + "\n```\n\n```json\n", 1)[1].split("```", 1)[0]
+    code, doc = run_json(capsys, *command.split()[1:])
+    assert code == 0
+    assert doc == json.loads(block)
 
 
 def test_sweep_cat_matches_formulas(capsys):

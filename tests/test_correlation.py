@@ -405,3 +405,27 @@ def test_evolution_settings_blocks_stay_within_the_byte_budget():
             tracemalloc.stop()
     # 16-setting blocks of this state's 90 680 rows held 23 MB per buffer
     assert peaks[1] - peaks[0] <= 2 * correlation.BLOCK_BYTES
+
+
+def test_evolution_layout_has_no_weight_per_row():
+    import tracemalloc
+
+    import eprsim.correlation as correlation
+    from eprsim import LOConfig, coherent_pair, homodyne_network_state, optimal_lo
+
+    signal = coherent_pair(1.0, 1.0, 18)
+    state = homodyne_network_state(signal, LOConfig(*optimal_lo(signal)), lo_cutoff=18)
+    rows = correlation._station_layout(state._occ).order.shape[0]
+    assert rows == 90_680
+    peaks = []
+    for call in (lambda: correlation._station_layout(state._occ),
+                 lambda: output_correlators(state, PhaseSetting(0.4, -1.1), backend="evolution")):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # four weights, (c1, d1) and (c2, d2) per row made both about 94 B per row
+    assert peaks[0] <= 48 * rows
+    assert peaks[1] <= 64 * rows

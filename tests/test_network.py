@@ -24,7 +24,7 @@ from eprsim import (
     tensor,
     vacuum,
 )
-from eprsim.network import _sector_matrix
+from eprsim.network import _mix_sectors, _sector_matrix
 
 SQ2 = math.sqrt(2.0)
 
@@ -61,6 +61,20 @@ def test_sector_matrix_cache_is_bounded():
     # but a run through high photon numbers cannot keep all its matrices
     maxsize = _sector_matrix.cache_info().maxsize
     assert maxsize is not None and maxsize >= 34
+
+
+def test_cached_sector_matrices_are_read_only():
+    mat = _sector_matrix(2)
+    with pytest.raises(ValueError):
+        mat[0, 0] = 5.0
+    assert np.abs(_sector_matrix(2) - _exact_sector_matrix(2)).max() <= 1e-14
+
+
+def test_mixing_a_block_that_is_no_view_raises():
+    # one column of a wider buffer: sector 2's 3 x 2 block cannot be viewed as 3 rows
+    buf = np.zeros((6, 3), complex)
+    with pytest.raises(ValueError):
+        _mix_sectors(buf[:, :1], ((2, 0, 2),))
 
 
 @pytest.mark.parametrize("n", [60, 80, 100, 120])
