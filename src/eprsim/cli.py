@@ -94,7 +94,7 @@ def _assess(amps):
 
 
 def _analyze(state, tol: float) -> dict:
-    # a station state's EPR test computes its amplitudes, in one moment pass
+    # a station state's EPR test computes its amplitudes; the report reuses them
     epr = correlation.epr_check(state, tol=tol) if state.layout.labels == STATION_MODES else None
     amps = _amplitudes(state) if epr is None else epr.amplitudes
     best, report = _assess(amps)

@@ -21,7 +21,10 @@ den = <(n_a1 + n_b1)(n_a2 + n_b2)>.
 Two backends compute the correlators. ``expansion`` evaluates the five
 input moments (ss, m1, m2, s1d2, d1s2) in one pass over the kets: ss is
 diagonal, and each other moment finds its partner ket by one search of
-the packed key shifted by the moment's occupation change. ``evolution``
+the packed key shifted by the moment's occupation change. The pass runs
+once per pure state: the moments are kept while the state lives (its
+arrays are read-only, so they stay valid), and ``amplitudes``,
+``epr_check`` and every expansion setting of the state share them. ``evolution``
 pushes blocks of settings through the analyzer optics (phases on the b
 arms, then each station's splitter) with the sector product of
 ``network``, on rows computed without sort or search: station k mixes
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -173,23 +177,34 @@ def _station_moments(state: AnyState) -> dict[str, complex]:
     ket-dependent weight, and is one ``fock._partner_sum``: the weight
     vanishes wherever the shifted occupation would be invalid, and photon
     number is conserved, so every searched partner lies within the cutoff.
+    A pure state's moments are computed once and kept while it lives; a
+    mixture's are the weighted sum of its components' kept moments.
     """
     return dict(zip(MOMENTS, _moment_vector(state).tolist()))
+
+
+_MOMENTS_KEPT = weakref.WeakKeyDictionary()   # pure state -> its read-only moment vector
 
 
 @mixture_average
 def _moment_vector(state: AnyState) -> np.ndarray:
     """The moments of ``_station_moments`` of a pure state, in ``MOMENTS`` order."""
+    vec = _MOMENTS_KEPT.get(state)
+    if vec is not None:
+        return vec
     amp = state._amp
     a1, b1, a2, b2 = state._occ.T.astype(np.float64)
     s1, s2 = a1 + b1, a2 + b2
-    return np.array([
+    vec = np.array([
         complex(np.sum((amp.real ** 2 + amp.imag ** 2) * s1 * s2)),
         _partner_sum(state, (1, -1, -1, 1), np.sqrt((a1 + 1) * b1 * a2 * (b2 + 1))),
         _partner_sum(state, (1, -1, 1, -1), np.sqrt((a1 + 1) * b1 * (a2 + 1) * b2)),
         _partner_sum(state, (0, 0, 1, -1), s1 * np.sqrt((a2 + 1) * b2)),
         _partner_sum(state, (1, -1, 0, 0), s2 * np.sqrt((a1 + 1) * b1)),
     ])
+    vec.setflags(write=False)
+    _MOMENTS_KEPT[state] = vec
+    return vec
 
 
 @dataclass(frozen=True)

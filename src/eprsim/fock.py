@@ -127,7 +127,7 @@ def _find(keys: np.ndarray, targets):
 class MultiModeState:
     """Immutable pure state: complex amplitudes over occupation tuples."""
 
-    __slots__ = ("layout", "_occ", "_amp", "_keys")
+    __slots__ = ("layout", "_occ", "_amp", "_keys", "__weakref__")
 
     def __new__(cls, layout: ModeLayout, amplitudes: Mapping[tuple[int, ...], complex]):
         occ, amp = _checked_terms(layout, list(amplitudes), list(amplitudes.values()))
@@ -136,12 +136,13 @@ class MultiModeState:
     @classmethod
     def _from_canonical(cls, layout: ModeLayout, occ: np.ndarray, amp: np.ndarray) -> "MultiModeState":
         """The one install step of every state: arrays already sorted, unique
-        and pruned; the norm is checked here."""
+        and pruned; the norm is checked here, and the arrays become read-only."""
         _check_norm(amp)
         self = object.__new__(cls)
-        for name, value in (("layout", layout), ("_occ", occ), ("_amp", amp),
-                            ("_keys", _pack_keys(occ, layout.cutoff))):
+        for name, value in (("_occ", occ), ("_amp", amp), ("_keys", _pack_keys(occ, layout.cutoff))):
+            value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "layout", layout)
         return self
 
     def __setattr__(self, name, value):  # states are immutable values
@@ -442,7 +443,7 @@ def reorder(state: MultiModeState, new_labels: Sequence[str]) -> MultiModeState:
     perm = [state.layout.index(lbl) for lbl in new_labels]
     layout = ModeLayout(new_labels, state.layout.cutoff)
     occ = state._occ[:, perm]
-    occ, amp = _canonicalize(layout, occ, state._amp.copy())
+    occ, amp = _canonicalize(layout, occ, state._amp)
     return MultiModeState._from_canonical(layout, occ, amp)
 
 
@@ -450,7 +451,7 @@ def relabel(state: MultiModeState, mapping: Mapping[str, str]) -> MultiModeState
     """Rename mode labels in place (no permutation)."""
     new_labels = tuple(mapping.get(lbl, lbl) for lbl in state.layout.labels)
     layout = ModeLayout(new_labels, state.layout.cutoff)
-    return MultiModeState._from_canonical(layout, state._occ.copy(), state._amp.copy())
+    return MultiModeState._from_canonical(layout, state._occ, state._amp)
 
 
 def inner_product(s1: MultiModeState, s2: MultiModeState) -> complex:

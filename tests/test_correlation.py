@@ -320,9 +320,9 @@ def test_evolution_backend_never_calls_the_partner_ket_kernel(monkeypatch):
 
     monkeypatch.setattr(fock, "_partner_sum", forbidden)
     monkeypatch.setattr(correlation, "_partner_sum", forbidden)
-    # the expansion backend does reach the patched kernel
+    # the expansion backend does reach the patched kernel on a state whose moments are not yet kept
     with pytest.raises(AssertionError, match="partner ket"):
-        output_correlators(lo_state, setting, backend="expansion")
+        output_correlators(fock.relabel(lo_state, {}), setting, backend="expansion")
     for (state, amps), want in zip(cases, expected):
         got = output_correlators(state, setting, backend="evolution")
         for x, y in zip((got.cc, got.cd, got.dc, got.dd), (want.cc, want.cd, want.dc, want.dd)):
@@ -429,3 +429,73 @@ def test_evolution_layout_has_no_weight_per_row():
     # four weights, (c1, d1) and (c2, d2) per row made both about 94 B per row
     assert peaks[0] <= 48 * rows
     assert peaks[1] <= 64 * rows
+
+
+def _count_partner_sums(monkeypatch):
+    """Patch the correlation module's partner-ket kernel to log each call."""
+    import eprsim.correlation as correlation
+
+    calls = []
+    search = correlation._partner_sum
+
+    def counted(state, delta, weight):
+        calls.append(delta)
+        return search(state, delta, weight)
+
+    monkeypatch.setattr(correlation, "_partner_sum", counted)
+    return calls
+
+
+def test_a_state_makes_one_moment_pass(monkeypatch):
+    from eprsim import LOConfig, coherent_pair, homodyne_network_state, optimal_lo
+
+    signal = coherent_pair(1.0, 1.0, 18)
+    state = homodyne_network_state(signal, LOConfig(*optimal_lo(signal)), lo_cutoff=18)
+    calls = _count_partner_sums(monkeypatch)
+    amps = amplitudes(state)
+    report = epr_check(state)
+    for t in (-2.0, -0.5, 0.3, 1.9):
+        output_correlators(state, PhaseSetting(t, 1.1 - t), backend="expansion")
+    # m1, m2, s1d2 and d1s2 of one pass; ss is a diagonal sum
+    assert len(calls) == 4
+    assert report.is_epr and report.amplitudes == amps
+
+
+def test_kept_moments_die_with_their_state():
+    import gc
+    import weakref
+
+    import eprsim.correlation as correlation
+
+    kept = correlation._MOMENTS_KEPT
+    gc.collect()
+    before = len(kept)    # states that earlier tests still hold
+    state = relabel(entangled("sum"), {})
+    amplitudes(state)
+    assert state in kept and len(kept) == before + 1
+    ref = weakref.ref(state)
+    del state
+    gc.collect()
+    assert ref() is None
+    assert len(kept) == before
+
+
+def test_a_mixture_keeps_each_components_moments(monkeypatch):
+    import eprsim.correlation as correlation
+
+    parts = (entangled("sum"), random_four_mode(np.random.default_rng(8)),
+             random_four_mode(np.random.default_rng(9)))
+
+    def mixture():
+        return MixedState(tuple(zip((0.2, 0.3, 0.5), (relabel(s, {}) for s in parts))))
+
+    mixed, fresh = mixture(), mixture()
+    calls = _count_partner_sums(monkeypatch)
+    amplitudes(mixed)
+    epr_check(mixed)
+    for t in (-2.0, 0.3):
+        output_correlators(mixed, PhaseSetting(t, 1.1 - t), backend="expansion")
+    assert len(calls) == 4 * len(parts)
+    kept = correlation._moment_vector(mixed)
+    assert kept.tobytes() == correlation._moment_vector(fresh).tobytes()
+    assert len(calls) == 8 * len(parts)

@@ -140,6 +140,14 @@ def test_state_is_immutable_and_canonical():
     assert np.all(np.diff(keys) > 0)
 
 
+def test_state_arrays_are_read_only():
+    s = make_pure(ModeLayout(("a", "b"), 2), [((1, 0), 1.0), ((0, 1), 1.0j)])
+    for arr in (s._occ, s._amp, s._keys):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    assert s.amplitude((1, 0)) == pytest.approx(1 / math.sqrt(2))
+
+
 def test_tiny_amplitudes_are_pruned():
     layout = ModeLayout(("a",), 2)
     s = make_pure(layout, [((0,), 1.0), ((2,), 1e-16)])
