@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import EprSimError, StateError, ZeroCoincidence
 from .fock import PRUNE_TOL, ZERO_TOL, AnyState, _partner_sum, mixture_average, require_modes
-from .network import STATION_MODES, PhaseSetting, _mix_sectors
+from .network import STATION_MODES, PhaseSetting, _blocks, _mix_sectors, _occupied, _runs
 
 NEGATIVE_RATE_TOL = 1e-12   # relative to the coincidence total
 BLOCK_BYTES = 4 << 20       # per block of settings: 2-4 MiB stays in cache, 8 MiB did not
@@ -218,25 +218,6 @@ class _StationLayout:
     station2: tuple         # (n2, start, groups) blocks of station 2
     cd1: np.ndarray         # (c1, d1) of each station-2 group, 2 x groups
     cd2: np.ndarray         # (c2, d2) = (j, n2 - j) of each station-2 split j, sector by sector
-
-
-def _occupied(n: np.ndarray):
-    """The occupied values of ``n``, ascending, and each entry's rank among them."""
-    seen = np.bincount(n) > 0
-    return seen.nonzero()[0], (seen.cumsum() - 1)[n]
-
-
-def _runs(lengths: np.ndarray) -> np.ndarray:
-    """0, 1, ..., m - 1 for each run length m, concatenated."""
-    return np.arange(lengths.sum()) - (lengths.cumsum() - lengths).repeat(lengths)
-
-
-def _blocks(sector: np.ndarray, groups: np.ndarray):
-    """Start row of each sector whose n + 1 splits hold ``groups`` rows each,
-    and the (n, start, groups) blocks that ``network._mix_sectors`` takes."""
-    size = groups * (sector + 1)
-    start = size.cumsum() - size
-    return start, tuple(zip(sector.tolist(), start.tolist(), groups.tolist()))
 
 
 def _station_layout(occ: np.ndarray) -> _StationLayout:

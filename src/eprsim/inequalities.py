@@ -43,10 +43,7 @@ __all__ = [
     "bell_max",
     "classify",
     "figure3_boundaries",
-    "REGION_LABELS",
 ]
-
-REGION_LABELS = ("classical", "nonclassical-local", "bell-violating", "unphysical")
 
 
 @dataclass(frozen=True)

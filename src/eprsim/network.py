@@ -25,11 +25,13 @@ pair sector n = n_a + n_b. Lay the kets out so that sector n is one
 dense (n+1, groups) block of rows, ket j of group g at row
 start + j*groups + g, and the splitter is one product with the
 (n+1, n+1) sector matrix per sector: ``_mix_sectors`` is that loop, and
-the only one. ``beamsplitter`` takes its layout from ``_pair_layout``,
-which groups the kets of a stored state by sorting, since such a state
-may carry any other modes; the evolution backend of ``correlation``
-computes the layout of its two stations in closed form and pushes
-blocks of phase settings, sized in bytes to stay in cache, through them.
+the only one. Both layouts are built from ``_occupied``, ``_runs`` and
+``_blocks``, so neither is sized by the cutoff. ``beamsplitter``'s
+``_pair_layout`` groups the kets of a stored state, which may carry any
+other modes, by one ``np.unique`` of their packed (sector, other modes)
+key, the one sort left; the evolution backend of ``correlation`` lays out
+its two stations by arithmetic alone and pushes blocks of phase
+settings, sized in bytes to stay in cache, through them.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .fock import (
     per_component,
     relabel,
     reorder,
+    require_modes,
     tensor,
     vacuum,
     _canonicalize,
@@ -105,6 +108,25 @@ def _sector_matrix(n: int) -> np.ndarray:
     return m
 
 
+def _occupied(n: np.ndarray):
+    """The occupied values of ``n``, ascending, and each entry's rank among them."""
+    seen = np.bincount(n) > 0
+    return seen.nonzero()[0], (seen.cumsum() - 1)[n]
+
+
+def _runs(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., m - 1 for each run length m, concatenated."""
+    return np.arange(lengths.sum()) - (lengths.cumsum() - lengths).repeat(lengths)
+
+
+def _blocks(sector: np.ndarray, groups: np.ndarray):
+    """Start row of each sector whose n + 1 splits hold ``groups`` rows each,
+    and the (n, start, groups) blocks that ``_mix_sectors`` takes."""
+    size = groups * (sector + 1)
+    start = size.cumsum() - size
+    return start, tuple(zip(sector.tolist(), start.tolist(), groups.tolist()))
+
+
 def _pair_layout(occ: np.ndarray, cutoff: int, ia: int, ib: int):
     """Rows (j = n_a) of the kets ``occ`` of a stored state for a splitter on
     columns (ia, ib), the sectors and the occupation of every output row;
@@ -113,24 +135,19 @@ def _pair_layout(occ: np.ndarray, cutoff: int, ia: int, ib: int):
     # sector first, so that groups come out ordered sector by sector
     key = _pack_keys(np.column_stack([sector, np.delete(occ, [ia, ib], axis=1)]), cutoff)
     _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    group_sector = sector[first]
-    groups = np.bincount(group_sector, minlength=cutoff + 1)
-    sizes = groups * np.arange(1, cutoff + 2)
-    start = np.cumsum(sizes) - sizes
-    group_base = np.cumsum(groups) - groups          # first group of each sector
-    local = np.arange(first.shape[0]) - group_base[group_sector]
-    rows = start[sector] + occ[:, ia] * groups[sector] + local[group]
-    out = np.empty((int(sizes.sum()), occ.shape[1]), dtype=np.int64)
-    sectors = []
-    for n in np.flatnonzero(groups):
-        n, g, s0 = int(n), int(groups[n]), int(start[n])
-        block = out[s0:s0 + (n + 1) * g].reshape(n + 1, g, -1)
-        block[...] = occ[first[group_base[n]:group_base[n] + g]]
-        split = np.arange(n + 1)[:, None]
-        block[:, :, ia] = split
-        block[:, :, ib] = n - split
-        sectors.append((n, s0, g))
-    return rows, tuple(sectors), out
+    sec, rank = _occupied(sector[first])
+    groups = np.bincount(rank)
+    start, sectors = _blocks(sec, groups)
+    base = start[rank] + _runs(groups)               # row of each group at j = 0
+    rows = base[group] + occ[:, ia] * groups[rank][group]
+    # split j of sector n runs over the sector's groups in turn
+    run = np.arange(sec.shape[0]).repeat(sec + 1)
+    size = groups[run]
+    split = _runs(sec + 1).repeat(size)
+    out = occ.take(first[(groups.cumsum() - groups)[run].repeat(size) + _runs(size)], axis=0)
+    out[:, ia] = split
+    out[:, ib] = sec[run].repeat(size) - split
+    return rows, sectors, out
 
 
 def _mix_sectors(out: np.ndarray, sectors) -> None:
@@ -174,9 +191,8 @@ def epr_split_network(state: AnyState, input_mode: str = "a") -> AnyState:
     divided between the two stations, then each half is divided between
     that station's two arms.
     """
-    if state.layout.n_modes != 1:
-        raise StateError("epr_split_network expects a single-mode input state")
-    s = relabel(state, {state.layout.labels[0]: "a1"})
+    require_modes(state, (input_mode,), "epr_split_network input")
+    s = relabel(state, {input_mode: "a1"})
     s = tensor(s, vacuum(STATION_MODES[1:]))
     s = beamsplitter(s, "a1", "a2")   # input -> station halves
     s = beamsplitter(s, "a1", "b1")   # station 1 half -> its two arms
@@ -185,7 +201,7 @@ def epr_split_network(state: AnyState, input_mode: str = "a") -> AnyState:
 
 
 def two_photon_network(cutoff: int = 2) -> MultiModeState:
-    """Two independent single photons, one split across each station.
+    """Two independent single photons, one split across the a arms, one across the b arms.
 
     Photon 1 enters the (a1, a2) splitter, photon 2 the (b1, b2) splitter;
     the result is reported on the standard (a1, b1, a2, b2) ordering.

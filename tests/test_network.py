@@ -98,6 +98,25 @@ def test_splitter_preserves_norm_and_photon_number():
     assert n_out == pytest.approx(n_in, abs=1e-12)
 
 
+def test_splitter_layout_grows_with_the_occupied_sectors_not_the_cutoff():
+    import tracemalloc
+
+    state = make_pure(ModeLayout(("a", "b", "c"), 1_000_000), [((1, 0, 0), 1.0), ((0, 1, 1), 1.0)])
+    tracemalloc.start()
+    try:
+        out = beamsplitter(state, "a", "b")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an array over the cutoff would take 8 MB
+    assert peak < 1_000_000
+    want = {(1, 0, 0): 0.5, (0, 1, 0): -0.5, (1, 0, 1): 0.5, (0, 1, 1): 0.5}
+    got = out.amplitudes()
+    assert set(got) == set(want)
+    for occ, amp in want.items():
+        assert got[occ] == pytest.approx(amp, abs=1e-15)
+
+
 def test_single_photon_split_signs():
     layout = ModeLayout(("a", "b"), 1)
     via_a = beamsplitter(make_pure(layout, [((1, 0), 1.0)]), "a", "b")
@@ -200,6 +219,12 @@ def test_four_way_split_accepts_mixtures():
 def test_four_way_split_rejects_multimode_input():
     with pytest.raises(StateError):
         epr_split_network(vacuum(("x", "y"), 1))
+
+
+def test_four_way_split_rejects_an_input_on_another_mode():
+    one = make_pure(ModeLayout(("s",), 1), [((1,), 1.0)])
+    with pytest.raises(StateError):
+        epr_split_network(one, input_mode="a")
 
 
 def test_two_photon_network_content():

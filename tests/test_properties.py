@@ -17,7 +17,7 @@ import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from eprsim import (
@@ -235,8 +235,18 @@ def splitter_cases(draw):
     return state, mode_a, mode_b
 
 
+# cutoff 36, which the strategy never draws: four groups share sector 30 of
+# (m3, m1), a pair given against the column order
+_HIGH_SECTOR = _pure(
+    ModeLayout(("m0", "m1", "m2", "m3"), 36),
+    [(2, 10, 1, 20), (0, 25, 3, 5), (4, 0, 0, 30), (1, 17, 1, 13), (0, 3, 0, 2), (5, 1, 2, 0)],
+    np.array([[1, -2, 3, 0, 1, 2], [0, 1, -1, 2, 3, 0]]),
+)
+
+
 @settings(max_examples=80, deadline=None)
 @given(splitter_cases())
+@example((_HIGH_SECTOR, "m3", "m1"))
 def test_beamsplitter_matches_repeat_unique_reference(case):
     state, mode_a, mode_b = case
     got = beamsplitter(state, mode_a, mode_b).amplitudes()
