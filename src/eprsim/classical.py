@@ -60,7 +60,7 @@ class ClassicalEnsemble:
     """Weighted field samples (alpha_k for signals, beta_k for oscillators).
 
     ``strata`` are the contiguous (start, stop) blocks of independently drawn
-    samples, one per mixture component; empty means one block of all n.
+    samples, one per leaf draw of a mixture; empty means one block of all n.
     """
 
     weights: np.ndarray
@@ -69,7 +69,6 @@ class ClassicalEnsemble:
     beta1: np.ndarray
     beta2: np.ndarray
     seed: int
-    generator_id: str
     strata: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
@@ -141,78 +140,67 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
       correlated_lo thermal signals with beta_k = alpha_k sample by sample
       mixture       params["components"] = [(weight, kind, params), ...]
 
-    Each arm's field array is allocated once, and every component of a
-    mixture is drawn straight into its own slice of them. Each stratum has
-    one weight.
+    Mixtures are expanded into their leaf draws, and every leaf is checked
+    before the four field arrays are allocated; each leaf is then drawn
+    straight into its own slice of them, as one stratum with one weight.
     """
     if not 1 <= n <= SAMPLE_BUDGET:
         raise StateError(f"need 1 <= n <= {SAMPLE_BUDGET} samples")
     seed = int(seed)
     if seed < 0:
         raise StateError(f"seed must be >= 0, got {seed}")
-    size = _ensemble_size(kind, params, n)
-    fields = [np.empty(size, dtype=np.complex128) for _ in range(4)]
-    generator_id, strata, stratum_weights = _draw(kind, params, n, seed, fields)
-    return ClassicalEnsemble(
-        weights=np.repeat(stratum_weights, [b - a for a, b in strata]),
-        alpha1=fields[0],
-        alpha2=fields[1],
-        beta1=fields[2],
-        beta2=fields[3],
-        seed=seed,
-        generator_id=generator_id,
-        strata=strata,
-    )
+    leaves = _leaves(kind, params, n, seed)
+    sizes = [size for size, *_ in leaves]
+    stops = np.cumsum(sizes).tolist()
+    strata = tuple(zip([0] + stops[:-1], stops))
+    fields = [np.empty(stops[-1], dtype=np.complex128) for _ in range(4)]
+    for (a, b), (_, _, *draw) in zip(strata, leaves):
+        _draw(*draw, [f[a:b] for f in fields])
+    return ClassicalEnsemble(np.repeat([w for _, w, *_ in leaves], sizes), *fields, seed=seed, strata=strata)
 
 
-def _ensemble_size(kind: str, params: dict, n: int) -> int:
-    """Number of samples ``make_ensemble`` draws for ``kind``."""
-    if kind == "delta":
-        return 1
-    if kind == "mixture":
-        return sum(_ensemble_size(sub_kind, sub_params, n) for _, sub_kind, sub_params in params["components"])
-    if kind in ("thermal", "correlated_lo"):
-        return n
-    raise StateError(f"unknown ensemble kind {kind!r}")
-
-
-def _draw(kind: str, params: dict, n: int, seed: int, fields: list[np.ndarray]):
-    """Draw the ensemble of ``kind`` into ``fields`` (the arrays of a1, a2,
-    b1 and b2, ``_ensemble_size`` samples long); its generator id, strata
-    and the weight of each sample in each stratum."""
+def _leaves(kind: str, params: dict, n: int, seed: int) -> list[tuple]:
+    """The checked leaf draws of ``kind``, mixtures expanded in order: each is
+    (size, weight per sample, kind, values, seed), weights multiplied from the
+    innermost mixture out, values the delta point or (nbar, nbar_lo)."""
+    key = {"delta": "point", "thermal": "nbar", "correlated_lo": "nbar", "mixture": "components"}.get(kind)
+    if key is None:
+        raise StateError(f"unknown ensemble kind {kind!r}")
+    if key not in params:
+        raise StateError(f"{kind} ensemble needs params[{key!r}]")
     if kind == "delta":
         point = params["point"]
         if len(point) != 4:
             raise StateError("delta ensemble needs a 4-amplitude point")
-        for f, v in zip(fields, point):
-            f[0] = complex(v)
-        return "delta", ((0, 1),), [1.0]
+        return [(1, 1.0, kind, tuple(complex(v) for v in point), seed)]
     if kind == "mixture":
         comps = params["components"]
         if not comps:
             raise StateError("mixture needs at least one component")
         wsum = math.fsum(float(w) for w, _, _ in comps)
-        if wsum <= 0.0 or any(float(w) < 0.0 for w, _, _ in comps):
-            raise StateError("mixture weights must be nonnegative with positive sum")
+        if not 0.0 < wsum < math.inf or any(float(w) < 0.0 for w, _, _ in comps):
+            raise StateError("mixture weights must be finite and nonnegative with positive sum")
         sub_seeds = np.random.SeedSequence(seed).generate_state(len(comps), dtype=np.uint64)
-        ids = []
-        strata = []
-        weights = []
-        offset = 0
-        for (w, sub_kind, sub_params), sub_seed in zip(comps, sub_seeds):
-            part = slice(offset, offset + _ensemble_size(sub_kind, sub_params, n))
-            sub_id, sub_strata, sub_weights = _draw(sub_kind, sub_params, n, int(sub_seed), [f[part] for f in fields])
-            ids.append(sub_id)
-            strata.extend((offset + a, offset + b) for a, b in sub_strata)
-            weights.extend(float(w) / wsum * x for x in sub_weights)
-            offset = part.stop
-        return "mixture(" + ",".join(ids) + ")", tuple(strata), weights
-    for key in ("nbar", "nbar_lo"):
-        if key in params and not (math.isfinite(params[key]) and params[key] >= 0.0):
-            raise StateError(f"{key} must be finite and >= 0, got {params[key]!r}")
-    nbar = params["nbar"]
-    nbar_lo = params.get("nbar_lo", nbar)
-    for index, start in enumerate(range(0, n, CHUNK)):
+        return [
+            (size, float(w) / wsum * x, *draw)
+            for (w, sub_kind, sub_params), sub_seed in zip(comps, sub_seeds)
+            for size, x, *draw in _leaves(sub_kind, sub_params, n, int(sub_seed))
+        ]
+    values = (params["nbar"], params.get("nbar_lo", params["nbar"]))
+    for name, value in zip(("nbar", "nbar_lo"), values):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise StateError(f"{name} must be finite and >= 0, got {value!r}")
+    return [(n, 1.0 / n, kind, values, seed)]
+
+
+def _draw(kind: str, values: tuple, seed: int, fields: list[np.ndarray]) -> None:
+    """Draw one leaf into ``fields``, its slices of the a1, a2, b1 and b2 arrays."""
+    if kind == "delta":
+        for f, v in zip(fields, values):
+            f[0] = v
+        return
+    nbar, nbar_lo = values
+    for index, start in enumerate(range(0, fields[0].shape[0], CHUNK)):
         a1, a2, b1, b2 = (f[start : start + CHUNK] for f in fields)
         rng = np.random.default_rng([seed, index])
         _thermal_field(rng, nbar, a1)
@@ -223,7 +211,6 @@ def _draw(kind: str, params: dict, n: int, seed: int, fields: list[np.ndarray]):
         else:
             b1[...] = a1
             b2[...] = a2
-    return f"{kind}(nbar={params.get('nbar')!r})", ((0, n),), [1.0 / n]
 
 
 def _moment_terms(e: ClassicalEnsemble, part: slice = slice(None)):

@@ -126,17 +126,14 @@ class OutputCorrelators:
 class CorrelationAmplitudes:
     """The (A1, A2, xi, zeta) parameters of the two-cosine correlation.
 
-    The interference moments and denominator are kept alongside when the
-    instance came from a state; for bare (a1, a2, xi, zeta) pairs they
-    default to the convention m_k = a_k e^{i phase}, denominator 2.
+    ``denominator`` is <(n_a1 + n_b1)(n_a2 + n_b2)> when the instance came
+    from a state, and 2 for a bare (a1, a2, xi, zeta) pair.
     """
 
     a1: float
     a2: float
     xi: float
     zeta: float
-    m1: Optional[complex] = None
-    m2: Optional[complex] = None
     denominator: float = 2.0
 
     def __post_init__(self) -> None:
@@ -147,10 +144,6 @@ class CorrelationAmplitudes:
             )
         if self.a1 < 0.0 or self.a2 < 0.0:
             raise StateError(f"amplitudes must be nonnegative, got ({self.a1}, {self.a2})")
-        if self.m1 is None:
-            object.__setattr__(self, "m1", 0.5 * self.denominator * self.a1 * cmath.exp(1j * self.xi))
-        if self.m2 is None:
-            object.__setattr__(self, "m2", 0.5 * self.denominator * self.a2 * cmath.exp(1j * self.zeta))
 
 
 @dataclass(frozen=True)
@@ -357,8 +350,6 @@ def amplitudes(state: AnyState) -> CorrelationAmplitudes:
         a2=2.0 * abs(m2) / den,
         xi=_phase(m1),
         zeta=_phase(m2),
-        m1=m1,
-        m2=m2,
         denominator=den,
     )
 

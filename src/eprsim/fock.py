@@ -555,7 +555,10 @@ def load_state(path) -> MultiModeState:
     offending field; syntax errors carry the line/column from the parser.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise StateFileError(f"{path}: not UTF-8 text ({exc.reason})") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -591,7 +594,11 @@ def load_state(path) -> MultiModeState:
         im_part = term.get("im", 0.0)
         if type(re_part) not in (int, float) or type(im_part) not in (int, float):
             raise StateFileError(f"{where}: 're'/'im' must be numbers")
-        terms.append((tuple(occ), complex(re_part, im_part)))
+        try:
+            amplitude = complex(re_part, im_part)
+        except OverflowError:
+            raise StateFileError(f"{where}: 're'/'im' out of float range") from None
+        terms.append((tuple(occ), amplitude))
     try:
         return make_pure(layout, terms)
     except StateError as exc:

@@ -127,7 +127,7 @@ def signal_amplitudes(state: AnyState) -> CorrelationAmplitudes:
 
     With both oscillator phases at zero the interference moments are
     proportional to g11 and g20, so the phase offsets are their arguments;
-    m1, m2 and the denominator take the bare-pair convention, den = 2.
+    the denominator keeps its bare-pair default, 2.
     """
     g = coherence_functions(state)
     return CorrelationAmplitudes(*amplitudes_from_g(g), _phase(g.g11), _phase(g.g20))

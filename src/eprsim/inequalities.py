@@ -65,17 +65,14 @@ class BellMaxResult:
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """Margins against every bound; positive margin = inside the bound."""
+    """Region and margins of a pair (positive = inside); bell_ok: its B_max <= 2."""
 
-    a1: float
-    a2: float
     region: str
     epr_boundary: bool
     stochastic_margin: float
     bell_margin: float
     tsirelson_margin: float
     quantum_margin: float
-    b_max: float
     bell_ok: bool
 
 
@@ -178,15 +175,12 @@ def classify(amps: CorrelationAmplitudes, state_b_max: float) -> InequalityRepor
     else:
         region = "nonclassical-local"
     return InequalityReport(
-        a1=a1,
-        a2=a2,
         region=region,
         epr_boundary=epr_holds(amps, BOUND_TOL),
         stochastic_margin=0.5 - max(a1, a2),
         bell_margin=0.5 - circle,
         tsirelson_margin=1.0 - circle,
         quantum_margin=1.0 - total,
-        b_max=float(state_b_max),
         bell_ok=state_b_max <= 2.0 + BOUND_TOL,
     )
 

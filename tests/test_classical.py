@@ -205,7 +205,7 @@ def test_ensemble_validates_strata_and_seed():
     ens = make_ensemble("thermal", {"nbar": 1.0}, n=4, seed=0)
     assert ens.strata == ((0, 4),)
     fields = dict(weights=ens.weights, alpha1=ens.alpha1, alpha2=ens.alpha2,
-                  beta1=ens.beta1, beta2=ens.beta2, seed=0, generator_id="t")
+                  beta1=ens.beta1, beta2=ens.beta2, seed=0)
     assert ClassicalEnsemble(**fields, strata=((0, 1), (1, 4))).strata == ((0, 1), (1, 4))
     for bad in (((0, 3),), ((0, 2), (3, 4)), ((0, 0), (0, 4)), ((0, 4), (4, 4)),
                 ((0, 4), (4, 5)), ((1, 4),)):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eprsim import estimate_amplitudes, make_ensemble, pointwise_margin
+from eprsim import StateError, estimate_amplitudes, make_ensemble, pointwise_margin
 from eprsim.classical import (
     BOOTSTRAP_GROUPS,
     BOOTSTRAP_RESAMPLES,
@@ -187,3 +187,22 @@ def test_mixture_is_drawn_in_place():
         tracemalloc.stop()
     ensemble = e.weights.nbytes + sum(f.nbytes for f in (e.alpha1, e.alpha2, e.beta1, e.beta2))
     assert peak <= 1.1 * ensemble
+
+
+@pytest.mark.parametrize("component", [
+    (0.5, "delta", {"point": (1, 2)}),
+    (0.5, "thermal", {"nbar": -1.0}),
+    (0.5, "thermal", {}),
+    (math.nan, "thermal", {"nbar": 1.0}),
+])
+def test_a_bad_leaf_is_refused_before_any_field_is_allocated(component):
+    # the good component alone would need 64 MB of fields at this n
+    params = {"components": [(0.5, "thermal", {"nbar": 1.0}), component]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateError):
+            make_ensemble("mixture", params, 10**6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -370,6 +371,10 @@ def argv_lists(draw):
 @example([])
 def test_any_argv_ends_in_success_or_the_one_line_json_error(argv):
     # the size budgets are in force: no value may allocate or loop without bound
+    _assert_success_or_the_one_line_json_error(argv)
+
+
+def _assert_success_or_the_one_line_json_error(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
@@ -381,3 +386,45 @@ def test_any_argv_ends_in_success_or_the_one_line_json_error(argv):
     assert len(lines) == 1
     error = json.loads(lines[0])["error"]
     assert set(error) == {"type", "message"} and error["message"]
+
+
+# a valid station-mode state file; the fuzz test swaps one of FILE_FIELDS
+# for a raw JSON token, or removes it (None)
+STATE_DOC = {"modes": ["a1", "b1", "a2", "b2"], "cutoff": 1,
+             "terms": [{"occ": [1, 0, 0, 1], "re": 0.6, "im": 0.0},
+                       {"occ": [0, 1, 1, 0], "re": 0.0, "im": 0.8}]}
+FILE_FIELDS = (("modes",), ("modes", 0), ("cutoff",), ("terms",), ("terms", 0),
+               ("terms", 0, "occ"), ("terms", 0, "occ", 0), ("terms", 0, "re"), ("terms", 1, "im"))
+FILE_EXTREMES = (HUGE, "-" + HUGE, "-0", "1e308", "-1e308", "NaN", "Infinity", "-Infinity",
+                 "true", "false", "null", '"a1"', '""', "[]", "[[]]", '[[1, ["a1"]]]', "{}", None)
+
+
+def _state_file(field, token) -> bytes:
+    """STATE_DOC as UTF-8 JSON with ``field`` set to the raw ``token``, or removed."""
+    doc = json.loads(json.dumps(STATE_DOC))
+    *parents, last = field
+    node = doc
+    for key in parents:
+        node = node[key]
+    if token is None:
+        del node[last]
+        return json.dumps(doc).encode()
+    node[last] = "@token@"
+    return json.dumps(doc).replace('"@token@"', token).encode()
+
+
+state_files = st.one_of(
+    st.builds(_state_file, st.sampled_from(FILE_FIELDS), st.sampled_from(FILE_EXTREMES)),
+    st.binary(max_size=40).map(lambda raw: b"\xff" + raw),  # never valid UTF-8
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(state_files)
+@example(json.dumps(STATE_DOC).encode("utf-16"))  # starts with the bytes ff fe
+@example(_state_file(("terms", 0, "re"), HUGE))
+def test_any_state_file_ends_in_success_or_the_one_line_json_error(content):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "state.json"
+        path.write_bytes(content)
+        _assert_success_or_the_one_line_json_error(["state", str(path)])
