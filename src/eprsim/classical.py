@@ -32,6 +32,7 @@ bootstrapped sample by sample (cf. Kleiner et al., JRSS-B 76, 2014).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,32 +164,43 @@ def _leaves(kind: str, params: dict, n: int, seed: int) -> list[tuple]:
     """The checked leaf draws of ``kind``, mixtures expanded in order: each is
     (size, weight per sample, kind, values, seed), weights multiplied from the
     innermost mixture out, values the delta point or (nbar, nbar_lo)."""
-    key = {"delta": "point", "thermal": "nbar", "correlated_lo": "nbar", "mixture": "components"}.get(kind)
+    keys = {"delta": "point", "thermal": "nbar", "correlated_lo": "nbar", "mixture": "components"}
+    key = keys.get(kind) if isinstance(kind, str) else None
     if key is None:
         raise StateError(f"unknown ensemble kind {kind!r}")
-    if key not in params:
+    if not isinstance(params, dict) or key not in params:
         raise StateError(f"{kind} ensemble needs params[{key!r}]")
     if kind == "delta":
-        point = params["point"]
+        try:
+            point = tuple(complex(v) for v in params["point"])
+        except (TypeError, ValueError, OverflowError):
+            point = ()
         if len(point) != 4:
             raise StateError("delta ensemble needs a 4-amplitude point")
-        return [(1, 1.0, kind, tuple(complex(v) for v in point), seed)]
+        return [(1, 1.0, kind, point, seed)]
     if kind == "mixture":
-        comps = params["components"]
+        try:
+            comps = [(float(w), sub_kind, sub_params) for w, sub_kind, sub_params in params["components"]]
+        except (TypeError, ValueError, OverflowError):
+            raise StateError("mixture components must be (weight, kind, params) with a numeric weight") from None
         if not comps:
             raise StateError("mixture needs at least one component")
-        wsum = math.fsum(float(w) for w, _, _ in comps)
-        if not 0.0 < wsum < math.inf or any(float(w) < 0.0 for w, _, _ in comps):
+        wsum = math.fsum(w for w, _, _ in comps)
+        if not 0.0 < wsum < math.inf or any(w < 0.0 for w, _, _ in comps):
             raise StateError("mixture weights must be finite and nonnegative with positive sum")
         sub_seeds = np.random.SeedSequence(seed).generate_state(len(comps), dtype=np.uint64)
         return [
-            (size, float(w) / wsum * x, *draw)
+            (size, w / wsum * x, *draw)
             for (w, sub_kind, sub_params), sub_seed in zip(comps, sub_seeds)
             for size, x, *draw in _leaves(sub_kind, sub_params, n, int(sub_seed))
         ]
     values = (params["nbar"], params.get("nbar_lo", params["nbar"]))
     for name, value in zip(("nbar", "nbar_lo"), values):
-        if not (math.isfinite(value) and value >= 0.0):
+        try:
+            ok = isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0.0
+        except OverflowError:  # an int or Fraction beyond the float range
+            ok = False
+        if not ok:
             raise StateError(f"{name} must be finite and >= 0, got {value!r}")
     return [(n, 1.0 / n, kind, values, seed)]
 

@@ -26,10 +26,10 @@ from typing import Optional
 
 from . import correlation, homodyne, inequalities, zoo
 from .classical import bound_report, estimate_amplitudes, make_ensemble, pointwise_margin
-from .correlation import STATION_MODES
 from .errors import EprSimError, StateError, UsageError
 from .fock import load_state, reorder
 from .homodyne import SIGNAL_MODES
+from .network import STATION_MODES
 from .zoo import CatParams
 
 STATE_ALPHA, STATE_PHI = 1.0 + 0.0j, 0.0  # ``state`` defaults of --alpha, --phi

@@ -70,7 +70,6 @@ __all__ = [
     "sinusoid_residual",
     "epr_check",
     "epr_holds",
-    "STATION_MODES",
 ]
 
 MOMENTS = ("ss", "m1", "m2", "s1d2", "d1s2")

@@ -1,10 +1,24 @@
 """Exception types shared across the package.
 
 Every domain failure raises one of these so callers (and the CLI) can
-distinguish physics degeneracies from programming errors.
+distinguish physics degeneracies from programming errors. ``UsageError``
+belongs to the command line and stays out of ``__all__``.
 """
 
-from __future__ import annotations
+__all__ = [
+    "EprSimError",
+    "StateError",
+    "NormalizationError",
+    "CutoffError",
+    "UnknownModeError",
+    "StateFileError",
+    "ZeroCoincidence",
+    "ZeroIntensity",
+    "DegenerateLO",
+    "CatDegenerate",
+    "ZeroDenominator",
+    "OptimizerShortfall",
+]
 
 
 class EprSimError(Exception):

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .correlation import STATION_MODES, CorrelationAmplitudes, _phase
+from .correlation import CorrelationAmplitudes, _phase
 from .errors import DegenerateLO, StateError, ZeroIntensity
 from .fock import (
     AnyState,
@@ -41,6 +41,7 @@ from .fock import (
     require_modes,
     tensor,
 )
+from .network import STATION_MODES
 
 __all__ = [
     "CoherenceFunctions",

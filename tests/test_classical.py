@@ -109,6 +109,22 @@ def test_degenerate_inputs():
         make_ensemble("thermal", {"nbar": 1.0}, n=0, seed=0)
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("thermal", {"nbar": "1"}),
+    ("thermal", {"nbar": 1.0, "nbar_lo": None}),
+    ("thermal", {"nbar": 10**400}),
+    ("delta", {"point": 5}),
+    ("mixture", {"components": [(1.0, "thermal")]}),
+    ("mixture", {"components": [("x", "thermal", {"nbar": 1.0})]}),
+    ("mixture", {"components": [(10**400, "thermal", {"nbar": 1.0})]}),
+    ("mixture", {"components": [(1.0, "thermal", None)]}),
+    (["thermal"], {"nbar": 1.0}),
+])
+def test_malformed_params_are_a_state_error(kind, params):
+    with pytest.raises(StateError):
+        make_ensemble(kind, params, n=10, seed=1)
+
+
 def _per_sample_bootstrap_se(ens, seed):
     """Reference: 200 uniform resamples of length n, plain-sum ratios."""
     from eprsim.classical import _moment_terms
