@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +63,11 @@ class ClassicalEnsemble:
 
     ``strata`` are the contiguous (start, stop) blocks of independently drawn
     samples, one per leaf draw of a mixture; empty means one block of all n.
+    ``weights`` has one float per stratum, the weight of each of its samples.
+    The fields are kept as complex128 arrays, copied only if they are not.
     """
 
-    weights: np.ndarray
+    weights: tuple[float, ...]
     alpha1: np.ndarray
     alpha2: np.ndarray
     beta1: np.ndarray
@@ -73,28 +76,31 @@ class ClassicalEnsemble:
     strata: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        n = self.weights.shape[0]
+        n = np.asarray(self.alpha1).size
         for name in ("alpha1", "alpha2", "beta1", "beta2"):
-            arr = getattr(self, name)
+            arr = np.asarray(getattr(self, name), dtype=np.complex128)
             if arr.shape != (n,):
                 raise StateError(f"{name} has shape {arr.shape}, expected ({n},)")
-            if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+            if not np.all(np.isfinite(arr)):
                 raise StateError(f"{name} contains non-finite values")
-        if np.any(self.weights < 0.0):
-            raise StateError("negative sample weight")
-        total = _chunked_fsum(self.weights)
-        if not abs(total - 1.0) <= NORM_TOL:
-            raise StateError(f"sample weights sum to {total!r}, not 1")
+            object.__setattr__(self, name, arr)
         strata = tuple((int(a), int(b)) for a, b in self.strata) or ((0, n),)
         starts = [a for a, _ in strata]
         stops = [b for _, b in strata]
         if starts != [0] + stops[:-1] or stops[-1] != n or any(b <= a for a, b in strata):
             raise StateError(f"strata {strata} do not tile the {n} samples")
+        if len(self.weights) != len(strata) or not all(map(_nonnegative, self.weights)):
+            raise StateError(f"need one finite weight >= 0 per stratum, got {self.weights!r}")
+        weights = tuple(map(float, self.weights))
+        total = math.fsum(w * (b - a) for w, (a, b) in zip(weights, strata))
+        if not abs(total - 1.0) <= NORM_TOL:
+            raise StateError(f"sample weights sum to {total!r}, not 1")
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "strata", strata)
 
     @property
     def n(self) -> int:
-        return int(self.weights.shape[0])
+        return int(self.alpha1.shape[0])
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,7 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
 
     Mixtures are expanded into their leaf draws, and every leaf is checked
     before the four field arrays are allocated; each leaf is then drawn
-    straight into its own slice of them, as one stratum with one weight.
+    straight into its own slice of them, as one stratum whose weight is kept once.
     """
     if not 1 <= n <= SAMPLE_BUDGET:
         raise StateError(f"need 1 <= n <= {SAMPLE_BUDGET} samples")
@@ -151,13 +157,12 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
     if seed < 0:
         raise StateError(f"seed must be >= 0, got {seed}")
     leaves = _leaves(kind, params, n, seed)
-    sizes = [size for size, *_ in leaves]
-    stops = np.cumsum(sizes).tolist()
+    stops = np.cumsum([size for size, *_ in leaves]).tolist()
     strata = tuple(zip([0] + stops[:-1], stops))
     fields = [np.empty(stops[-1], dtype=np.complex128) for _ in range(4)]
     for (a, b), (_, _, *draw) in zip(strata, leaves):
         _draw(*draw, [f[a:b] for f in fields])
-    return ClassicalEnsemble(np.repeat([w for _, w, *_ in leaves], sizes), *fields, seed=seed, strata=strata)
+    return ClassicalEnsemble(tuple(w for _, w, *_ in leaves), *fields, seed=seed, strata=strata)
 
 
 def _leaves(kind: str, params: dict, n: int, seed: int) -> list[tuple]:
@@ -171,38 +176,45 @@ def _leaves(kind: str, params: dict, n: int, seed: int) -> list[tuple]:
     if not isinstance(params, dict) or key not in params:
         raise StateError(f"{kind} ensemble needs params[{key!r}]")
     if kind == "delta":
+        point = params["point"]
+        if isinstance(point, (str, bytes, bytearray)) or not isinstance(point, (Sequence, np.ndarray)):
+            point = ()
         try:
-            point = tuple(complex(v) for v in params["point"])
-        except (TypeError, ValueError, OverflowError):
+            point = tuple(map(complex, point)) if all(isinstance(v, numbers.Complex) for v in point) else ()
+        except (TypeError, OverflowError):  # a 0-d array, or an int beyond the float range
             point = ()
         if len(point) != 4:
-            raise StateError("delta ensemble needs a 4-amplitude point")
+            raise StateError("delta ensemble needs a point of 4 complex amplitudes")
         return [(1, 1.0, kind, point, seed)]
     if kind == "mixture":
         try:
-            comps = [(float(w), sub_kind, sub_params) for w, sub_kind, sub_params in params["components"]]
-        except (TypeError, ValueError, OverflowError):
-            raise StateError("mixture components must be (weight, kind, params) with a numeric weight") from None
-        if not comps:
-            raise StateError("mixture needs at least one component")
-        wsum = math.fsum(w for w, _, _ in comps)
-        if not 0.0 < wsum < math.inf or any(w < 0.0 for w, _, _ in comps):
-            raise StateError("mixture weights must be finite and nonnegative with positive sum")
+            comps = [(w, sub_kind, sub_params) for w, sub_kind, sub_params in params["components"]]
+        except (TypeError, ValueError):
+            raise StateError("mixture components must be (weight, kind, params) triples") from None
+        if not comps or not all(_nonnegative(w) for w, _, _ in comps):
+            raise StateError("mixture needs components, each with a finite real weight >= 0")
+        wsum = math.fsum(float(w) for w, _, _ in comps)
+        if not 0.0 < wsum < math.inf:
+            raise StateError(f"mixture weights sum to {wsum!r}, not a positive finite number")
         sub_seeds = np.random.SeedSequence(seed).generate_state(len(comps), dtype=np.uint64)
         return [
-            (size, w / wsum * x, *draw)
+            (size, float(w) / wsum * x, *draw)
             for (w, sub_kind, sub_params), sub_seed in zip(comps, sub_seeds)
             for size, x, *draw in _leaves(sub_kind, sub_params, n, int(sub_seed))
         ]
     values = (params["nbar"], params.get("nbar_lo", params["nbar"]))
     for name, value in zip(("nbar", "nbar_lo"), values):
-        try:
-            ok = isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0.0
-        except OverflowError:  # an int or Fraction beyond the float range
-            ok = False
-        if not ok:
+        if not _nonnegative(value):
             raise StateError(f"{name} must be finite and >= 0, got {value!r}")
     return [(n, 1.0 / n, kind, values, seed)]
+
+
+def _nonnegative(value) -> bool:
+    """Whether ``value`` is a real number >= 0 that is finite as a float."""
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0.0
+    except OverflowError:  # an int or Fraction beyond the float range
+        return False
 
 
 def _draw(kind: str, values: tuple, seed: int, fields: list[np.ndarray]) -> None:
@@ -225,15 +237,17 @@ def _draw(kind: str, values: tuple, seed: int, fields: list[np.ndarray]) -> None
             b2[...] = a2
 
 
-def _moment_terms(e: ClassicalEnsemble, part: slice = slice(None)):
-    """Per-sample numerator terms (both conjugations) and the denominator.
-
-    ``part`` selects the samples; the default is all of them.
-    """
-    a1, a2, b1, b2 = e.alpha1[part], e.alpha2[part], e.beta1[part], e.beta2[part]
+def _moment_terms(e: ClassicalEnsemble, start: int, stop: int):
+    """Numerator terms (both conjugations) and denominators of samples
+    start .. stop, each multiplied in place by its stratum's weight."""
+    a1, a2, b1, b2 = (f[start:stop] for f in (e.alpha1, e.alpha2, e.beta1, e.beta2))
     num1 = np.conj(a1) * b1 * a2 * np.conj(b2)
     num2 = np.conj(a1) * b1 * np.conj(a2) * b2
     den = (np.abs(a1) ** 2 + np.abs(b1) ** 2) * (np.abs(a2) ** 2 + np.abs(b2) ** 2)
+    for (first, last), w in zip(e.strata, e.weights):
+        if first < stop and last > start:
+            for t in (num1, num2, den):
+                t[max(first - start, 0) : last - start] *= w
     return num1, num2, den
 
 
@@ -271,16 +285,8 @@ def _exact_sums(block: np.ndarray) -> list[float]:
     return [math.fsum(row.tolist()) for row in block]
 
 
-def _chunked_fsum(values: np.ndarray) -> float:
-    """Order-independent exact sum of a real array: fsum of the CHUNK sums."""
-    return math.fsum(
-        _exact_sums(values[None, start : start + CHUNK])[0]
-        for start in range(0, values.shape[0], CHUNK)
-    )
-
-
 def _group_sums(e: ClassicalEnsemble, num1, num2, den, start: int = 0, sums=None):
-    """Per stratum, weighted sums of num1, num2 and den over contiguous groups.
+    """Per stratum, sums of the weighted num1, num2 and den over contiguous groups.
 
     A stratum of size m is cut into min(BOOTSTRAP_GROUPS, m) groups of
     near-equal size; each group sum is reduced within the stratum's own
@@ -303,9 +309,8 @@ def _group_sums(e: ClassicalEnsemble, num1, num2, den, start: int = 0, sums=None
         cuts = first + (np.arange(g) * size) // g
         i, j = np.searchsorted(cuts, lo, "right") - 1, np.searchsorted(cuts, hi)
         local = np.maximum(cuts[i:j], lo) - lo
-        w = e.weights[lo:hi]
         for acc, t in zip(stratum_sums, (num1, num2, den)):
-            acc[i:j] += np.add.reduceat(w * t[lo - start : hi - start], local)
+            acc[i:j] += np.add.reduceat(t[lo - start : hi - start], local)
     return sums
 
 
@@ -330,13 +335,9 @@ def estimate_amplitudes(e: ClassicalEnsemble) -> AmplitudeEstimate:
     chunk_sums = []
     groups = None
     for start in range(0, e.n, CHUNK):
-        part = slice(start, start + CHUNK)
-        w = e.weights[part]
         with np.errstate(over="ignore", invalid="ignore"):
-            num1, num2, den = _moment_terms(e, part)
-            block = np.empty((5, den.shape[0]))
-            for row, t in zip(block, (den, num1.real, num1.imag, num2.real, num2.imag)):
-                np.multiply(w, t, out=row)
+            num1, num2, den = _moment_terms(e, start, start + CHUNK)
+            block = np.stack([den, num1.real, num1.imag, num2.real, num2.imag])
             if not np.isfinite(block).all():
                 raise StateError("the field moments overflow float64")
         chunk_sums.append(_exact_sums(block))
@@ -344,7 +345,7 @@ def estimate_amplitudes(e: ClassicalEnsemble) -> AmplitudeEstimate:
     d, re1, im1, re2, im2 = (math.fsum(sums) for sums in zip(*chunk_sums))
     if d <= 0.0:
         lit = ((e.alpha1 != 0) | (e.beta1 != 0)) & ((e.alpha2 != 0) | (e.beta2 != 0))
-        if np.any(lit & (e.weights > 0)):
+        if any(w > 0.0 and lit[a:b].any() for w, (a, b) in zip(e.weights, e.strata)):
             raise StateError("the field moments underflow float64")
         raise ZeroDenominator(f"intensity-product mean {d!r} is not positive")
     a1_hat = 2.0 * abs(complex(re1, im1)) / d
@@ -352,25 +353,16 @@ def estimate_amplitudes(e: ClassicalEnsemble) -> AmplitudeEstimate:
     if all(stop - start == 1 for start, stop in e.strata):
         return AmplitudeEstimate(a1_hat, a2_hat, 0.0, 0.0, e.n, e.seed)
     rng = np.random.default_rng([e.seed, 0xB00])
-    s1 = np.zeros(BOOTSTRAP_RESAMPLES, dtype=np.complex128)
-    s2 = np.zeros(BOOTSTRAP_RESAMPLES, dtype=np.complex128)
-    sd = np.zeros(BOOTSTRAP_RESAMPLES)
-    for g1, g2, gd in groups:
-        g = gd.shape[0]
+    s1, s2, sd = (np.zeros(BOOTSTRAP_RESAMPLES, dtype=t) for t in (complex, complex, float))
+    for stratum_sums in groups:
+        g = stratum_sums[2].shape[0]
         idx = rng.integers(0, g, size=(BOOTSTRAP_RESAMPLES, g))
-        s1 += g1[idx].sum(axis=1)
-        s2 += g2[idx].sum(axis=1)
-        sd += gd[idx].sum(axis=1)
+        for acc, group_sums in zip((s1, s2, sd), stratum_sums):
+            acc += group_sums[idx].sum(axis=1)
     if not np.all(sd > 0.0):
         raise ZeroDenominator("a bootstrap resample has no positive intensity-product mean")
-    return AmplitudeEstimate(
-        a1_hat=a1_hat,
-        a2_hat=a2_hat,
-        se1=float(np.std(2.0 * np.abs(s1) / sd, ddof=1)),
-        se2=float(np.std(2.0 * np.abs(s2) / sd, ddof=1)),
-        n=e.n,
-        seed=e.seed,
-    )
+    se1, se2 = (float(np.std(2.0 * np.abs(s) / sd, ddof=1)) for s in (s1, s2))
+    return AmplitudeEstimate(a1_hat, a2_hat, se1, se2, e.n, e.seed)
 
 
 def bound_report(est: AmplitudeEstimate) -> BoundReport:
@@ -392,10 +384,9 @@ def pointwise_margin(e: ClassicalEnsemble) -> float:
     """
     margin = math.inf
     for start in range(0, e.n, CHUNK):
-        part = slice(start, start + CHUNK)
         for sig, lo in ((e.alpha1, e.beta1), (e.alpha2, e.beta2)):
             with np.errstate(over="ignore", invalid="ignore"):
-                a, b = np.abs(sig[part]), np.abs(lo[part])
+                a, b = np.abs(sig[start : start + CHUNK]), np.abs(lo[start : start + CHUNK])
                 worst = float(np.min(a**2 + b**2 - 2.0 * a * b))
             if not math.isfinite(worst):
                 raise StateError("the field intensities overflow float64")

@@ -211,8 +211,9 @@ def _merged(layout: ModeLayout, occ: np.ndarray, amp: np.ndarray):
     if np.any(sorted_keys[1:] == sorted_keys[:-1]):
         uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         merged = np.zeros(uniq.shape[0], dtype=np.complex128)
-        np.add.at(merged.real, inverse, amp.real)
-        np.add.at(merged.imag, inverse, amp.imag)
+        with np.errstate(over="ignore"):  # an inf sum is refused by the caller
+            np.add.at(merged.real, inverse, amp.real)
+            np.add.at(merged.imag, inverse, amp.imag)
         return occ[first], merged
     return occ[order], amp[order]
 
@@ -300,15 +301,18 @@ def make_pure(layout: ModeLayout, terms: Iterable[tuple[Sequence[int], complex]]
     """Build a normalized pure state proportional to the given terms.
 
     Repeated occupations are summed in the order given. The merged terms
-    are scaled by 1 / sqrt(math.fsum |amplitude|^2) and then pruned.
+    are scaled exactly by a power of two, so that no |amplitude|^2 overflows
+    or underflows, then by 1 / sqrt(math.fsum |amplitude|^2), and pruned.
     """
     terms = list(terms)
     occ, amp = _checked_terms(layout, [o for o, _ in terms], [v for _, v in terms])
     # a merged amplitude is a sum started at +0, so a -0 part becomes +0
     occ, amp = _merged(layout, occ, amp + 0.0)
+    top = float(np.max(np.abs(amp.view(np.float64))))
+    if not 0.0 < top < math.inf:
+        raise StateError("merged amplitudes overflow" if top else "all terms are zero; cannot normalize")
+    amp = np.ldexp(amp.view(np.float64), -math.frexp(top)[1]).view(np.complex128)
     nsq = math.fsum((np.hypot(amp.real, amp.imag) ** 2).tolist())
-    if nsq <= 0.0:
-        raise StateError("all terms are zero; cannot normalize")
     return MultiModeState._from_canonical(layout, *_pruned(occ, amp * (1.0 / math.sqrt(nsq))))
 
 
@@ -563,6 +567,8 @@ def load_state(path) -> MultiModeState:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise StateFileError(f"{path}: JSON nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top level must be an object")
     for field in ("modes", "cutoff", "terms"):

@@ -34,6 +34,7 @@ from .network import PhaseSetting
 BOUND_TOL = 1e-9
 SHORTFALL_TOL = 1e-12   # relative to max(1, analytic): roundoff, not optimizer slack
 CURVE_BUDGET = 100_000  # most samples per figure3 curve
+GRID_POINTS = 24        # phases per setting in bell_max's grid check
 
 __all__ = [
     "BellSettings",
@@ -129,25 +130,25 @@ def _b_grid(amps: CorrelationAmplitudes, n: int) -> float:
     return float((plus + minus).max())
 
 
-def bell_max(source, grid_points: int = 24) -> BellMaxResult:
+def bell_max(source) -> BellMaxResult:
     """Maximize B over settings; checked against 2 sqrt(2) |A| and a grid.
 
     ``b_max`` is B evaluated at the closed-form settings, not the analytic
     value itself. It must reach ``analytic`` and no point of the
-    ``grid_points``^4 grid may beat it, each within ``SHORTFALL_TOL`` times
+    ``GRID_POINTS``^4 grid may beat it, each within ``SHORTFALL_TOL`` times
     max(1, analytic); the comparisons are written so that NaN fails them.
     """
     amps = _coerce_amps(source)
     analytic = 2.0 * math.sqrt(2.0) * math.hypot(amps.a1, amps.a2)
     settings = _optimal_settings(amps)
     b_max = float(bell_B(amps, settings))
-    grid = _b_grid(amps, grid_points)
+    grid = _b_grid(amps, GRID_POINTS)
     tol = SHORTFALL_TOL * max(1.0, analytic)
     problems = []
     if not b_max >= analytic - tol:
         problems.append(f"falls below the analytic maximum {analytic!r}")
     if not grid <= b_max + tol:
-        problems.append(f"is beaten by the {grid_points}^4 grid maximum {grid!r}")
+        problems.append(f"is beaten by the {GRID_POINTS}^4 grid maximum {grid!r}")
     if problems:
         raise OptimizerShortfall(
             f"closed-form Bell value {b_max!r} at {settings} " + " and ".join(problems)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eprsim import (
+    ClassicalEnsemble,
     StateError,
     ZeroDenominator,
     bound_report,
@@ -119,6 +120,8 @@ def test_degenerate_inputs():
     ("mixture", {"components": [(10**400, "thermal", {"nbar": 1.0})]}),
     ("mixture", {"components": [(1.0, "thermal", None)]}),
     (["thermal"], {"nbar": 1.0}),
+    ("mixture", {"components": [("2", "thermal", {"nbar": 1.0})]}),
+    ("delta", {"point": "1234"}),
 ])
 def test_malformed_params_are_a_state_error(kind, params):
     with pytest.raises(StateError):
@@ -129,7 +132,7 @@ def _per_sample_bootstrap_se(ens, seed):
     """Reference: 200 uniform resamples of length n, plain-sum ratios."""
     from eprsim.classical import _moment_terms
 
-    num1, num2, den = _moment_terms(ens)
+    num1, num2, den = _moment_terms(ens, 0, ens.n)
     rng = np.random.default_rng(seed)
     boot = []
     for _ in range(200):
@@ -151,18 +154,17 @@ def test_small_ensemble_has_one_group_per_sample():
     from eprsim.classical import BOOTSTRAP_GROUPS, _group_sums, _moment_terms
 
     ens = make_ensemble("thermal", {"nbar": 1.0}, n=BOOTSTRAP_GROUPS, seed=5)
-    num1, num2, den = _moment_terms(ens)
+    num1, num2, den = _moment_terms(ens, 0, ens.n)
     ((g1, g2, gd),) = _group_sums(ens, num1, num2, den)
     assert gd.shape == (ens.n,)
-    np.testing.assert_array_equal(g1, ens.weights * num1)
-    np.testing.assert_array_equal(g2, ens.weights * num2)
-    np.testing.assert_array_equal(gd, ens.weights * den)
+    np.testing.assert_array_equal(g1, num1)
+    np.testing.assert_array_equal(g2, num2)
+    np.testing.assert_array_equal(gd, den)
     # one more sample and groups start to hold two
     big = make_ensemble("thermal", {"nbar": 1.0}, n=3 * BOOTSTRAP_GROUPS + 1, seed=5)
-    ((_, _, gd),) = _group_sums(big, *_moment_terms(big))
+    ((_, _, gd),) = _group_sums(big, *_moment_terms(big, 0, big.n))
     assert gd.shape == (BOOTSTRAP_GROUPS,)
-    assert math.fsum(gd) == pytest.approx(math.fsum(big.weights * _moment_terms(big)[2]),
-                                          rel=1e-12)
+    assert math.fsum(gd) == pytest.approx(math.fsum(_moment_terms(big, 0, big.n)[2]), rel=1e-12)
 
 
 def test_groups_stay_inside_their_stratum():
@@ -173,10 +175,14 @@ def test_groups_stay_inside_their_stratum():
         (0.7, "correlated_lo", {"nbar": 2.0}),
     ]}, n=5000, seed=11)
     assert ens.strata == ((0, 5000), (5000, 10000))
-    num1, num2, den = _moment_terms(ens)
-    for (start, stop), (_, _, gd) in zip(ens.strata, _group_sums(ens, num1, num2, den)):
-        stratum_total = math.fsum(ens.weights[start:stop] * den[start:stop])
-        assert math.fsum(gd) == pytest.approx(stratum_total, rel=1e-12)
+    assert ens.weights == pytest.approx((0.3 / 5000, 0.7 / 5000), rel=1e-15)
+    num1, num2, den = _moment_terms(ens, 0, ens.n)
+    intensity = (np.abs(ens.alpha1) ** 2 + np.abs(ens.beta1) ** 2) * (
+        np.abs(ens.alpha2) ** 2 + np.abs(ens.beta2) ** 2)
+    for (start, stop), w, (_, _, gd) in zip(ens.strata, ens.weights, _group_sums(ens, num1, num2, den)):
+        # each term carries its own stratum's weight
+        np.testing.assert_array_equal(den[start:stop], w * intensity[start:stop])
+        assert math.fsum(gd) == pytest.approx(math.fsum(den[start:stop]), rel=1e-12)
     est = estimate_amplitudes(ens)
     for se in (est.se1, est.se2):
         assert math.isfinite(se) and se > 0.0
@@ -216,16 +222,31 @@ def test_mixture_components_are_seeded_independently():
 
 
 def test_ensemble_validates_strata_and_seed():
-    from eprsim.classical import ClassicalEnsemble
-
     ens = make_ensemble("thermal", {"nbar": 1.0}, n=4, seed=0)
-    assert ens.strata == ((0, 4),)
-    fields = dict(weights=ens.weights, alpha1=ens.alpha1, alpha2=ens.alpha2,
-                  beta1=ens.beta1, beta2=ens.beta2, seed=0)
-    assert ClassicalEnsemble(**fields, strata=((0, 1), (1, 4))).strata == ((0, 1), (1, 4))
+    assert ens.strata == ((0, 4),) and ens.weights == (0.25,)
+    fields = dict(alpha1=ens.alpha1, alpha2=ens.alpha2, beta1=ens.beta1, beta2=ens.beta2, seed=0)
+    two = ClassicalEnsemble((0.25, 0.25), **fields, strata=((0, 1), (1, 4)))
+    assert two.strata == ((0, 1), (1, 4)) and two.weights == (0.25, 0.25)
     for bad in (((0, 3),), ((0, 2), (3, 4)), ((0, 0), (0, 4)), ((0, 4), (4, 4)),
                 ((0, 4), (4, 5)), ((1, 4),)):
         with pytest.raises(StateError):
-            ClassicalEnsemble(**fields, strata=bad)
+            ClassicalEnsemble((0.25,) * len(bad), **fields, strata=bad)
+    # one weight per stratum, each finite and >= 0, the samples' weights summing to 1
+    for bad in ((0.25,) * 4, (0.25,), (-0.5, 0.5), (math.nan, 0.25), (math.inf, 0.25),
+                (0.25, 0.3), ("0.25", 0.25), (10**400, 0.25)):
+        with pytest.raises(StateError):
+            ClassicalEnsemble(bad, **fields, strata=((0, 1), (1, 4)))
     with pytest.raises(StateError):
         make_ensemble("thermal", {"nbar": 1.0}, n=4, seed=-1)
+
+
+def test_explicit_fields_are_complex_and_drawn_fields_are_not_copied():
+    ens = make_ensemble("thermal", {"nbar": 1.0}, n=5, seed=0)
+    fields = dict(alpha1=ens.alpha1, alpha2=ens.alpha2, beta1=ens.beta1, beta2=ens.beta2)
+    again = ClassicalEnsemble(ens.weights, **fields, seed=0)
+    assert all(getattr(again, name) is f for name, f in fields.items())
+    # int fields are weighted in place as complex128, not refused by numpy's casting
+    ints = ClassicalEnsemble((0.5,), *([1, 2] for _ in range(4)), seed=0)
+    assert ints.alpha1.dtype == np.complex128
+    est = estimate_amplitudes(ints)
+    assert (est.a1_hat, est.a2_hat) == (0.5, 0.5)

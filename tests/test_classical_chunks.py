@@ -18,7 +18,6 @@ from eprsim.classical import (
     BOOTSTRAP_GROUPS,
     BOOTSTRAP_RESAMPLES,
     CHUNK,
-    _chunked_fsum,
     _exact_sums,
 )
 
@@ -58,7 +57,6 @@ def test_exact_chunk_sums_equal_fsum(pool, length, rows, seed):
     values = np.random.default_rng(seed).choice(np.array(pool), size=length)
     # signs flipped at random so cancellation is common
     values *= np.where(np.random.default_rng(seed + 1).random(length) < 0.5, -1.0, 1.0)
-    assert _hex_or_error(_chunked_fsum, values) == _hex_or_error(_reference_chunked_fsum, values)
     m = min(CHUNK, length // rows)
     if m:
         block = values[: rows * m].reshape(rows, m)
@@ -105,7 +103,7 @@ def _reference_estimate(e):
     den = (np.abs(e.alpha1) ** 2 + np.abs(e.beta1) ** 2) * (
         np.abs(e.alpha2) ** 2 + np.abs(e.beta2) ** 2
     )
-    w = e.weights
+    w = np.repeat(e.weights, [stop - start for start, stop in e.strata])
     d = _reference_chunked_fsum(w * den)
     m1 = complex(_reference_chunked_fsum(w * num1.real), _reference_chunked_fsum(w * num1.imag))
     m2 = complex(_reference_chunked_fsum(w * num2.real), _reference_chunked_fsum(w * num2.imag))
@@ -185,8 +183,8 @@ def test_mixture_is_drawn_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    ensemble = e.weights.nbytes + sum(f.nbytes for f in (e.alpha1, e.alpha2, e.beta1, e.beta2))
-    assert peak <= 1.1 * ensemble
+    fields = sum(f.nbytes for f in (e.alpha1, e.alpha2, e.beta1, e.beta2))
+    assert peak <= 1.1 * fields
 
 
 @pytest.mark.parametrize("component", [

@@ -122,6 +122,32 @@ def test_malformed_file_fails_cleanly(capsys, tmp_path):
     assert doc["error"]["type"] == "StateFileError"
 
 
+def test_deeply_nested_file_fails_cleanly(capsys, tmp_path):
+    # the JSON parser recurses once per bracket
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out = run(capsys, "state", str(path))
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"] == {"type": "StateFileError",
+                                        "message": f"{path}: JSON nested too deeply to parse"}
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308, 5e-324])
+def test_state_file_amplitudes_of_any_finite_scale(capsys, tmp_path, scale):
+    # |amplitude|^2 of these overflows or underflows, yet each file is
+    # the state whose amplitudes are 1
+    def state_output(value):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"modes": ["a2", "a1"], "cutoff": 1, "terms": [
+            {"occ": [1, 0], "re": value}, {"occ": [0, 1], "re": value}]}))
+        return run(capsys, "state", str(path))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert state_output(scale) == state_output(1.0)
+
+
 @pytest.mark.parametrize("argv, error", [
     (("state", "coherent", "--alpha", "nan"), "CutoffError"),
     (("classical", "--kind", "thermal", "--nbar", "-1"), "StateError"),

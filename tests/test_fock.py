@@ -7,6 +7,7 @@ own verification.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,19 @@ def test_non_finite_amplitude_is_named(bad):
         MultiModeState(layout, {(1, 0): bad, (0, 1): 1.0})
     with pytest.raises(StateError, match=r"occupation \(1, 0\)"):
         make_pure(layout, [((1, 0), bad), ((0, 1), 1.0)])
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308, 5e-324])
+def test_amplitudes_of_any_finite_scale_normalize(scale):
+    layout = ModeLayout(("a", "b"), 1)
+    unit = make_pure(layout, [((1, 0), 1.0), ((0, 1), -1.0j)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = make_pure(layout, [((1, 0), scale), ((0, 1), -1.0j * scale)])
+        assert s.amplitudes() == unit.amplitudes()
+        # a repeated occupation whose sum overflows is named as such
+        with pytest.raises(StateError, match="overflow"):
+            make_pure(layout, [((1, 0), 1e308), ((1, 0), 1e308), ((0, 1), 1.0)])
 
 
 def test_check_norm_fails_on_nan():
