@@ -13,12 +13,15 @@ fields,
 |a|^2 + |b|^2 >= 2|a b| forces a_k <= 1/2 for every such model, which the
 estimators here verify empirically with bootstrap standard errors.
 
-Sampling is chunked with per-chunk child seeds, and every later
-per-sample pass also goes one CHUNK at a time: a single pass forms the
-moment terms, their sums and the bootstrap group sums, and no per-sample
-temporary outlives its chunk. Each sum is math.fsum of exact per-CHUNK
-sums binned by exponent, so estimates are deterministic for a given seed
-and independent of evaluation order.
+Sampling is chunked with per-chunk child seeds, so an ensemble made here
+is a recipe, not an array: one pass draws the samples a CHUNK-sized
+window at a time and forms the moment terms, their sums, the bootstrap
+group sums and the pointwise margin, and no per-sample array outlives
+its window. Memory is bounded by CHUNK, not by n; the fields are drawn
+whole only if a caller reads them. The windows are the global samples
+k CHUNK .. (k+1) CHUNK, wherever mixture leaves start, and each sum is
+math.fsum of exact per-window sums binned by exponent, so estimates are
+deterministic for a given seed and independent of evaluation order.
 
 The standard errors come from a stratified grouped bootstrap. Each stratum
 (a mixture component, or the whole ensemble) is cut into at most
@@ -31,10 +34,11 @@ bootstrapped sample by sample (cf. Kleiner et al., JRSS-B 76, 2014).
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,7 +68,9 @@ class ClassicalEnsemble:
     ``strata`` are the contiguous (start, stop) blocks of independently drawn
     samples, one per leaf draw of a mixture; empty means one block of all n.
     ``weights`` has one float per stratum, the weight of each of its samples.
-    The fields are kept as complex128 arrays, copied only if they are not.
+    Fields given here are kept as complex128 arrays, copied only if they are
+    not. An ensemble from make_ensemble keeps its checked leaf draws instead
+    and draws its four fields whole, read-only, when one of them is first read.
     """
 
     weights: tuple[float, ...]
@@ -74,33 +80,52 @@ class ClassicalEnsemble:
     beta2: np.ndarray
     seed: int
     strata: tuple[tuple[int, int], ...] = ()
+    n: int = field(init=False)
+    _leaves = None  # a made ensemble's checked leaf draws, for _windows
+    _kept = None  # a made ensemble's _pass
 
     def __post_init__(self) -> None:
         n = np.asarray(self.alpha1).size
-        for name in ("alpha1", "alpha2", "beta1", "beta2"):
+        for name in _FIELDS:
             arr = np.asarray(getattr(self, name), dtype=np.complex128)
             if arr.shape != (n,):
                 raise StateError(f"{name} has shape {arr.shape}, expected ({n},)")
             if not np.all(np.isfinite(arr)):
                 raise StateError(f"{name} contains non-finite values")
             object.__setattr__(self, name, arr)
-        strata = tuple((int(a), int(b)) for a, b in self.strata) or ((0, n),)
-        starts = [a for a, _ in strata]
-        stops = [b for _, b in strata]
-        if starts != [0] + stops[:-1] or stops[-1] != n or any(b <= a for a, b in strata):
-            raise StateError(f"strata {strata} do not tile the {n} samples")
-        if len(self.weights) != len(strata) or not all(map(_nonnegative, self.weights)):
-            raise StateError(f"need one finite weight >= 0 per stratum, got {self.weights!r}")
-        weights = tuple(map(float, self.weights))
-        total = math.fsum(w * (b - a) for w, (a, b) in zip(weights, strata))
-        if not abs(total - 1.0) <= NORM_TOL:
-            raise StateError(f"sample weights sum to {total!r}, not 1")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "strata", strata)
+        _tile(self, n, self.weights, self.strata)
 
-    @property
-    def n(self) -> int:
-        return int(self.alpha1.shape[0])
+    def __getattr__(self, name: str):
+        # only a made ensemble lacks its fields: draw all four, once
+        if name not in _FIELDS or self._leaves is None:
+            raise AttributeError(name)
+        whole = np.empty((4, self.n), dtype=np.complex128)
+        for _ in _windows(self, whole):
+            pass
+        whole.flags.writeable = False
+        for field_name, row in zip(_FIELDS, whole):
+            object.__setattr__(self, field_name, row)
+        return self.__dict__[name]
+
+
+_FIELDS = ("alpha1", "alpha2", "beta1", "beta2")
+
+
+def _tile(e: ClassicalEnsemble, n: int, weights, strata) -> None:
+    """Check and set n, the strata tiling n samples and one weight per stratum."""
+    strata = tuple((int(a), int(b)) for a, b in strata) or ((0, n),)
+    starts = [a for a, _ in strata]
+    stops = [b for _, b in strata]
+    if starts != [0] + stops[:-1] or stops[-1] != n or any(b <= a for a, b in strata):
+        raise StateError(f"strata {strata} do not tile the {n} samples")
+    if len(weights) != len(strata) or not all(map(_nonnegative, weights)):
+        raise StateError(f"need one finite weight >= 0 per stratum, got {weights!r}")
+    weights = tuple(map(float, weights))
+    total = math.fsum(w * (b - a) for w, (a, b) in zip(weights, strata))
+    if not abs(total - 1.0) <= NORM_TOL:
+        raise StateError(f"sample weights sum to {total!r}, not 1")
+    for name, value in (("n", n), ("weights", weights), ("strata", strata)):
+        object.__setattr__(e, name, value)
 
 
 @dataclass(frozen=True)
@@ -138,7 +163,7 @@ def _thermal_field(rng: np.random.Generator, nbar: float, out: np.ndarray) -> No
 
 
 def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemble:
-    """Draw a weighted field ensemble.
+    """A weighted field ensemble, drawn chunk by chunk when it is used.
 
     Kinds:
       delta         one point mass at params["point"] = (a1, a2, b1, b2)
@@ -147,22 +172,23 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
       correlated_lo thermal signals with beta_k = alpha_k sample by sample
       mixture       params["components"] = [(weight, kind, params), ...]
 
-    Mixtures are expanded into their leaf draws, and every leaf is checked
-    before the four field arrays are allocated; each leaf is then drawn
-    straight into its own slice of them, as one stratum whose weight is kept once.
+    Mixtures are expanded into their leaf draws, each one stratum whose
+    weight is kept once, and every leaf is checked here. No field array is
+    allocated: each CHUNK of a leaf is fixed by the leaf's seed and the
+    chunk's index, so the chunks are drawn when they are used.
     """
     if not 1 <= n <= SAMPLE_BUDGET:
         raise StateError(f"need 1 <= n <= {SAMPLE_BUDGET} samples")
     seed = int(seed)
     if seed < 0:
         raise StateError(f"seed must be >= 0, got {seed}")
-    leaves = _leaves(kind, params, n, seed)
+    leaves = tuple(_leaves(kind, params, n, seed))
     stops = np.cumsum([size for size, *_ in leaves]).tolist()
-    strata = tuple(zip([0] + stops[:-1], stops))
-    fields = [np.empty(stops[-1], dtype=np.complex128) for _ in range(4)]
-    for (a, b), (_, _, *draw) in zip(strata, leaves):
-        _draw(*draw, [f[a:b] for f in fields])
-    return ClassicalEnsemble(tuple(w for _, w, *_ in leaves), *fields, seed=seed, strata=strata)
+    e = object.__new__(ClassicalEnsemble)
+    for name, value in (("seed", seed), ("_leaves", leaves)):
+        object.__setattr__(e, name, value)
+    _tile(e, stops[-1], [w for _, w, *_ in leaves], zip([0] + stops[:-1], stops))
+    return e
 
 
 def _leaves(kind: str, params: dict, n: int, seed: int) -> list[tuple]:
@@ -185,6 +211,9 @@ def _leaves(kind: str, params: dict, n: int, seed: int) -> list[tuple]:
             point = ()
         if len(point) != 4:
             raise StateError("delta ensemble needs a point of 4 complex amplitudes")
+        for name, value in zip(_FIELDS, point):
+            if not cmath.isfinite(value):
+                raise StateError(f"{name} contains non-finite values")
         return [(1, 1.0, kind, point, seed)]
     if kind == "mixture":
         try:
@@ -217,38 +246,77 @@ def _nonnegative(value) -> bool:
         return False
 
 
-def _draw(kind: str, values: tuple, seed: int, fields: list[np.ndarray]) -> None:
-    """Draw one leaf into ``fields``, its slices of the a1, a2, b1 and b2 arrays."""
+def _draw(kind: str, values: tuple, seed: int, index: int, out: np.ndarray) -> None:
+    """Draw chunk ``index`` of one leaf into ``out``, its (4, m) a1, a2, b1, b2."""
     if kind == "delta":
-        for f, v in zip(fields, values):
-            f[0] = v
+        out[:, 0] = values
         return
     nbar, nbar_lo = values
-    for index, start in enumerate(range(0, fields[0].shape[0], CHUNK)):
-        a1, a2, b1, b2 = (f[start : start + CHUNK] for f in fields)
-        rng = np.random.default_rng([seed, index])
-        _thermal_field(rng, nbar, a1)
-        _thermal_field(rng, nbar, a2)
-        if kind == "thermal":
-            _thermal_field(rng, nbar_lo, b1)
-            _thermal_field(rng, nbar_lo, b2)
-        else:
-            b1[...] = a1
-            b2[...] = a2
+    rng = np.random.default_rng([seed, index])
+    a1, a2, b1, b2 = out
+    _thermal_field(rng, nbar, a1)
+    _thermal_field(rng, nbar, a2)
+    if kind == "thermal":
+        _thermal_field(rng, nbar_lo, b1)
+        _thermal_field(rng, nbar_lo, b2)
+    else:
+        b1[...] = a1
+        b2[...] = a2
 
 
-def _moment_terms(e: ClassicalEnsemble, start: int, stop: int):
-    """Numerator terms (both conjugations) and denominators of samples
-    start .. stop, each multiplied in place by its stratum's weight."""
-    a1, a2, b1, b2 = (f[start:stop] for f in (e.alpha1, e.alpha2, e.beta1, e.beta2))
+def _windows(e: ClassicalEnsemble, whole: np.ndarray | None = None):
+    """(start, fields) for start = 0, CHUNK, 2 CHUNK, ...: the (4, m) a1, a2,
+    b1, b2 of samples start .. start + CHUNK, valid until the next window.
+
+    Given fields are sliced. A made ensemble's leaf chunks are drawn in order,
+    each at its sample position in ``whole``, or in a two-window buffer that
+    moves on a window at a time, so a window may hold samples of two leaves.
+    """
+    if e._leaves is None:
+        for start in range(0, e.n, CHUNK):
+            yield start, [getattr(e, name)[start : start + CHUNK] for name in _FIELDS]
+        return
+    buf = np.empty((4, 2 * CHUNK), dtype=np.complex128) if whole is None else whole
+    base = start = stop = 0  # buf[:, 0] holds sample base; samples up to stop are drawn
+    for size, _, kind, values, seed in e._leaves:
+        for index, first in enumerate(range(0, size, CHUNK)):
+            m = min(CHUNK, size - first)
+            _draw(kind, values, seed, index, buf[:, stop - base : stop - base + m])
+            stop += m
+            if stop - start >= CHUNK:
+                yield start, buf[:, start - base : start - base + CHUNK]
+                start += CHUNK
+                if whole is None:  # move what is drawn past the window to the front
+                    buf[:, : stop - start] = buf[:, CHUNK : CHUNK + stop - start]
+                    base = start
+    if start < stop:
+        yield start, buf[:, start - base : stop - base]
+
+
+def _moment_terms(e: ClassicalEnsemble, start: int, fields):
+    """Numerator terms (both conjugations) and denominators of the samples
+    start .. start + m whose a1, a2, b1, b2 are ``fields``, each multiplied in
+    place by its stratum's weight, and the least |a|^2 + |b|^2 - 2|a b| of
+    either station over them, from the same |a| and |b| as the denominators."""
+    a1, a2, b1, b2 = fields
+    x1, x2, y1, y2 = (np.abs(f) for f in fields)
     num1 = np.conj(a1) * b1 * a2 * np.conj(b2)
     num2 = np.conj(a1) * b1 * np.conj(a2) * b2
-    den = (np.abs(a1) ** 2 + np.abs(b1) ** 2) * (np.abs(a2) ** 2 + np.abs(b2) ** 2)
+    i1, i2 = x1**2 + y1**2, x2**2 + y2**2
+    den = i1 * i2
+    worst = np.minimum(np.min(i1 - 2.0 * x1 * y1), np.min(i2 - 2.0 * x2 * y2))
+    for lo, hi, w in _segments(e, start, start + den.shape[0]):
+        for t in (num1, num2, den):
+            t[lo:hi] *= w
+    return num1, num2, den, float(worst)
+
+
+def _segments(e: ClassicalEnsemble, start: int, stop: int):
+    """(lo, hi, w) for each stratum of weight w that meets samples start ..
+    stop, lo and hi its first and last sample there counted from start."""
     for (first, last), w in zip(e.strata, e.weights):
         if first < stop and last > start:
-            for t in (num1, num2, den):
-                t[max(first - start, 0) : last - start] *= w
-    return num1, num2, den
+            yield max(first - start, 0), min(last, stop) - start, w
 
 
 def _exact_sums(block: np.ndarray) -> list[float]:
@@ -314,15 +382,49 @@ def _group_sums(e: ClassicalEnsemble, num1, num2, den, start: int = 0, sums=None
     return sums
 
 
+def _pass(e: ClassicalEnsemble):
+    """(sums, group sums, lit, margin) of ``e`` in one walk over its windows:
+    the exact sums of den and of the real and imaginary parts of num1 and
+    num2, their bootstrap group sums, whether a weighted sample has a field
+    at both stations, and the pointwise margin. An overflow leaves the sums
+    or the margin None, so each caller raises only its own error. lit is read
+    only in windows whose den sums to 0, as all do when the whole den does.
+    A made ensemble keeps the result, so both callers share one draw.
+    """
+    if e._kept is not None:
+        return e._kept
+    chunk_sums, groups, lit, margin = [], None, False, math.inf
+    for start, fields in _windows(e):
+        with np.errstate(over="ignore", invalid="ignore"):
+            num1, num2, den, worst = _moment_terms(e, start, fields)
+            block = np.stack([den, num1.real, num1.imag, num2.real, num2.imag])
+        if margin is not None:
+            margin = min(margin, worst) if math.isfinite(worst) else None
+        if chunk_sums is None:
+            continue
+        if not np.isfinite(block).all():
+            chunk_sums = groups = None
+            continue
+        chunk_sums.append(_exact_sums(block))
+        groups = _group_sums(e, num1, num2, den, start, groups)
+        if not lit and chunk_sums[-1][0] == 0.0:
+            a1, a2, b1, b2 = fields
+            on = ((a1 != 0) | (b1 != 0)) & ((a2 != 0) | (b2 != 0))
+            lit = any(w > 0.0 and on[lo:hi].any() for lo, hi, w in _segments(e, start, start + den.shape[0]))
+    sums = None if chunk_sums is None else [math.fsum(s) for s in zip(*chunk_sums)]
+    kept = (sums, groups, lit, margin)
+    if e._leaves is not None:
+        object.__setattr__(e, "_kept", kept)
+    return kept
+
+
 def estimate_amplitudes(e: ClassicalEnsemble) -> AmplitudeEstimate:
     """Moment-ratio estimates with stratified grouped bootstrap standard errors.
 
-    One pass over the samples, CHUNK at a time, forms the weighted moment
-    terms, sums den and the real and imaginary parts of num1 and num2
-    exactly, and adds the terms into the bootstrap group sums; no
-    per-sample array outlives its chunk. Terms that overflow float64, or
-    that underflow to a zero denominator although a weighted sample has a
-    field at both stations, are a StateError.
+    The sums come from one pass over the samples, a window at a time, that
+    pointwise_margin shares. Terms that overflow float64, or that underflow to a zero denominator
+    although a weighted sample has a field at both stations, are a
+    StateError.
 
     Each of the BOOTSTRAP_RESAMPLES resamples draws, within every stratum,
     as many of its pre-summed groups as it has, with replacement, and takes
@@ -332,20 +434,12 @@ def estimate_amplitudes(e: ClassicalEnsemble) -> AmplitudeEstimate:
     and gets zero standard errors. The bootstrap is seeded from the
     ensemble seed, so the whole estimate is reproducible bit for bit.
     """
-    chunk_sums = []
-    groups = None
-    for start in range(0, e.n, CHUNK):
-        with np.errstate(over="ignore", invalid="ignore"):
-            num1, num2, den = _moment_terms(e, start, start + CHUNK)
-            block = np.stack([den, num1.real, num1.imag, num2.real, num2.imag])
-            if not np.isfinite(block).all():
-                raise StateError("the field moments overflow float64")
-        chunk_sums.append(_exact_sums(block))
-        groups = _group_sums(e, num1, num2, den, start, groups)
-    d, re1, im1, re2, im2 = (math.fsum(sums) for sums in zip(*chunk_sums))
+    sums, groups, lit, _ = _pass(e)
+    if sums is None:
+        raise StateError("the field moments overflow float64")
+    d, re1, im1, re2, im2 = sums
     if d <= 0.0:
-        lit = ((e.alpha1 != 0) | (e.beta1 != 0)) & ((e.alpha2 != 0) | (e.beta2 != 0))
-        if any(w > 0.0 and lit[a:b].any() for w, (a, b) in zip(e.weights, e.strata)):
+        if lit:
             raise StateError("the field moments underflow float64")
         raise ZeroDenominator(f"intensity-product mean {d!r} is not positive")
     a1_hat = 2.0 * abs(complex(re1, im1)) / d
@@ -379,16 +473,11 @@ def pointwise_margin(e: ClassicalEnsemble) -> float:
     """Worst-case margin of |a|^2 + |b|^2 >= 2|a b| over samples and stations.
 
     Mathematically the margin is (|a| - |b|)^2 >= 0; the returned value can
-    dip an ulp below zero only through rounding. Fields whose intensities
-    overflow float64 are a StateError.
+    dip an ulp below zero only through rounding. It comes from the same pass
+    as estimate_amplitudes. Fields whose intensities overflow float64 are a
+    StateError.
     """
-    margin = math.inf
-    for start in range(0, e.n, CHUNK):
-        for sig, lo in ((e.alpha1, e.beta1), (e.alpha2, e.beta2)):
-            with np.errstate(over="ignore", invalid="ignore"):
-                a, b = np.abs(sig[start : start + CHUNK]), np.abs(lo[start : start + CHUNK])
-                worst = float(np.min(a**2 + b**2 - 2.0 * a * b))
-            if not math.isfinite(worst):
-                raise StateError("the field intensities overflow float64")
-            margin = min(margin, worst)
+    margin = _pass(e)[3]
+    if margin is None:
+        raise StateError("the field intensities overflow float64")
     return margin

@@ -130,8 +130,9 @@ class MultiModeState:
     __slots__ = ("layout", "_occ", "_amp", "_keys", "__weakref__")
 
     def __new__(cls, layout: ModeLayout, amplitudes: Mapping[tuple[int, ...], complex]):
-        occ, amp = _checked_terms(layout, list(amplitudes), list(amplitudes.values()))
-        return cls._from_canonical(layout, *_canonicalize(layout, occ, amp))
+        occ, amp = _merged(layout, *_checked_terms(layout, list(amplitudes), list(amplitudes.values())))
+        _check_norm(amp)  # before the prune, which would drop amplitudes of a tiny norm
+        return cls._from_canonical(layout, *_pruned(occ, amp))
 
     @classmethod
     def _from_canonical(cls, layout: ModeLayout, occ: np.ndarray, amp: np.ndarray) -> "MultiModeState":
@@ -234,7 +235,8 @@ def _pruned(occ: np.ndarray, amp: np.ndarray):
 
 
 def _check_norm(amp: np.ndarray) -> None:
-    nsq = float(np.sum(np.abs(amp) ** 2))
+    with np.errstate(over="ignore"):  # an inf norm is refused below
+        nsq = float(np.sum(np.abs(amp) ** 2))
     if not abs(nsq - 1.0) <= NORM_TOL:
         raise NormalizationError(f"state norm^2 = {nsq!r} deviates from 1 beyond {NORM_TOL}")
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eprsim import StateError, estimate_amplitudes, make_ensemble, pointwise_margin
+from eprsim import ClassicalEnsemble, StateError, estimate_amplitudes, make_ensemble, pointwise_margin
+from eprsim import classical
 from eprsim.classical import (
     BOOTSTRAP_GROUPS,
     BOOTSTRAP_RESAMPLES,
@@ -180,11 +181,76 @@ def test_mixture_is_drawn_in_place():
     tracemalloc.start()
     try:
         e = make_ensemble("mixture", MIXTURE, 200_000, seed=5)
+        first = e.alpha1  # a made ensemble draws its fields on this first read
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    fields = sum(f.nbytes for f in (e.alpha1, e.alpha2, e.beta1, e.beta2))
+    fields = sum(f.nbytes for f in (first, e.alpha2, e.beta1, e.beta2))
     assert peak <= 1.1 * fields
+
+
+@pytest.mark.parametrize("nbar, error", [(1.0, None), (1e-310, "underflow")])
+def test_a_made_ensemble_is_used_in_chunk_sized_memory(nbar, error):
+    # the four fields alone would take 64 MB at this n; an underflow is
+    # diagnosed inside the pass, without drawing the fields whole
+    tracemalloc.start()
+    try:
+        e = make_ensemble("thermal", {"nbar": nbar}, 10**6, seed=5)
+        if error is None:
+            estimate_amplitudes(e)
+        else:
+            with pytest.raises(StateError, match=error):
+                estimate_amplitudes(e)
+        pointwise_margin(e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
+
+
+def test_each_chunk_is_drawn_once_for_estimate_and_margin(monkeypatch):
+    drawn = []
+    draw = classical._draw
+
+    def spy(kind, values, seed, index, out):
+        drawn.append((seed, index))
+        draw(kind, values, seed, index, out)
+
+    monkeypatch.setattr(classical, "_draw", spy)
+    n = 100_003  # each leaf has 4 chunks, and the second starts mid-window
+    e = make_ensemble("mixture", MIXTURE, n, seed=7)
+    assert drawn == []
+    estimate_amplitudes(e)
+    pointwise_margin(e)
+    assert len(drawn) == len(set(drawn)) == 2 * -(-n // CHUNK)
+
+
+@pytest.mark.parametrize("kind", ["thermal", "correlated_lo"])
+def test_fields_read_after_the_pass_are_the_reference_draw(kind):
+    params = {"nbar": 0.7}
+    e = make_ensemble(kind, params, 2 * CHUNK + 5, seed=3)
+    est = estimate_amplitudes(e)
+    margin = pointwise_margin(e)
+    ref = _reference_fields(kind, params, 2 * CHUNK + 5, 3)
+    for row, name in zip(ref, ("alpha1", "alpha2", "beta1", "beta2")):
+        f = getattr(e, name)
+        assert f.tobytes() == row.tobytes()
+        with pytest.raises(ValueError):
+            f[0] = 0.0
+    # reading the fields leaves the kept estimates as they were
+    assert estimate_amplitudes(e) == est and pointwise_margin(e) == margin
+
+
+def test_moment_overflow_leaves_the_margin():
+    # intensities near 1e200 are finite, their products near 1e400 are not
+    made = make_ensemble("delta", {"point": (1e100, 1e100, 2e100, 1e100)}, 1, seed=0)
+    big = [1e100, 3e100]
+    explicit = ClassicalEnsemble((0.5,), big, big[::-1], big, big, seed=0)
+    for e in (made, explicit):
+        with pytest.raises(StateError, match="moments overflow"):
+            estimate_amplitudes(e)
+        margin = pointwise_margin(e)
+        assert math.isfinite(margin) and margin.hex() == _reference_margin(e).hex()
 
 
 @pytest.mark.parametrize("component", [

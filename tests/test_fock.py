@@ -128,6 +128,16 @@ def test_state_validation():
         ModeLayout(("a", "a"), 3)                     # duplicate labels
 
 
+def test_direct_constructor_names_the_norm_without_a_warning():
+    # |amplitude|^2 overflows at 1e200 and underflows at 1e-200, below the prune
+    layout = ModeLayout(("a", "b"), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for amp in (1e200, 1e-200):
+            with pytest.raises(NormalizationError, match="norm"):
+                MultiModeState(layout, {(1, 0): amp, (0, 1): amp})
+
+
 def test_state_is_immutable_and_canonical():
     layout = ModeLayout(("a", "b"), 2)
     s = make_pure(layout, [((1, 0), 1.0), ((0, 1), 1.0j), ((1, 0), 1.0)])
