@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StateError, ZeroDenominator
-from .fock import NORM_TOL
+from .fock import NORM_TOL, _fsum
 
 CHUNK = 1 << 15
 BOOTSTRAP_RESAMPLES = 200
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalEnsemble:
     """Weighted field samples (alpha_k for signals, beta_k for oscillators).
 
@@ -71,13 +71,14 @@ class ClassicalEnsemble:
     Fields given here are kept as complex128 arrays, copied only if they are
     not. An ensemble from make_ensemble keeps its checked leaf draws instead
     and draws its four fields whole, read-only, when one of them is first read.
+    Ensembles compare and hash by identity; the repr shows the recipe, not the fields.
     """
 
     weights: tuple[float, ...]
-    alpha1: np.ndarray
-    alpha2: np.ndarray
-    beta1: np.ndarray
-    beta2: np.ndarray
+    alpha1: np.ndarray = field(repr=False)
+    alpha2: np.ndarray = field(repr=False)
+    beta1: np.ndarray = field(repr=False)
+    beta2: np.ndarray = field(repr=False)
     seed: int
     strata: tuple[tuple[int, int], ...] = ()
     n: int = field(init=False)
@@ -121,7 +122,7 @@ def _tile(e: ClassicalEnsemble, n: int, weights, strata) -> None:
     if len(weights) != len(strata) or not all(map(_nonnegative, weights)):
         raise StateError(f"need one finite weight >= 0 per stratum, got {weights!r}")
     weights = tuple(map(float, weights))
-    total = math.fsum(w * (b - a) for w, (a, b) in zip(weights, strata))
+    total = _fsum(w * (b - a) for w, (a, b) in zip(weights, strata))
     if not abs(total - 1.0) <= NORM_TOL:
         raise StateError(f"sample weights sum to {total!r}, not 1")
     for name, value in (("n", n), ("weights", weights), ("strata", strata)):
@@ -222,7 +223,7 @@ def _leaves(kind: str, params: dict, n: int, seed: int) -> list[tuple]:
             raise StateError("mixture components must be (weight, kind, params) triples") from None
         if not comps or not all(_nonnegative(w) for w, _, _ in comps):
             raise StateError("mixture needs components, each with a finite real weight >= 0")
-        wsum = math.fsum(float(w) for w, _, _ in comps)
+        wsum = _fsum(float(w) for w, _, _ in comps)
         if not 0.0 < wsum < math.inf:
             raise StateError(f"mixture weights sum to {wsum!r}, not a positive finite number")
         sub_seeds = np.random.SeedSequence(seed).generate_state(len(comps), dtype=np.uint64)

@@ -204,7 +204,7 @@ class _StationLayout:
     """Rows of the evolution backend's two stations, and its rate weights per
     station-2 group and split, not per row; see ``_station_layout``."""
 
-    rows: np.ndarray        # station-1 row of each ket
+    src: np.ndarray         # ket of each station-1 row; n_kets stands for the zero row
     station1: tuple         # (n1, start, groups) blocks of station 1
     order: np.ndarray       # station-1 row of each station-2 row
     station2: tuple         # (n2, start, groups) blocks of station 2
@@ -248,8 +248,10 @@ def _station_layout(occ: np.ndarray) -> _StationLayout:
     shift = run_len.cumsum() - run_len - (g2.cumsum() - g2)[run_q2]   # first row - first group
     order = gbase.take(np.arange(run_len.sum()) - shift.repeat(run_len))
     order += run_j.repeat(run_len)
+    src = np.full(order.shape[0], occ.shape[0])   # rows of no ket read the zero row after the kets
+    src[base1[r1, r2] + a1 * g1[r1] + a2] = np.arange(occ.shape[0])
     return _StationLayout(
-        rows=base1[r1, r2] + a1 * g1[r1] + a2,
+        src=src,
         station1=station1,
         order=order,
         station2=station2,
@@ -275,9 +277,7 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
     occ = state._occ
     lay = _station_layout(occ)
     ladder = np.arange(int(occ[:, [1, 3]].max()) + 1)    # the b-arm photon counts
-    src = np.full(lay.order.shape[0], occ.shape[0])      # the ket of each station-1 row,
-    src[lay.rows] = np.arange(occ.shape[0])              # or the zero row after the kets
-    block = max(1, BLOCK_BYTES // (16 * src.shape[0]))
+    block = max(1, BLOCK_BYTES // (16 * lay.src.shape[0]))
     rates = np.empty((4, theta1.shape[0]))
     for lo in range(0, theta1.shape[0], block):
         t1, t2 = theta1[lo:lo + block], theta2[lo:lo + block]
@@ -287,7 +287,7 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
         out[:-1] = (state._amp[:, None]
                     * np.take(np.exp(1j * np.outer(ladder, t1)), occ[:, 1], axis=0)
                     * np.take(np.exp(1j * np.outer(ladder, t2)), occ[:, 3], axis=0))
-        out = np.take(out, src, axis=0)          # station-1 rows; frees the phased copy
+        out = np.take(out, lay.src, axis=0)      # station-1 rows; frees the phased copy
         _mix_sectors(out, lay.station1)          # a1, b1 -> c1, d1
         out = np.take(out, lay.order, axis=0)    # and frees the station-1 buffer
         _mix_sectors(out, lay.station2)          # a2, b2 -> c2, d2

@@ -234,6 +234,15 @@ def _pruned(occ: np.ndarray, amp: np.ndarray):
     return occ, amp
 
 
+def _fsum(values) -> float:
+    """math.fsum of nonnegative terms, or inf where their sum passes the float
+    range, which math.fsum reports as an OverflowError."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 def _check_norm(amp: np.ndarray) -> None:
     with np.errstate(over="ignore"):  # an inf norm is refused below
         nsq = float(np.sum(np.abs(amp) ** 2))
@@ -258,16 +267,13 @@ class MixedState:
                 raise StateError(f"mixture weight {w} is negative or not a number")
             if s.layout != layout:
                 raise StateError("mixture components must share one layout")
-        total = math.fsum(w for w, _ in comps)
+        total = _fsum(w for w, _ in comps)
         if not abs(total - 1.0) <= NORM_TOL:
             raise NormalizationError(f"mixture weights sum to {total!r}, not 1")
 
     @property
     def layout(self) -> ModeLayout:
         return self.components[0][1].layout
-
-    def map_components(self, fn) -> "MixedState":
-        return MixedState(tuple((w, fn(s)) for w, s in self.components))
 
 
 AnyState = Union[MultiModeState, MixedState]
@@ -278,7 +284,7 @@ def per_component(fn):
     @functools.wraps(fn)
     def extended(state, *args, **kwargs):
         if isinstance(state, MixedState):
-            return state.map_components(lambda s: fn(s, *args, **kwargs))
+            return MixedState(tuple((w, fn(s, *args, **kwargs)) for w, s in state.components))
         return fn(state, *args, **kwargs)
     return extended
 
@@ -400,7 +406,7 @@ def _ladder_state(layout: ModeLayout, alphas: Sequence[complex], log_start: floa
         amp = np.empty(occ.shape[0], dtype=np.complex128)
         amp.real, amp.imag = re, im
         norm_sq = float(np.sum(np.abs(amp) ** 2))
-    alpha_mag = math.sqrt(math.fsum(abs(a) * abs(a) for a in alphas))
+    alpha_mag = math.sqrt(_fsum(abs(a) * abs(a) for a in alphas))
     _check_tail(weight * norm_sq, cutoff, alpha_mag, what)
     amp /= math.sqrt(norm_sq)
     return MultiModeState._from_canonical(layout, *_pruned(occ, amp))
@@ -419,7 +425,7 @@ def make_coherent(layout: ModeLayout, alphas: Sequence[complex]) -> MultiModeSta
     alphas = [complex(a) for a in alphas]
     if not all(cmath.isfinite(a) for a in alphas):
         raise StateError(f"coherent amplitudes must be finite, got {alphas}")
-    lam = math.fsum(abs(a) * abs(a) for a in alphas)
+    lam = _fsum(abs(a) * abs(a) for a in alphas)
     return _ladder_state(layout, alphas, 0.0, math.exp(-lam), (1.0 + 0.0j, 1.0 + 0.0j), "coherent-state")
 
 

@@ -197,18 +197,10 @@ def figure3_boundaries(samples_per_curve: int) -> list[tuple[str, float, float]]
     m = int(samples_per_curve)
     if not 2 <= m <= CURVE_BUDGET:
         raise StateError(f"figure3_boundaries needs 2 <= samples_per_curve <= {CURVE_BUDGET}")
-    rows: list[tuple[str, float, float]] = []
-    for i in range(m):
-        s = i / (m - 1)
-        rows.append(("quantum", s, 1.0 - s))
+    s = [i / (m - 1) for i in range(m)]                    # quantum and stochastic
+    t = [0.5 * math.pi * i / (m - 1) for i in range(m)]    # bell and tsirelson
     r_bell = math.sqrt(0.5)
-    for i in range(m):
-        t = 0.5 * math.pi * i / (m - 1)
-        rows.append(("bell", r_bell * math.cos(t), r_bell * math.sin(t)))
-    for i in range(m):
-        s = i / (m - 1)
-        rows.append(("stochastic", min(s, 0.5), min(1.0 - s, 0.5)))
-    for i in range(m):
-        t = 0.5 * math.pi * i / (m - 1)
-        rows.append(("tsirelson", math.cos(t), math.sin(t)))
-    return rows
+    return ([("quantum", x, 1.0 - x) for x in s]
+            + [("bell", r_bell * math.cos(a), r_bell * math.sin(a)) for a in t]
+            + [("stochastic", min(x, 0.5), min(1.0 - x, 0.5)) for x in s]
+            + [("tsirelson", math.cos(a), math.sin(a)) for a in t])

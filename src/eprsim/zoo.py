@@ -77,9 +77,7 @@ def entangled(variant: str) -> MultiModeState:
     raise StateError(f"unknown entangled variant {variant!r}; use 'sum' or 'diff'")
 
 
-def two_photon() -> MultiModeState:
-    """One photon split across the a arms, one across the b arms."""
-    return two_photon_network()
+two_photon = two_photon_network  # one photon split across the a arms, one across the b arms
 
 
 def coherent_pair(alpha1: complex, alpha2: complex, cutoff: Optional[int] = None) -> MultiModeState:

@@ -108,6 +108,13 @@ def test_degenerate_inputs():
         make_ensemble("squeezed", {}, n=10, seed=0)
     with pytest.raises(StateError):
         make_ensemble("thermal", {"nbar": 1.0}, n=0, seed=0)
+    # one lit sample among 2000: some resample draws none of its group
+    lonely = np.zeros(2000)
+    lonely[0] = 1.0
+    with pytest.raises(ZeroDenominator, match="a bootstrap resample"):
+        estimate_amplitudes(ClassicalEnsemble((1 / 2000,), lonely, lonely, lonely, lonely, seed=0))
+    with pytest.raises(StateError, match="the field intensities overflow"):
+        pointwise_margin(make_ensemble("delta", {"point": (1e200, 1.0, 1e200, 1.0)}, n=1, seed=0))
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -122,6 +129,9 @@ def test_degenerate_inputs():
     (["thermal"], {"nbar": 1.0}),
     ("mixture", {"components": [("2", "thermal", {"nbar": 1.0})]}),
     ("delta", {"point": "1234"}),
+    ("delta", {"point": np.array(5.0)}),
+    ("mixture", {"components": [(0.0, "thermal", {"nbar": 1.0})]}),
+    ("mixture", {"components": [(1e308, "thermal", {"nbar": 1.0})] * 2}),
 ])
 def test_malformed_params_are_a_state_error(kind, params):
     with pytest.raises(StateError):
@@ -237,9 +247,15 @@ def test_ensemble_validates_strata_and_seed():
             ClassicalEnsemble((0.25,) * len(bad), **fields, strata=bad)
     # one weight per stratum, each finite and >= 0, the samples' weights summing to 1
     for bad in ((0.25,) * 4, (0.25,), (-0.5, 0.5), (math.nan, 0.25), (math.inf, 0.25),
-                (0.25, 0.3), ("0.25", 0.25), (10**400, 0.25)):
+                (0.25, 0.3), ("0.25", 0.25), (10**400, 0.25), (1e308, 1e308)):
         with pytest.raises(StateError):
             ClassicalEnsemble(bad, **fields, strata=((0, 1), (1, 4)))
+    with pytest.raises(StateError, match="sample weights sum to inf"):
+        ClassicalEnsemble((1e308, 1e308), [1, 1], [1, 1], [1, 1], [1, 1], seed=0, strata=((0, 1), (1, 2)))
+    with pytest.raises(StateError, match=r"alpha2 has shape \(3,\), expected \(4,\)"):
+        ClassicalEnsemble((0.25,), **{**fields, "alpha2": ens.alpha2[:3]})
+    with pytest.raises(StateError, match="beta1 contains non-finite values"):
+        ClassicalEnsemble((0.25,), **{**fields, "beta1": [1.0, math.nan, 1.0, 1.0]})
     with pytest.raises(StateError):
         make_ensemble("thermal", {"nbar": 1.0}, n=4, seed=-1)
 

@@ -270,3 +270,21 @@ def test_a_bad_leaf_is_refused_before_any_field_is_allocated(component):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def test_repr_eq_and_hash_draw_nothing():
+    # the four fields of this ensemble would take 64 MB if drawn
+    e = make_ensemble("thermal", {"nbar": 1.0}, 10**6, 1)
+    tracemalloc.start()
+    try:
+        shown = repr(e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert shown == "ClassicalEnsemble(weights=(1e-06,), seed=1, strata=((0, 1000000),), n=1000000)"
+    # ensembles compare and hash by identity
+    assert e == e
+    assert e != make_ensemble("thermal", {"nbar": 1.0}, 10**6, 1)
+    assert hash(e) == hash(e)
+    assert "alpha1" not in e.__dict__

@@ -120,6 +120,19 @@ def test_malformed_file_fails_cleanly(capsys, tmp_path):
     code, doc = run_json(capsys, "state", str(path))
     assert code == 1
     assert doc["error"]["type"] == "StateFileError"
+    one = [{"occ": [1, 0], "re": 1.0}]
+    for content, error, message in [
+        ({"modes": [], "cutoff": 1, "terms": one}, "StateFileError", "layout needs at least one mode label"),
+        ({"modes": ["a1", "a2"], "cutoff": 1, "terms": []}, "StateFileError", "state needs at least one amplitude"),
+        ([1, 2], "StateFileError", "top level must be an object"),
+        ({"modes": ["x", "y"], "cutoff": 1, "terms": one}, "StateError", "modes ('x', 'y') must be"),
+    ]:
+        path.write_text(json.dumps(content))
+        code, out = run(capsys, "state", str(path))
+        assert code == 1
+        assert out.count("\n") == 1
+        error_doc = json.loads(out)["error"]
+        assert error_doc["type"] == error and message in error_doc["message"]
 
 
 def test_deeply_nested_file_fails_cleanly(capsys, tmp_path):
@@ -163,6 +176,7 @@ def test_state_file_amplitudes_of_any_finite_scale(capsys, tmp_path, scale):
     (("state", "coherent", "--alpha", "1e200"), "CutoffError"),
     (("state", "split-cat", "--alpha", "1e200"), "CutoffError"),
     (("state", "split-cat", "--alpha", "1e150", "--cutoff", "5"), "CutoffError"),
+    (("classical", "--kind", "delta", "--point", "inf,1,1,1"), "StateError"),
 ])
 def test_bad_numbers_fail_cleanly(capsys, argv, error):
     code, out = run(capsys, *argv)
@@ -197,6 +211,7 @@ def test_size_budget_is_checked_before_building(capsys, monkeypatch, argv):
     ("state", "coherent", "--alpha", "1e200", "--cutoff", "5"),
     ("state", "coherent", "--alpha", "19"),
     ("state", "split-cat", "--alpha", "1e150", "--cutoff", "5"),
+    ("state", "coherent", "--alpha", "1e154", "--cutoff", "5"),   # |alpha|^2 sums past the float range
 ])
 def test_overflowing_builders_warn_nothing(capsys, argv):
     with warnings.catch_warnings():

@@ -126,6 +126,10 @@ def test_state_validation():
         MultiModeState(layout, {(1, 0): 0.5})         # not normalized
     with pytest.raises(StateError):
         ModeLayout(("a", "a"), 3)                     # duplicate labels
+    with pytest.raises(StateError, match="1 amplitudes for 2 modes"):
+        make_coherent(layout, [1.0])
+    with pytest.raises(StateError, match="must be finite"):
+        make_coherent(layout, [1.0, math.nan])
 
 
 def test_direct_constructor_names_the_norm_without_a_warning():
@@ -246,6 +250,13 @@ def test_mixed_state_weights():
         MixedState(((0.5, s),))
     with pytest.raises(StateError):
         MixedState(((1.5, s), (-0.5, s)))
+    # finite weights whose sum passes the float range
+    with pytest.raises(NormalizationError, match="sum to inf, not 1"):
+        MixedState(((1e308, s), (1e308, s)))
+    with pytest.raises(StateError, match="at least one component"):
+        MixedState(())
+    with pytest.raises(StateError, match="share one layout"):
+        MixedState(((0.5, s), (0.5, vacuum(("b",), 1))))
 
 
 def test_state_file_round_trip(tmp_path):

@@ -101,6 +101,13 @@ def test_amplitudes_from_g_closed_forms():
     assert (a1, a2) == (1.0, 0.0)
 
 
+def test_coherence_functions_reject_a_negative_g22():
+    from eprsim.homodyne import CoherenceFunctions
+
+    with pytest.raises(StateError, match="g22 must be finite and nonnegative"):
+        CoherenceFunctions(1.0, 1.0, -1.0)
+
+
 def test_optimal_lo_for_coherent_pair():
     s = coherent_pair(1.0, 0.5)
     b1, b2 = optimal_lo(s)

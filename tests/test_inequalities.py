@@ -100,6 +100,8 @@ def test_non_finite_amplitudes_are_rejected():
                  (0.2, 0.2, nan, 0.0), (0.2, 0.2, 0.0, -math.inf)]:
         with pytest.raises(StateError):
             CorrelationAmplitudes(*args)
+    with pytest.raises(StateError, match="must be nonnegative"):
+        CorrelationAmplitudes(-0.1, 0.2, 0.0, 0.0)
     # a NaN that gets past construction fails the Bell check instead of
     # coming back as b_max = nan
     amps = pair(0.3, 0.2)
