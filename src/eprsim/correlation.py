@@ -29,11 +29,14 @@ pushes blocks of settings through the analyzer optics (phases on the b
 arms, then each station's splitter) with the sector product of
 ``network``, on rows computed without sort or search: station k mixes
 only within n_k = a_k + b_k, so every ket lies in the dense
-(n1+1) x (n2+1) block of its sector pair. A block of settings fills at
-most ``BLOCK_BYTES``, so its buffers stay in cache. It reads the rates as
-sum |amp|^2 n_x1 n_x2 in per-sector sums, with no weight per row: each
-station-2 sector weights its splits j by (j, n2 - j) in one product, and
-each group's (c1, d1) finishes the rates. It never evaluates an input
+(n1+1) x (n2+1) block of its sector pair. The rows depend on the
+occupations alone, so one layout is kept, keyed by the cutoff and the
+packed keys: every setting of a state, and every state of one support,
+shares it. A block of settings fills at most ``BLOCK_BYTES``, so its
+buffers stay in cache. It reads the rates as sum |amp|^2 n_x1 n_x2 in
+per-sector sums, with no weight per row: each station-2 sector weights
+its splits j by (j, n2 - j) in one product, and each group's (c1, d1)
+finishes the rates. It never evaluates an input
 moment, so the two agree to float precision only if both are right; the
 tests cross-check them. |amp|^2 <= ``PRUNE_TOL**2`` reads as 0, as in a
 stored state, so a cancelled coincidence is exactly 0. That absolute cut
@@ -53,7 +56,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EprSimError, StateError, ZeroCoincidence
-from .fock import PRUNE_TOL, ZERO_TOL, AnyState, _partner_sum, mixture_average, require_modes
+from .fock import PRUNE_TOL, ZERO_TOL, AnyState, MultiModeState, _partner_sum, mixture_average, require_modes
 from .network import STATION_MODES, PhaseSetting, _blocks, _mix_sectors, _occupied, _runs
 
 NEGATIVE_RATE_TOL = 1e-12   # relative to the coincidence total
@@ -250,14 +253,36 @@ def _station_layout(occ: np.ndarray) -> _StationLayout:
     order += run_j.repeat(run_len)
     src = np.full(order.shape[0], occ.shape[0])   # rows of no ket read the zero row after the kets
     src[base1[r1, r2] + a1 * g1[r1] + a2] = np.arange(occ.shape[0])
-    return _StationLayout(
-        src=src,
-        station1=station1,
-        order=order,
-        station2=station2,
-        cd1=np.array([gc1, sec1[gq1] - gc1], dtype=np.float64),
-        cd2=np.array([run_j, sec2[run_q2] - run_j], dtype=np.float64),
-    )
+    cd1 = np.array([gc1, sec1[gq1] - gc1], dtype=np.float64)
+    cd2 = np.array([run_j, sec2[run_q2] - run_j], dtype=np.float64)
+    # a kept layout is shared by every call on its support, so its arrays are read-only;
+    # src and order are views of writable owners, since np.take copies a read-only
+    # index array on every call (1 MB on a 137k-row state)
+    src, order = src.view(), order.view()
+    for value in (src, order, cd1, cd2):
+        value.setflags(write=False)
+    return _StationLayout(src=src, station1=station1, order=order, station2=station2, cd1=cd1, cd2=cd2)
+
+
+_LAYOUT_KEPT = (None, None, None)   # (cutoff, packed keys, layout) of the last state laid out
+
+
+def _kept_layout(state: MultiModeState) -> _StationLayout:
+    """``_station_layout`` of a pure state's occupations, built once per support.
+
+    The one kept entry is the cutoff, the state's read-only packed keys,
+    which with the cutoff fix its occupations, and their layout; it holds
+    no reference to the state. A hit needs the same cutoff and the same
+    keys array or equal keys, so states of one support share a layout. The
+    entry is replaced as one tuple, so a thread never reads a mixed entry.
+    """
+    global _LAYOUT_KEPT
+    cutoff, keys, lay = _LAYOUT_KEPT
+    if cutoff == state.layout.cutoff and (keys is state._keys or np.array_equal(keys, state._keys)):
+        return lay
+    lay = _station_layout(state._occ)
+    _LAYOUT_KEPT = (state.layout.cutoff, state._keys, lay)
+    return lay
 
 
 @mixture_average
@@ -266,7 +291,7 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
 
     Blocks of phased copies amp * e^{i(t1 n_b1 + t2 n_b2)}, each at most
     ``BLOCK_BYTES``, go through station 1, are reordered for station 2 and
-    go through it, on the rows of ``_station_layout``; the rates are
+    go through it, on the rows of ``_kept_layout``; the rates are
     sum |amp|^2 n_x1 n_x2, with c = a and d = b after each splitter: one
     product per station-2 sector sums each group's probabilities over the
     splits j with the weights (j, n2 - j), and the groups' (c1, d1) finish
@@ -275,7 +300,7 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
     was 35 MB, past glibc's mmap threshold, and so paged in on every call.
     """
     occ = state._occ
-    lay = _station_layout(occ)
+    lay = _kept_layout(state)
     ladder = np.arange(int(occ[:, [1, 3]].max()) + 1)    # the b-arm photon counts
     block = max(1, BLOCK_BYTES // (16 * lay.src.shape[0]))
     rates = np.empty((4, theta1.shape[0]))
@@ -287,10 +312,11 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
         out[:-1] = (state._amp[:, None]
                     * np.take(np.exp(1j * np.outer(ladder, t1)), occ[:, 1], axis=0)
                     * np.take(np.exp(1j * np.outer(ladder, t2)), occ[:, 3], axis=0))
-        out = np.take(out, lay.src, axis=0)      # station-1 rows; frees the phased copy
-        _mix_sectors(out, lay.station1)          # a1, b1 -> c1, d1
-        out = np.take(out, lay.order, axis=0)    # and frees the station-1 buffer
-        _mix_sectors(out, lay.station2)          # a2, b2 -> c2, d2
+        # the gathers index with the writable owners of src and order; see _station_layout
+        out = np.take(out, lay.src.base, axis=0)     # station-1 rows; frees the phased copy
+        _mix_sectors(out, lay.station1)              # a1, b1 -> c1, d1
+        out = np.take(out, lay.order.base, axis=0)   # and frees the station-1 buffer
+        _mix_sectors(out, lay.station2)              # a2, b2 -> c2, d2
         np.square(out.view(np.float64), out=out.view(np.float64))   # re^2, im^2 in place
         prob = out.real + out.imag
         del out

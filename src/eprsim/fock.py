@@ -431,31 +431,35 @@ def make_coherent(layout: ModeLayout, alphas: Sequence[complex]) -> MultiModeSta
 
 def tensor(s1: MultiModeState, s2: MultiModeState) -> MultiModeState:
     """Tensor product; labels concatenate, cutoffs add."""
+    return _product(s1, s2, s1.layout.labels + s2.layout.labels)
+
+
+def _product(s1: MultiModeState, s2: MultiModeState, labels: Sequence[str]) -> MultiModeState:
+    """``reorder(tensor(s1, s2), labels)`` with one sort: the product's
+    columns are permuted before it is canonicalized."""
     shared = set(s1.layout.labels) & set(s2.layout.labels)
     if shared:
         raise StateError(f"label collision in tensor product: {sorted(shared)}")
-    layout = ModeLayout(s1.layout.labels + s2.layout.labels, s1.layout.cutoff + s2.layout.cutoff)
+    joined = ModeLayout(s1.layout.labels + s2.layout.labels, s1.layout.cutoff + s2.layout.cutoff)
+    layout, perm = _permuted(joined, labels)
     n1, n2 = s1.n_terms, s2.n_terms
-    occ = np.hstack(
-        [
-            np.repeat(s1._occ, n2, axis=0),
-            np.tile(s2._occ, (n1, 1)),
-        ]
-    )
+    occ = np.hstack([np.repeat(s1._occ, n2, axis=0), np.tile(s2._occ, (n1, 1))])[:, perm]
     amp = (s1._amp[:, None] * s2._amp[None, :]).ravel()
-    occ, amp = _canonicalize(layout, occ, amp)
-    return MultiModeState._from_canonical(layout, occ, amp)
+    return MultiModeState._from_canonical(layout, *_canonicalize(layout, occ, amp))
+
+
+def _permuted(layout: ModeLayout, new_labels: Sequence[str]) -> tuple[ModeLayout, list[int]]:
+    """The layout of ``new_labels`` and the column of each in ``layout``."""
+    new_labels = tuple(str(x) for x in new_labels)
+    if sorted(new_labels) != sorted(layout.labels):
+        raise StateError(f"{new_labels} is not a permutation of {layout.labels}")
+    return ModeLayout(new_labels, layout.cutoff), [layout.index(lbl) for lbl in new_labels]
 
 
 def reorder(state: MultiModeState, new_labels: Sequence[str]) -> MultiModeState:
     """Permute mode order (same physical state, relabeled axes)."""
-    new_labels = tuple(str(x) for x in new_labels)
-    if sorted(new_labels) != sorted(state.layout.labels):
-        raise StateError(f"{new_labels} is not a permutation of {state.layout.labels}")
-    perm = [state.layout.index(lbl) for lbl in new_labels]
-    layout = ModeLayout(new_labels, state.layout.cutoff)
-    occ = state._occ[:, perm]
-    occ, amp = _canonicalize(layout, occ, state._amp)
+    layout, perm = _permuted(state.layout, new_labels)
+    occ, amp = _canonicalize(layout, state._occ[:, perm], state._amp)
     return MultiModeState._from_canonical(layout, occ, amp)
 
 

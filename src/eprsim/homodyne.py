@@ -37,9 +37,8 @@ from .fock import (
     make_coherent,
     normal_moment,
     per_component,
-    reorder,
     require_modes,
-    tensor,
+    _product,
 )
 from .network import STATION_MODES
 
@@ -64,6 +63,9 @@ class CoherenceFunctions:
     g22: float
 
     def __post_init__(self) -> None:
+        for name in ("g11", "g20"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise StateError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.g22 >= 0.0 and math.isfinite(self.g22)):
             raise StateError(f"g22 must be finite and nonnegative, got {self.g22!r}")
 
@@ -78,6 +80,9 @@ class LOConfig:
     theta2: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("beta1", "beta2", "theta1", "theta2"):
+            if not math.isfinite(getattr(self, name)):
+                raise StateError(f"oscillator {name} must be finite, got {getattr(self, name)!r}")
         if self.beta1 < 0.0 or self.beta2 < 0.0:
             raise StateError("oscillator amplitudes must be nonnegative")
 
@@ -155,4 +160,4 @@ def homodyne_network_state(
 
 @per_component
 def _with_oscillators(state: AnyState, lo_pair) -> AnyState:
-    return reorder(tensor(state, lo_pair), STATION_MODES)
+    return _product(state, lo_pair, STATION_MODES)

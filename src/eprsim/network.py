@@ -48,12 +48,12 @@ from .fock import (
     MultiModeState,
     per_component,
     relabel,
-    reorder,
     require_modes,
     tensor,
     vacuum,
     _canonicalize,
     _pack_keys,
+    _product,
 )
 
 __all__ = [
@@ -212,5 +212,4 @@ def two_photon_network(cutoff: int = 2) -> MultiModeState:
     # inject through the symmetric port so each split carries + signs
     one_a = MultiModeState(ModeLayout(("a1", "a2"), half), {(0, 1): 1.0})
     one_b = MultiModeState(ModeLayout(("b1", "b2"), cutoff - half), {(0, 1): 1.0})
-    s = tensor(beamsplitter(one_a, "a1", "a2"), beamsplitter(one_b, "b1", "b2"))
-    return reorder(s, STATION_MODES)
+    return _product(beamsplitter(one_a, "a1", "a2"), beamsplitter(one_b, "b1", "b2"), STATION_MODES)

@@ -499,3 +499,179 @@ def test_a_mixture_keeps_each_components_moments(monkeypatch):
     kept = correlation._moment_vector(mixed)
     assert kept.tobytes() == correlation._moment_vector(fresh).tobytes()
     assert len(calls) == 8 * len(parts)
+
+
+def _count_layout_builds(monkeypatch):
+    """Empty the kept station layout and patch its builder to log each build."""
+    import eprsim.correlation as correlation
+
+    builds = []
+    build = correlation._station_layout
+
+    def counted(occ):
+        builds.append(occ.shape[0])
+        return build(occ)
+
+    monkeypatch.setattr(correlation, "_LAYOUT_KEPT", (None, None, None))
+    monkeypatch.setattr(correlation, "_station_layout", counted)
+    return builds
+
+
+def _fresh_layout_rates(monkeypatch, state, theta1, theta2):
+    """Evolution rates with a layout built for every call, as before the layout was kept."""
+    import eprsim.correlation as correlation
+
+    with monkeypatch.context() as m:
+        m.setattr(correlation, "_kept_layout", lambda s: correlation._station_layout(s._occ))
+        return correlation._evolution_rates(state, theta1, theta2)
+
+
+def test_one_layout_build_per_support(monkeypatch):
+    a, b = entangled("sum"), random_four_mode(np.random.default_rng(3))
+    setting = PhaseSetting(0.4, -1.1)
+    builds = _count_layout_builds(monkeypatch)
+    for state in (a, a, b, a):
+        output_correlators(state, setting, backend="evolution")
+    assert len(builds) == 3
+    # distinct states on one support share its layout
+    builds.clear()
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        state = random_four_mode(rng, cutoff=3)
+        assert state.n_terms == 35
+        epr_check(state)
+        output_correlators(state, setting, backend="evolution")
+    assert builds == [35]
+
+
+def test_equal_keys_at_another_cutoff_get_their_own_layout(monkeypatch):
+    import eprsim.correlation as correlation
+
+    theta1, theta2 = np.linspace(-2.0, 2.0, 5), np.linspace(1.0, -3.0, 5)
+    pairs = [
+        # key 2 at both cutoffs
+        (make_pure(ModeLayout(STANDARD, 1), [((0, 0, 1, 0), 1.0)]),
+         make_pure(ModeLayout(STANDARD, 2), [((0, 0, 0, 2), 1.0)])),
+        # keys 28 and 30 at both cutoffs, with coincidences at both stations
+        (make_pure(ModeLayout(STANDARD, 2), [((1, 0, 0, 1), 1.0), ((1, 0, 1, 0), 1.0j)]),
+         make_pure(ModeLayout(STANDARD, 4), [((0, 1, 0, 3), 1.0), ((0, 1, 1, 0), 1.0j)])),
+    ]
+    for first, second in pairs:
+        assert np.array_equal(first._keys, second._keys)
+        want = [_fresh_layout_rates(monkeypatch, s, theta1, theta2) for s in (first, second)]
+        builds = _count_layout_builds(monkeypatch)
+        got = [correlation._evolution_rates(s, theta1, theta2) for s in (first, second)]
+        assert builds == [first.n_terms, second.n_terms]
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+    # the rates of the last pair are not all 0, so a shared layout would show in them
+    assert np.any(got[1] != 0.0)
+
+
+def test_kept_layout_keeps_no_state_alive(monkeypatch):
+    import gc
+    import weakref
+
+    import eprsim.correlation as correlation
+
+    builds = _count_layout_builds(monkeypatch)
+    state = relabel(entangled("sum"), {})
+    output_correlators(state, PhaseSetting(0.4, -1.1), backend="evolution")
+    assert builds == [state.n_terms] and correlation._LAYOUT_KEPT[1] is state._keys
+    ref = weakref.ref(state)
+    del state
+    gc.collect()
+    assert ref() is None
+
+
+def test_kept_layout_arrays_are_read_only(monkeypatch):
+    import eprsim.correlation as correlation
+
+    _count_layout_builds(monkeypatch)
+    state = random_four_mode(np.random.default_rng(5))
+    lay = correlation._kept_layout(state)
+    assert correlation._kept_layout(state) is lay
+    for name in ("src", "order", "cd1", "cd2"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(lay, name)[...] = 0
+
+
+def test_mixture_rates_match_a_layout_built_per_call(monkeypatch):
+    import eprsim.correlation as correlation
+
+    rng = np.random.default_rng(6)
+    sparse = make_pure(ModeLayout(STANDARD, 2), [((1, 0, 0, 1), 1.0), ((0, 1, 1, 0), 0.5j)])
+    mixed = MixedState(((0.3, entangled("sum")), (0.5, random_four_mode(rng)), (0.2, sparse)))
+    theta1, theta2 = rng.uniform(-3.0, 3.0, 9), rng.uniform(-3.0, 3.0, 9)
+    want = _fresh_layout_rates(monkeypatch, mixed, theta1, theta2)
+    _count_layout_builds(monkeypatch)
+    for _ in range(2):
+        assert correlation._evolution_rates(mixed, theta1, theta2).tobytes() == want.tobytes()
+
+
+def test_threads_never_read_a_mixed_kept_layout():
+    import sys
+    import threading
+
+    import eprsim.correlation as correlation
+
+    rng = np.random.default_rng(7)
+    states = [entangled("sum"), random_four_mode(rng), random_four_mode(rng, cutoff=3)]
+    theta1, theta2 = rng.uniform(-3.0, 3.0, 3), rng.uniform(-3.0, 3.0, 3)
+    want = [correlation._evolution_rates(s, theta1, theta2).tobytes() for s in states]
+    wrong = []
+
+    def work(offset):
+        for i in range(60):
+            k = (i + offset) % len(states)
+            if correlation._evolution_rates(states[k], theta1, theta2).tobytes() != want[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_kept_layout_gathers_copy_no_index(monkeypatch):
+    import tracemalloc
+
+    import eprsim.correlation as correlation
+    from eprsim import LOConfig, coherent_pair, homodyne_network_state, optimal_lo
+
+    signal = coherent_pair(1.0, 1.0, 18)
+    state = homodyne_network_state(signal, LOConfig(*optimal_lo(signal)), lo_cutoff=18)
+    builds = _count_layout_builds(monkeypatch)
+    theta = np.array([0.4])
+    correlation._evolution_rates(state, theta, -theta)
+    rows = correlation._kept_layout(state).src.shape[0]
+    assert builds == [36_032] and rows == 90_680
+    tracemalloc.start()
+    try:
+        correlation._evolution_rates(state, theta, -theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the peak is the station-2 gather, two 16 B amplitudes per row; np.take
+    # given the read-only order copies it, 8 B more per row
+    assert peak <= 36 * rows
+    # and neither row gather is given a read-only index
+    writable = []
+    take = np.take
+
+    def spy(a, indices, *args, **kwargs):
+        if indices.shape[0] == rows:
+            writable.append(indices.flags.writeable)
+        return take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", spy)
+    correlation._evolution_rates(state, theta, -theta)
+    assert writable == [True, True]

@@ -7,6 +7,7 @@ own verification.
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -192,6 +193,23 @@ def test_tensor_reorder_relabel():
         tensor(a, relabel(b, {"b": "a"}))
     with pytest.raises(StateError):
         reorder(ab, ("a", "c"))
+
+
+def test_product_keeps_the_errors_of_tensor_and_reorder():
+    from eprsim.fock import _product
+
+    a = make_pure(ModeLayout(("a",), 1), [((1,), 1.0)])
+    b = make_pure(ModeLayout(("b",), 1), [((0,), 1.0), ((1,), 1.0)])
+    collision = re.escape("label collision in tensor product: ['a']")
+    with pytest.raises(StateError, match=collision):
+        tensor(a, relabel(b, {"b": "a"}))
+    with pytest.raises(StateError, match=collision):
+        _product(a, relabel(b, {"b": "a"}), ("a", "b"))
+    not_a_permutation = re.escape("('a', 'c') is not a permutation of ('a', 'b')")
+    with pytest.raises(StateError, match=not_a_permutation):
+        reorder(tensor(a, b), ("a", "c"))
+    with pytest.raises(StateError, match=not_a_permutation):
+        _product(a, b, ("a", "c"))
 
 
 def test_inner_product_and_fidelity():

@@ -5,6 +5,7 @@ local oscillator and extracting (A1, A2) from the four-mode correlators
 reproduces the closed-form amplitudes computed from (g11, g20, g22) alone.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -185,3 +186,65 @@ def test_mean_photon_numbers_enter_the_denominator():
     amp = amplitudes(four)
     den = normal_moment(sig, [("a1", 1, 1)]).real + 0.8 ** 2
     assert amp.denominator == pytest.approx(den ** 2, abs=1e-6)
+
+
+def _same_state(got, want):
+    assert got.layout == want.layout
+    for name in ("_occ", "_amp", "_keys"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("signal, lo_cutoff", [
+    (coherent_pair(1.0, 1.0, cutoff=18), 18),
+    (split_cat(CatParams(0.5, 0.0)), None),
+])
+def test_network_state_is_the_reordered_tensor_product(signal, lo_cutoff):
+    from eprsim import STATION_MODES, coherent_cutoff, make_coherent, reorder, tensor
+
+    b1, b2 = optimal_lo(signal)
+    lo = LOConfig(b1, b2, theta1=0.4, theta2=-1.3)
+    cutoff = coherent_cutoff(math.hypot(b1, b2)) if lo_cutoff is None else lo_cutoff
+    lo_pair = make_coherent(ModeLayout(("b1", "b2"), cutoff),
+                            [cmath.rect(b1, lo.theta1), cmath.rect(b2, lo.theta2)])
+    _same_state(homodyne_network_state(signal, lo, lo_cutoff=lo_cutoff),
+                reorder(tensor(signal, lo_pair), STATION_MODES))
+
+
+def test_network_state_sorts_once_per_component(monkeypatch):
+    from eprsim import MixedState
+
+    pure = coherent_pair(0.6, 0.6)
+    mixed = MixedState(((0.4, pure), (0.6, coherent_pair(0.3, 0.8, cutoff=pure.layout.cutoff))))
+    sorts = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        sorts.append(args[0].shape)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    homodyne_network_state(pure, LOConfig(0.6, 0.6))
+    assert len(sorts) == 1
+    sorts.clear()
+    homodyne_network_state(mixed, LOConfig(0.5, 0.7))
+    assert len(sorts) == 2
+
+
+@pytest.mark.parametrize("field", ["beta1", "beta2", "theta1", "theta2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_oscillator_settings_must_be_finite(field, bad):
+    values = {"beta1": 1.0, "beta2": 1.0, "theta1": 0.0, "theta2": 0.0, field: bad}
+    with pytest.raises(StateError, match=f"oscillator {field} must be finite"):
+        homodyne_network_state(coherent_pair(1.0, 1.0), LOConfig(**values))
+
+
+@pytest.mark.parametrize("g11, g20", [
+    (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf),
+    (complex(1.0, math.nan), 1.0), (1.0, complex(math.inf, 0.0)),
+])
+def test_coherence_functions_must_be_finite(g11, g20):
+    from eprsim.homodyne import CoherenceFunctions
+
+    name = "g11" if not cmath.isfinite(g11) else "g20"
+    with pytest.raises(StateError, match=f"{name} must be finite"):
+        amplitudes_from_g(CoherenceFunctions(g11, g20, 1.0))

@@ -237,3 +237,17 @@ def test_two_photon_network_content():
         assert amp[occ] == pytest.approx(0.5)
     with pytest.raises(StateError):
         two_photon_network(cutoff=1)
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 5])
+def test_two_photon_network_is_the_reordered_tensor_product(cutoff):
+    from eprsim import STATION_MODES, MultiModeState, reorder, two_photon_network
+
+    half = cutoff // 2
+    one_a = MultiModeState(ModeLayout(("a1", "a2"), half), {(0, 1): 1.0})
+    one_b = MultiModeState(ModeLayout(("b1", "b2"), cutoff - half), {(0, 1): 1.0})
+    want = reorder(tensor(beamsplitter(one_a, "a1", "a2"), beamsplitter(one_b, "b1", "b2")), STATION_MODES)
+    got = two_photon_network(cutoff)
+    assert got.layout == want.layout
+    for name in ("_occ", "_amp", "_keys"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
