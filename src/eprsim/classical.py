@@ -34,7 +34,6 @@ bootstrapped sample by sample (cf. Kleiner et al., JRSS-B 76, 2014).
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from collections.abc import Sequence
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StateError, ZeroDenominator
+from .errors import StateError, ZeroDenominator, _require_finite
 from .fock import NORM_TOL, _fsum
 
 CHUNK = 1 << 15
@@ -212,9 +211,7 @@ def _leaves(kind: str, params: dict, n: int, seed: int) -> list[tuple]:
             point = ()
         if len(point) != 4:
             raise StateError("delta ensemble needs a point of 4 complex amplitudes")
-        for name, value in zip(_FIELDS, point):
-            if not cmath.isfinite(value):
-                raise StateError(f"{name} contains non-finite values")
+        _require_finite("delta point ", **dict(zip(_FIELDS, point)))
         return [(1, 1.0, kind, point, seed)]
     if kind == "mixture":
         try:

@@ -55,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EprSimError, StateError, ZeroCoincidence
+from .errors import EprSimError, StateError, ZeroCoincidence, _require_count, _require_finite
 from .fock import PRUNE_TOL, ZERO_TOL, AnyState, MultiModeState, _partner_sum, mixture_average, require_modes
 from .network import STATION_MODES, PhaseSetting, _blocks, _mix_sectors, _occupied, _runs
 
@@ -139,11 +139,7 @@ class CorrelationAmplitudes:
     denominator: float = 2.0
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.a1, self.a2, self.xi, self.zeta)):
-            raise StateError(
-                f"amplitudes and phases must be finite, got "
-                f"({self.a1}, {self.a2}, {self.xi}, {self.zeta})"
-            )
+        _require_finite(**vars(self))
         if self.a1 < 0.0 or self.a2 < 0.0:
             raise StateError(f"amplitudes must be nonnegative, got ({self.a1}, {self.a2})")
 
@@ -213,6 +209,7 @@ class _StationLayout:
     station2: tuple         # (n2, start, groups) blocks of station 2
     cd1: np.ndarray         # (c1, d1) of each station-2 group, 2 x groups
     cd2: np.ndarray         # (c2, d2) = (j, n2 - j) of each station-2 split j, sector by sector
+    nb: np.ndarray          # (n_b1, n_b2) of each ket, one contiguous row each for the phase gathers
 
 
 def _station_layout(occ: np.ndarray) -> _StationLayout:
@@ -256,12 +253,12 @@ def _station_layout(occ: np.ndarray) -> _StationLayout:
     cd1 = np.array([gc1, sec1[gq1] - gc1], dtype=np.float64)
     cd2 = np.array([run_j, sec2[run_q2] - run_j], dtype=np.float64)
     # a kept layout is shared by every call on its support, so its arrays are read-only;
-    # src and order are views of writable owners, since np.take copies a read-only
-    # index array on every call (1 MB on a 137k-row state)
-    src, order = src.view(), order.view()
-    for value in (src, order, cd1, cd2):
+    # src, order and nb are views of writable contiguous owners, since np.take copies a
+    # read-only or strided index array on every call (1 MB on a 137k-row state)
+    src, order, nb = src.view(), order.view(), occ[:, [1, 3]].T.copy().view()
+    for value in (src, order, cd1, cd2, nb):
         value.setflags(write=False)
-    return _StationLayout(src=src, station1=station1, order=order, station2=station2, cd1=cd1, cd2=cd2)
+    return _StationLayout(src, station1, order, station2, cd1, cd2, nb)
 
 
 _LAYOUT_KEPT = (None, None, None)   # (cutoff, packed keys, layout) of the last state laid out
@@ -301,18 +298,18 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
     """
     occ = state._occ
     lay = _kept_layout(state)
-    ladder = np.arange(int(occ[:, [1, 3]].max()) + 1)    # the b-arm photon counts
+    ladder = np.arange(int(lay.nb.max()) + 1)    # the b-arm photon counts
     block = max(1, BLOCK_BYTES // (16 * lay.src.shape[0]))
     rates = np.empty((4, theta1.shape[0]))
     for lo in range(0, theta1.shape[0], block):
         t1, t2 = theta1[lo:lo + block], theta2[lo:lo + block]
         k = t1.shape[0]
         out = np.zeros((occ.shape[0] + 1, k), dtype=np.complex128)
-        # np.take(a, i, axis=0) gathers rows on numpy's fast path, a[i] on 2-d a does not
+        # np.take(a, i, axis=0) gathers rows on numpy's fast path, a[i] on 2-d a does not;
+        # the gathers index with the writable owners of nb, src and order; see _station_layout
         out[:-1] = (state._amp[:, None]
-                    * np.take(np.exp(1j * np.outer(ladder, t1)), occ[:, 1], axis=0)
-                    * np.take(np.exp(1j * np.outer(ladder, t2)), occ[:, 3], axis=0))
-        # the gathers index with the writable owners of src and order; see _station_layout
+                    * np.take(np.exp(1j * np.outer(ladder, t1)), lay.nb.base[0], axis=0)
+                    * np.take(np.exp(1j * np.outer(ladder, t2)), lay.nb.base[1], axis=0))
         out = np.take(out, lay.src.base, axis=0)     # station-1 rows; frees the phased copy
         _mix_sectors(out, lay.station1)              # a1, b1 -> c1, d1
         out = np.take(out, lay.order.base, axis=0)   # and frees the station-1 buffer
@@ -395,7 +392,7 @@ def sinusoid_residual(state: AnyState, grid_size: int = 8,
     a phase-sign error would be invisible. Grid points without
     coincidences are skipped; if all are degenerate the error propagates.
     """
-    if grid_size < 4:
+    if _require_count("grid_size", grid_size) < 4:
         raise StateError("sinusoid_residual needs grid_size >= 4")
     require_modes(state, STATION_MODES, "state")
     if amps is None:

@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the input checks that raise them.
 
 Every domain failure raises one of these so callers (and the CLI) can
 distinguish physics degeneracies from programming errors. ``UsageError``
 belongs to the command line and stays out of ``__all__``.
 """
+
+import cmath
+import numbers
 
 __all__ = [
     "EprSimError",
@@ -71,3 +74,17 @@ class ZeroDenominator(EprSimError):
 
 class OptimizerShortfall(EprSimError):
     """Closed-form Bell maximum below the analytic value or beaten by the grid: a bug."""
+
+
+def _require_finite(prefix: str = "", **values) -> None:
+    """Raise ``StateError`` naming the first of ``values`` that is not a finite number."""
+    for name, value in values.items():
+        if not (isinstance(value, numbers.Number) and cmath.isfinite(value)):
+            raise StateError(f"{prefix}{name} must be finite, got {value!r}")
+
+
+def _require_count(name: str, value) -> int:
+    """``value`` if it is an integer (not a bool), else a ``StateError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise StateError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .correlation import CorrelationAmplitudes, _phase
-from .errors import DegenerateLO, StateError, ZeroIntensity
+from .errors import DegenerateLO, StateError, ZeroIntensity, _require_finite
 from .fock import (
     AnyState,
     ModeLayout,
@@ -63,9 +63,7 @@ class CoherenceFunctions:
     g22: float
 
     def __post_init__(self) -> None:
-        for name in ("g11", "g20"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise StateError(f"{name} must be finite, got {getattr(self, name)!r}")
+        _require_finite(g11=self.g11, g20=self.g20)
         if not (self.g22 >= 0.0 and math.isfinite(self.g22)):
             raise StateError(f"g22 must be finite and nonnegative, got {self.g22!r}")
 
@@ -80,9 +78,7 @@ class LOConfig:
     theta2: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("beta1", "beta2", "theta1", "theta2"):
-            if not math.isfinite(getattr(self, name)):
-                raise StateError(f"oscillator {name} must be finite, got {getattr(self, name)!r}")
+        _require_finite("oscillator ", **vars(self))
         if self.beta1 < 0.0 or self.beta2 < 0.0:
             raise StateError("oscillator amplitudes must be nonnegative")
 

@@ -14,7 +14,7 @@ either check signals a bug, not a physics result.
 
 Bounds on the amplitude pair (first quadrant):
     stochastic-field:  A1 <= 1/2 and A2 <= 1/2
-    Bell (local):      A1^2 + A2^2 <= 1/2      (equivalent to b_max <= 2)
+    Bell (local):      A1^2 + A2^2 <= 1/2      (b_max <= 2; on A1 + A2 = 1, the stochastic bound)
     Tsirelson:         A1^2 + A2^2 <= 1
     quantum states:    A1 + A2 <= 1             (= 1 for perfect correlation)
 """
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationAmplitudes, amplitudes, epr_holds, predict_E
-from .errors import OptimizerShortfall, StateError
+from .errors import OptimizerShortfall, StateError, _require_count, _require_finite
 from .network import PhaseSetting
 
 BOUND_TOL = 1e-9
@@ -56,6 +56,9 @@ class BellSettings:
     theta2: float
     theta2p: float
 
+    def __post_init__(self) -> None:
+        _require_finite(**vars(self))
+
 
 @dataclass(frozen=True)
 class BellMaxResult:
@@ -66,7 +69,7 @@ class BellMaxResult:
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """Region and margins of a pair (positive = inside); bell_ok: its B_max <= 2."""
+    """Region and margins of a pair (positive = inside); bell_ok: not bell-violating."""
 
     region: str
     epr_boundary: bool
@@ -140,6 +143,8 @@ def bell_max(source) -> BellMaxResult:
     """
     amps = _coerce_amps(source)
     analytic = 2.0 * math.sqrt(2.0) * math.hypot(amps.a1, amps.a2)
+    if not math.isfinite(analytic):    # then no setting is finite either
+        raise OptimizerShortfall(f"analytic Bell maximum {analytic!r} is not finite")
     settings = _optimal_settings(amps)
     b_max = float(bell_B(amps, settings))
     grid = _b_grid(amps, GRID_POINTS)
@@ -157,32 +162,32 @@ def bell_max(source) -> BellMaxResult:
 
 
 def classify(amps: CorrelationAmplitudes, state_b_max: float) -> InequalityReport:
-    """Place an amplitude pair in the bound geometry.
+    """Place an amplitude pair in the bound geometry, with one Bell verdict.
 
-    The three bound regions (classical, bell-violating, unphysical) do not
-    tile the quadrant: a pair can exceed an individual A_k <= 1/2 bound
-    while staying inside the Bell circle. That gap is labeled
-    ``nonclassical-local`` so every pair gets exactly one region.
+    A pair violates Bell past the circle, or past the box on the EPR line
+    A1 + A2 = 1, where the circle touches the box at (1/2, 1/2) and the paper's
+    theorem makes the two bounds one; ``region`` and ``bell_ok`` both read that.
+    Off the line, past the box inside the circle is ``nonclassical-local``.
+    ``state_b_max`` is unused: it stays for callers that pass it positionally.
     """
     a1, a2 = float(amps.a1), float(amps.a2)
-    circle = a1 * a1 + a2 * a2
-    total = a1 + a2
+    circle, total, stochastic = a1 * a1 + a2 * a2, a1 + a2, 0.5 - max(a1, a2)
+    epr = epr_holds(amps, BOUND_TOL)
+    bell = circle > 0.5 + BOUND_TOL or (epr and stochastic < -BOUND_TOL)
     if total > 1.0 + BOUND_TOL:
         region = "unphysical"
-    elif circle > 0.5 + BOUND_TOL:
+    elif bell:
         region = "bell-violating"
-    elif a1 <= 0.5 + BOUND_TOL and a2 <= 0.5 + BOUND_TOL:
-        region = "classical"
     else:
-        region = "nonclassical-local"
+        region = "classical" if stochastic >= -BOUND_TOL else "nonclassical-local"
     return InequalityReport(
         region=region,
-        epr_boundary=epr_holds(amps, BOUND_TOL),
-        stochastic_margin=0.5 - max(a1, a2),
+        epr_boundary=epr,
+        stochastic_margin=stochastic,
         bell_margin=0.5 - circle,
         tsirelson_margin=1.0 - circle,
         quantum_margin=1.0 - total,
-        bell_ok=state_b_max <= 2.0 + BOUND_TOL,
+        bell_ok=not bell,
     )
 
 
@@ -194,7 +199,7 @@ def figure3_boundaries(samples_per_curve: int) -> list[tuple[str, float, float]]
     (a1^2 + a2^2 = 1). With an odd sample count the midpoint of the first
     three curves lands exactly on (1/2, 1/2), where they intersect.
     """
-    m = int(samples_per_curve)
+    m = _require_count("samples_per_curve", samples_per_curve)
     if not 2 <= m <= CURVE_BUDGET:
         raise StateError(f"figure3_boundaries needs 2 <= samples_per_curve <= {CURVE_BUDGET}")
     s = [i / (m - 1) for i in range(m)]                    # quantum and stochastic

@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import StateError
+from .errors import StateError, _require_finite
 from .fock import (
     AnyState,
     ModeLayout,
@@ -76,11 +76,15 @@ class PhaseSetting:
     theta1: float
     theta2: float
 
+    def __post_init__(self) -> None:
+        _require_finite(**vars(self))
+
 
 @per_component
 def phase_shift(state: AnyState, mode: str, theta: float):
     """Multiply each ket by e^{i n theta} for the photon count n in ``mode``."""
     col = state.layout.index(mode)
+    _require_finite(theta=theta)
     phases = np.exp(1j * float(theta) * state._occ[:, col])
     # occupations are untouched, so canonical order is preserved
     return MultiModeState._from_canonical(state.layout, state._occ, state._amp * phases)

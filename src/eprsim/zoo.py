@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CatDegenerate, StateError
+from .errors import CatDegenerate, StateError, _require_finite
 from .fock import ModeLayout, MultiModeState, coherent_cutoff, make_coherent, make_pure, _ladder_state
 from .homodyne import SIGNAL_MODES, CoherenceFunctions
 from .network import STATION_MODES, two_photon_network
@@ -44,10 +44,7 @@ class CatParams:
     phi: float
 
     def __post_init__(self) -> None:
-        if not (cmath.isfinite(complex(self.alpha)) and math.isfinite(self.phi)):
-            raise StateError(
-                f"cat parameters must be finite, got alpha={self.alpha!r}, phi={self.phi!r}"
-            )
+        _require_finite("cat ", **vars(self))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: the report parser and the per-workload summary."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,32 @@ def test_workload_entry_summarises_the_unscaled_wall_per_side():
     # a side whose report lacked the line gets no summary, not a partial one
     runs["change"][1]["unscaled"] = None
     assert list(bench_pairs.workload_entry([1, 2], runs)["unscaled_wall_s"]) == ["parent"]
+
+
+def _checkout(root, modules):
+    """A checkout with ``src/eprsim/<name>.py`` of the given texts and a BENCHMARK.json."""
+    package = root / "src" / "eprsim"
+    package.mkdir(parents=True)
+    for name, text in modules.items():
+        (package / f"{name}.py").write_text(text, encoding="utf-8")
+    (package / "notes.txt").write_text("not a module\n" * 7, encoding="utf-8")
+    (root / "BENCHMARK.json").write_text('{"run_seconds": 1}', encoding="utf-8")
+    return root
+
+
+def test_each_checkout_records_its_source_lines(tmp_path, monkeypatch):
+    parent = _checkout(tmp_path / "parent", {"fock": "a\nb\nc\n", "cli": "x\ny"})
+    change = _checkout(tmp_path / "change", {"fock": "a\nb\n", "cli": "x\ny\nz\n", "trace": "t\n"})
+    # counted as wc -l counts: newlines, so a last line without one is not counted
+    assert bench_pairs.src_lines(parent) == {"cli": 1, "fock": 3, "total": 4}
+    assert bench_pairs.src_lines(change) == {"cli": 3, "fock": 2, "trace": 1, "total": 6}
+
+    monkeypatch.setattr(bench_pairs, "run_once", lambda root, workload, seed, seconds: _run(
+        0.4 if root == parent else 0.3, {"setup_s": 0.1, "round_s": 0.2}))
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--pr", "0",
+                             "--title", "t", "--parent-rev", "r", "--workload", "w:1-2"]) == 0
+    doc = json.loads((tmp_path / "BENCH_0.json").read_text(encoding="utf-8"))
+    assert doc["src_lines"] == {"parent": {"cli": 1, "fock": 3, "total": 4},
+                                "change": {"cli": 3, "fock": 2, "trace": 1, "total": 6}}
+    assert doc["workloads"]["w"]["pairs_won"]["round_s"] == {"change": 2, "parent": 0, "pairs": 2}

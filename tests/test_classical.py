@@ -138,6 +138,16 @@ def test_malformed_params_are_a_state_error(kind, params):
         make_ensemble(kind, params, n=10, seed=1)
 
 
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+def test_a_non_finite_delta_point_names_its_field(field, bad):
+    point = [1.0] * 4
+    point[field] = bad
+    name = ("alpha1", "alpha2", "beta1", "beta2")[field]
+    with pytest.raises(StateError, match=f"delta point {name} must be finite"):
+        make_ensemble("delta", {"point": point}, n=10, seed=1)
+
+
 def _fields(ens):
     return ens.alpha1, ens.alpha2, ens.beta1, ens.beta2
 

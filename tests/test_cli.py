@@ -72,6 +72,18 @@ def test_state_split_cat_options(capsys):
     assert doc["b_max"] == pytest.approx(2.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("alpha", ["1.6", "2"])
+def test_a_weakly_violating_split_cat_prints_one_bell_verdict(capsys, alpha):
+    # on the EPR line the stochastic excess e^{-4 alpha^2}/2 (-5.63e-8 at
+    # alpha 2) is a Bell violation, though the circle's excess is below 1e-9
+    code, doc = run_json(capsys, "state", "split-cat", "--alpha", alpha, "--phi", "0")
+    assert code == 0
+    assert doc["is_epr"] is True
+    assert doc["margins"]["stochastic"] < -1e-9
+    assert doc["region"] == "bell-violating"
+    assert doc["bell_ok"] is False
+
+
 def test_state_csv_format(capsys):
     code, out = run(capsys, "state", "two-photon", "--format", "csv")
     assert code == 0

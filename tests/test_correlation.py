@@ -113,6 +113,25 @@ def test_predicted_E_matches_network_E():
             correlation_E(s, setting), abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 4.5, 4.0, True, "4", None])
+def test_sinusoid_grid_size_is_an_integer(bad):
+    with pytest.raises(StateError, match="grid_size must be an integer"):
+        sinusoid_residual(entangled("diff"), grid_size=bad)
+
+
+def test_sinusoid_grid_size_takes_numpy_integers():
+    s = entangled("diff")
+    assert sinusoid_residual(s, grid_size=np.int64(5)) == sinusoid_residual(s, grid_size=5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_predict_E_refuses_a_non_finite_phase(bad):
+    # predict_E at theta = inf used to raise a bare "math domain error"
+    amps = CorrelationAmplitudes(0.3, 0.6, 0.1, 0.2)
+    with pytest.raises(StateError, match="theta1 must be finite"):
+        predict_E(amps, PhaseSetting(bad, 0.0))
+
+
 def test_sinusoid_residual_options():
     s = entangled("diff")
     assert sinusoid_residual(s) < 1e-12
@@ -675,3 +694,23 @@ def test_kept_layout_gathers_copy_no_index(monkeypatch):
     monkeypatch.setattr(np, "take", spy)
     correlation._evolution_rates(state, theta, -theta)
     assert writable == [True, True]
+    # nor either phase-table gather, per ket, a strided or read-only one; and
+    # over several blocks every block gathers with the same two index arrays
+    kets = state._occ.shape[0]
+    phase_indices = []
+
+    def phase_spy(a, indices, *args, **kwargs):
+        if indices.shape[0] == kets:
+            phase_indices.append(indices)
+        return take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", phase_spy)
+    many = np.linspace(-3.0, 3.0, 5)
+    assert correlation.BLOCK_BYTES // (16 * rows) < many.shape[0]
+    correlation._evolution_rates(state, many, -many)
+    assert len(phase_indices) >= 4 and len(phase_indices) % 2 == 0
+    for index in phase_indices:
+        assert index.flags.writeable and index.flags.c_contiguous
+    assert len({id(index.base) for index in phase_indices}) == 1
+    assert np.array_equal(phase_indices[0], state._occ[:, 1])
+    assert np.array_equal(phase_indices[1], state._occ[:, 3])

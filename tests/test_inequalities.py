@@ -4,17 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eprsim import (
     BellSettings,
+    CatParams,
     CorrelationAmplitudes,
     OptimizerShortfall,
     StateError,
     bell_B,
     bell_max,
+    cat_predictions,
     classify,
     figure3_boundaries,
+    signal_amplitudes,
+    split_cat,
 )
+from eprsim.inequalities import BOUND_TOL
 
 SQ2 = math.sqrt(2.0)
 
@@ -162,6 +168,79 @@ def test_classify_tolerates_roundoff_on_the_circle():
     assert rep.epr_boundary
 
 
+def _report(amps):
+    """The report the CLI prints: classify given the pair's own Bell maximum."""
+    return classify(amps, bell_max(amps).b_max)
+
+
+phases = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-12.0, math.log10(0.5)), st.booleans(), phases, phases)
+@example(-5.0, True, 0.0, 0.0)                      # circle excess 2e-10, B_max within 2 + BOUND_TOL
+@example(math.log10(5.63e-8), False, 0.3, -1.2)     # the split cat at alpha 2
+@example(math.log10(2.2e-5), True, 0.0, 0.0)        # circle excess 9.7e-10, B_max past 2 + BOUND_TOL
+def test_on_the_epr_line_the_stochastic_bound_is_the_bell_bound(log_eps, above, xi, zeta):
+    # A1 + A2 = 1 touches the Bell circle at (1/2, 1/2): any stochastic excess
+    # there, however small, is a Bell violation
+    eps = 10.0 ** log_eps
+    a1 = 0.5 + eps if above else 0.5 - eps
+    rep = _report(CorrelationAmplitudes(a1, 1.0 - a1, xi, zeta))
+    assert rep.epr_boundary
+    assert (rep.region == "bell-violating") == (rep.stochastic_margin < -BOUND_TOL)
+    assert rep.bell_ok == (rep.region != "bell-violating")
+
+
+def _off_line(excess):
+    """A pair off the EPR line whose circle A1^2 + A2^2 exceeds 1/2 by ``excess``."""
+    return CorrelationAmplitudes(0.3, math.sqrt(0.41 + excess), 0.0, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), phases, phases)
+@example(0.3, math.sqrt(0.41 + 6e-10), 0.0, 0.0)
+@example(0.3, math.sqrt(0.41 + 8e-10), 0.0, 0.0)
+@example(0.3, math.sqrt(0.41 + 9.9e-10), 0.0, 0.0)
+def test_bell_ok_and_region_give_one_bell_verdict(a1, a2, xi, zeta):
+    rep = _report(CorrelationAmplitudes(a1, a2, xi, zeta))
+    if rep.region != "unphysical":
+        assert rep.bell_ok == (rep.region != "bell-violating")
+
+
+@pytest.mark.parametrize("excess", [6e-10, 8e-10, 9.9e-10])
+def test_a_circle_excess_inside_the_tolerance_is_local_on_both_fields(excess):
+    # B_max = 2 sqrt(2 (1/2 + excess)) is about 2 + 2 excess, past 2 + BOUND_TOL,
+    # but the pair is inside the circle's tolerance, and one test decides both
+    rep = _report(_off_line(excess))
+    assert not rep.epr_boundary
+    assert rep.bell_margin == pytest.approx(-excess, rel=1e-6)
+    assert rep.region == "nonclassical-local"
+    assert rep.bell_ok
+
+
+def test_weakly_violating_split_cats_are_bell_violating():
+    # a2 - 1/2 = e^{-4 alpha^2} / 2 >= 1.9e-9 here, while the circle's excess
+    # 2 (a2 - 1/2)^2 falls below 1e-9 from alpha 1.59 on
+    for alpha in np.round(np.linspace(1.0, 2.2, 25), 2).tolist():
+        params = CatParams(alpha, 0.0)
+        pred = cat_predictions(params)
+        amps = signal_amplitudes(split_cat(params))
+        assert amps.a1 == pytest.approx(pred.a1, abs=1e-12)
+        assert amps.a2 == pytest.approx(pred.a2, abs=1e-12)
+        assert pred.a2 - 0.5 > BOUND_TOL
+        rep = _report(amps)
+        assert rep.stochastic_margin == pytest.approx(0.5 - pred.a2, rel=1e-3)
+        assert rep.epr_boundary
+        assert (alpha, rep.region, rep.bell_ok) == (alpha, "bell-violating", False)
+
+
+def test_classify_ignores_the_bell_maximum_it_is_given():
+    for b_max in (0.0, 2.0, 2.0 + 2e-9, 3.0, math.nan):
+        assert classify(pair(0.2, 0.3), b_max) == classify(pair(0.2, 0.3), 1.2)
+        assert classify(pair(0.0, 1.0), b_max).region == "bell-violating"
+
+
 def test_figure3_boundaries_geometry():
     rows = figure3_boundaries(201)
     by_curve = {}
@@ -194,3 +273,29 @@ def test_figure3_boundaries_geometry():
 def test_figure3_needs_two_samples():
     with pytest.raises(StateError):
         figure3_boundaries(1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5, 3.0, True, "3", None])
+def test_figure3_sample_count_is_an_integer(bad):
+    with pytest.raises(StateError, match="samples_per_curve must be an integer"):
+        figure3_boundaries(bad)
+
+
+def test_figure3_takes_numpy_integers():
+    assert figure3_boundaries(np.int64(3)) == figure3_boundaries(3)
+
+
+@pytest.mark.parametrize("field", ["theta1", "theta1p", "theta2", "theta2p"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bell_settings_must_be_finite(field, bad):
+    values = {"theta1": 0.0, "theta1p": 1.0, "theta2": 0.5, "theta2p": -0.5, field: bad}
+    with pytest.raises(StateError, match=f"{field} must be finite"):
+        bell_B(pair(0.3, 0.6), BellSettings(**values))
+
+
+@pytest.mark.parametrize("field", ["a1", "a2", "xi", "zeta", "denominator"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_amplitude_fields_must_be_finite(field, bad):
+    values = {"a1": 0.3, "a2": 0.2, "xi": 0.0, "zeta": 0.0, "denominator": 2.0, field: bad}
+    with pytest.raises(StateError, match=f"{field} must be finite"):
+        CorrelationAmplitudes(**values)

@@ -251,3 +251,22 @@ def test_two_photon_network_is_the_reordered_tensor_product(cutoff):
     assert got.layout == want.layout
     for name in ("_occ", "_amp", "_keys"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("field", ["theta1", "theta2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.1", None])
+def test_phase_settings_must_be_finite(field, bad):
+    # a non-finite phase used to end in a NaN rate ("correlator cc = nan is
+    # negative beyond roundoff") or a bare "math domain error" from predict_E
+    values = {"theta1": 0.1, "theta2": -0.2, field: bad}
+    with pytest.raises(StateError, match=f"{field} must be finite"):
+        PhaseSetting(**values)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phase_shift_angle_must_be_finite(bad):
+    # it used to end in a NormalizationError that blamed the state's norm
+    s = make_pure(ModeLayout(("a1", "b1"), 2), [((1, 0), 0.6), ((0, 1), 0.8)])
+    with pytest.raises(StateError, match="theta must be finite") as info:
+        phase_shift(s, "b1", bad)
+    assert type(info.value) is StateError

@@ -183,3 +183,14 @@ def test_cat_with_a_subnormal_ladder_start_builds():
     assert single_mode_cat(CatParams(26.9, 0.0)).layout.cutoff == 1762
     with pytest.raises(CutoffError, match="underflows to 0, which no cutoff mends$"):
         single_mode_cat(CatParams(27.3, 0.0))
+
+
+@pytest.mark.parametrize("field", ["alpha", "phi"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1"])
+def test_cat_parameters_must_be_finite(field, bad):
+    values = {"alpha": 0.5, "phi": 0.0, field: bad}
+    with pytest.raises(StateError, match=f"cat {field} must be finite"):
+        CatParams(**values)
+    if field == "alpha" and bad != "1":
+        with pytest.raises(StateError, match="cat alpha must be finite"):
+            CatParams(complex(0.5, bad), 0.0)

@@ -12,7 +12,8 @@ output holds, per workload and side, the median and quartiles of every
 end-to-end metric, the pairs each side won (ties count for neither, lower
 is better), the median and quartiles of the unscaled wall seconds that
 the report prints above its JSON, the failed operations and whether every
-run was correct. It is
+run was correct. Under "src_lines" it records each checkout's ``wc -l`` of
+``src/eprsim/*.py`` by module, so the change's line delta is measured. It is
 rewritten after each pair, so an interrupted series keeps its finished
 pairs. Only the standard library and numpy are used.
 """
@@ -67,6 +68,12 @@ def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
     run = json.loads(proc.stdout.strip().splitlines()[-1])
     run["unscaled"] = parse_unscaled(proc.stdout)
     return run
+
+
+def src_lines(root: Path) -> dict:
+    """``wc -l`` of each ``src/eprsim/*.py`` of checkout ``root`` by module, and their total."""
+    lines = {p.stem: p.read_bytes().count(b"\n") for p in sorted((root / "src" / "eprsim").glob("*.py"))}
+    return {**lines, "total": sum(lines.values())}
 
 
 def summary(values: list[float]) -> dict:
@@ -149,6 +156,7 @@ def main(argv=None) -> int:
             "seeds_not_used_in_development": args.seeds_note,
             "tool": "tools/bench_pairs.py",
         },
+        "src_lines": {side: src_lines(root) for side, root in roots.items()},
         "workloads": {},
     }
     for workload, seeds in args.workload:
