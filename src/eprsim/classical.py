@@ -18,10 +18,11 @@ is a recipe, not an array: one pass draws the samples a CHUNK-sized
 window at a time and forms the moment terms, their sums, the bootstrap
 group sums and the pointwise margin, and no per-sample array outlives
 its window. Memory is bounded by CHUNK, not by n; the fields are drawn
-whole only if a caller reads them. The windows are the global samples
-k CHUNK .. (k+1) CHUNK, wherever mixture leaves start, and each sum is
-math.fsum of exact per-window sums binned by exponent, so estimates are
-deterministic for a given seed and independent of evaluation order.
+whole only if a caller reads them. A window is one CHUNK of one stratum,
+so it has one weight. Its terms binned by exponent give exact partial
+sums, and each moment is one math.fsum of all of them: the correctly
+rounded sum of the weighted terms, whatever CHUNK is and wherever mixture
+leaves start.
 
 The standard errors come from a stratified grouped bootstrap. Each stratum
 (a mixture component, or the whole ensemble) is cut into at most
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StateError, ZeroDenominator, _require_finite
+from .errors import StateError, ZeroDenominator, _nonnegative, _require_count, _require_finite
 from .fock import NORM_TOL, _fsum
 
 CHUNK = 1 << 15
@@ -177,9 +178,9 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
     allocated: each CHUNK of a leaf is fixed by the leaf's seed and the
     chunk's index, so the chunks are drawn when they are used.
     """
+    n, seed = _require_count("n", n), _require_count("seed", seed)
     if not 1 <= n <= SAMPLE_BUDGET:
         raise StateError(f"need 1 <= n <= {SAMPLE_BUDGET} samples")
-    seed = int(seed)
     if seed < 0:
         raise StateError(f"seed must be >= 0, got {seed}")
     leaves = tuple(_leaves(kind, params, n, seed))
@@ -236,14 +237,6 @@ def _leaves(kind: str, params: dict, n: int, seed: int) -> list[tuple]:
     return [(n, 1.0 / n, kind, values, seed)]
 
 
-def _nonnegative(value) -> bool:
-    """Whether ``value`` is a real number >= 0 that is finite as a float."""
-    try:
-        return isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0.0
-    except OverflowError:  # an int or Fraction beyond the float range
-        return False
-
-
 def _draw(kind: str, values: tuple, seed: int, index: int, out: np.ndarray) -> None:
     """Draw chunk ``index`` of one leaf into ``out``, its (4, m) a1, a2, b1, b2."""
     if kind == "delta":
@@ -263,39 +256,32 @@ def _draw(kind: str, values: tuple, seed: int, index: int, out: np.ndarray) -> N
 
 
 def _windows(e: ClassicalEnsemble, whole: np.ndarray | None = None):
-    """(start, fields) for start = 0, CHUNK, 2 CHUNK, ...: the (4, m) a1, a2,
-    b1, b2 of samples start .. start + CHUNK, valid until the next window.
+    """(w, start, fields) for each CHUNK of each stratum: the weight w of its
+    samples and the (4, m) a1, a2, b1, b2 of samples start .. start + m,
+    valid until the next window. No window crosses a stratum.
 
-    Given fields are sliced. A made ensemble's leaf chunks are drawn in order,
-    each at its sample position in ``whole``, or in a two-window buffer that
-    moves on a window at a time, so a window may hold samples of two leaves.
+    Given fields are sliced. A made leaf's chunk is drawn into one
+    (4, CHUNK) buffer, or at its sample position in ``whole``.
     """
     if e._leaves is None:
-        for start in range(0, e.n, CHUNK):
-            yield start, [getattr(e, name)[start : start + CHUNK] for name in _FIELDS]
+        for (first, last), w in zip(e.strata, e.weights):
+            for start in range(first, last, CHUNK):
+                yield w, start, [getattr(e, name)[start : min(start + CHUNK, last)] for name in _FIELDS]
         return
-    buf = np.empty((4, 2 * CHUNK), dtype=np.complex128) if whole is None else whole
-    base = start = stop = 0  # buf[:, 0] holds sample base; samples up to stop are drawn
-    for size, _, kind, values, seed in e._leaves:
-        for index, first in enumerate(range(0, size, CHUNK)):
-            m = min(CHUNK, size - first)
-            _draw(kind, values, seed, index, buf[:, stop - base : stop - base + m])
-            stop += m
-            if stop - start >= CHUNK:
-                yield start, buf[:, start - base : start - base + CHUNK]
-                start += CHUNK
-                if whole is None:  # move what is drawn past the window to the front
-                    buf[:, : stop - start] = buf[:, CHUNK : CHUNK + stop - start]
-                    base = start
-    if start < stop:
-        yield start, buf[:, start - base : stop - base]
+    buf = np.empty((4, CHUNK), dtype=np.complex128) if whole is None else None
+    for (first, last), w, (_, _, kind, values, seed) in zip(e.strata, e.weights, e._leaves):
+        for index, start in enumerate(range(first, last, CHUNK)):
+            m = min(CHUNK, last - start)
+            out = buf[:, :m] if whole is None else whole[:, start : start + m]
+            _draw(kind, values, seed, index, out)
+            yield w, start, out
 
 
-def _moment_terms(e: ClassicalEnsemble, start: int, fields):
+def _moment_terms(w: float, fields):
     """Numerator terms (both conjugations) and denominators of the samples
-    start .. start + m whose a1, a2, b1, b2 are ``fields``, each multiplied in
-    place by its stratum's weight, and the least |a|^2 + |b|^2 - 2|a b| of
-    either station over them, from the same |a| and |b| as the denominators."""
+    whose a1, a2, b1, b2 are ``fields``, each multiplied in place by their
+    weight w, and the least |a|^2 + |b|^2 - 2|a b| of either station over
+    them, from the same |a| and |b| as the denominators."""
     a1, a2, b1, b2 = fields
     x1, x2, y1, y2 = (np.abs(f) for f in fields)
     num1 = np.conj(a1) * b1 * a2 * np.conj(b2)
@@ -303,22 +289,13 @@ def _moment_terms(e: ClassicalEnsemble, start: int, fields):
     i1, i2 = x1**2 + y1**2, x2**2 + y2**2
     den = i1 * i2
     worst = np.minimum(np.min(i1 - 2.0 * x1 * y1), np.min(i2 - 2.0 * x2 * y2))
-    for lo, hi, w in _segments(e, start, start + den.shape[0]):
-        for t in (num1, num2, den):
-            t[lo:hi] *= w
+    for t in (num1, num2, den):
+        t *= w
     return num1, num2, den, float(worst)
 
 
-def _segments(e: ClassicalEnsemble, start: int, stop: int):
-    """(lo, hi, w) for each stratum of weight w that meets samples start ..
-    stop, lo and hi its first and last sample there counted from start."""
-    for (first, last), w in zip(e.strata, e.weights):
-        if first < stop and last > start:
-            yield max(first - start, 0), min(last, stop) - start, w
-
-
-def _exact_sums(block: np.ndarray) -> list[float]:
-    """Correctly rounded sum of each row of a real (k, m) block, m <= CHUNK.
+def _exact_sums(block: np.ndarray) -> list[list[float]]:
+    """Doubles that sum exactly to each row of a real (k, m) block, m <= CHUNK.
 
     np.frexp writes each value as f * 2^e with 1/2 <= |f| < 1, so f * 2^27
     splits exactly into an integer part below 2^27 in magnitude and a
@@ -326,12 +303,13 @@ def _exact_sums(block: np.ndarray) -> list[float]:
     each part sums over at most 2^15 values to below 2^42 on its grid, which
     float64 holds exactly. Scaled back by 2^(e-27), a bin sum keeps at most
     42 significant bits and stays a multiple of 2^-1074, as every double is,
-    so it is exact for subnormal values too. math.fsum of the nonzero
-    scaled bin sums then rounds the exact row total once, so each result
-    equals math.fsum(row.tolist()) (Shewchuk, DCG 18, 1997; Neal,
+    so it is exact for subnormal values too. A row's nonzero scaled bin sums
+    are returned, and math.fsum of them, or of the lists of many blocks
+    joined, rounds the exact total once (Shewchuk, DCG 18, 1997; Neal,
     arXiv:1505.05571). A block holding a value large enough for a scaled
-    bin sum to overflow (e > 1008), or a non-finite value, goes to
-    math.fsum.
+    bin sum to overflow (e > 1008), or a non-finite value, returns its rows'
+    own values; a weighted term that large needs a sample weight above
+    2^-16, and fewer than 2^16 samples can carry one.
     """
     mant, exp = np.frexp(block)
     lo, hi = int(exp.min()), int(exp.max())
@@ -347,8 +325,8 @@ def _exact_sums(block: np.ndarray) -> list[float]:
         if np.isfinite(highs).all() and np.isfinite(fracs).all():
             scale = np.arange(lo - 27, hi - 26)
             terms = np.hstack([np.ldexp(highs, scale), np.ldexp(fracs, scale)])
-            return [math.fsum(row[row != 0.0].tolist()) for row in terms]
-    return [math.fsum(row.tolist()) for row in block]
+            return [row[row != 0.0].tolist() for row in terms]
+    return block.tolist()
 
 
 def _group_sums(e: ClassicalEnsemble, num1, num2, den, start: int = 0, sums=None):
@@ -382,34 +360,36 @@ def _group_sums(e: ClassicalEnsemble, num1, num2, den, start: int = 0, sums=None
 
 def _pass(e: ClassicalEnsemble):
     """(sums, group sums, lit, margin) of ``e`` in one walk over its windows:
-    the exact sums of den and of the real and imaginary parts of num1 and
-    num2, their bootstrap group sums, whether a weighted sample has a field
-    at both stations, and the pointwise margin. An overflow leaves the sums
-    or the margin None, so each caller raises only its own error. lit is read
-    only in windows whose den sums to 0, as all do when the whole den does.
-    A made ensemble keeps the result, so both callers share one draw.
+    the sums of den and of the real and imaginary parts of num1 and num2,
+    each one math.fsum of every window's exact terms and so correctly rounded
+    whatever the windows are, their bootstrap group sums, whether a weighted
+    sample has a field at both stations, and the pointwise margin. An
+    overflow leaves the sums or the margin None, so each caller raises only
+    its own error. lit is read only in windows whose den is all zero, as all
+    are when the whole den sums to 0. A made ensemble keeps the result, so
+    both callers share one draw.
     """
     if e._kept is not None:
         return e._kept
-    chunk_sums, groups, lit, margin = [], None, False, math.inf
-    for start, fields in _windows(e):
+    terms, groups, lit, margin = [[] for _ in range(5)], None, False, math.inf
+    for w, start, fields in _windows(e):
         with np.errstate(over="ignore", invalid="ignore"):
-            num1, num2, den, worst = _moment_terms(e, start, fields)
+            num1, num2, den, worst = _moment_terms(w, fields)
             block = np.stack([den, num1.real, num1.imag, num2.real, num2.imag])
         if margin is not None:
             margin = min(margin, worst) if math.isfinite(worst) else None
-        if chunk_sums is None:
+        if terms is None:
             continue
         if not np.isfinite(block).all():
-            chunk_sums = groups = None
+            terms = groups = None
             continue
-        chunk_sums.append(_exact_sums(block))
+        for row_terms, window_terms in zip(terms, _exact_sums(block)):
+            row_terms += window_terms
         groups = _group_sums(e, num1, num2, den, start, groups)
-        if not lit and chunk_sums[-1][0] == 0.0:
+        if not lit and w > 0.0 and not den.any():
             a1, a2, b1, b2 = fields
-            on = ((a1 != 0) | (b1 != 0)) & ((a2 != 0) | (b2 != 0))
-            lit = any(w > 0.0 and on[lo:hi].any() for lo, hi, w in _segments(e, start, start + den.shape[0]))
-    sums = None if chunk_sums is None else [math.fsum(s) for s in zip(*chunk_sums)]
+            lit = bool((((a1 != 0) | (b1 != 0)) & ((a2 != 0) | (b2 != 0))).any())
+    sums = None if terms is None else [math.fsum(row_terms) for row_terms in terms]
     kept = (sums, groups, lit, margin)
     if e._leaves is not None:
         object.__setattr__(e, "_kept", kept)

@@ -55,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EprSimError, StateError, ZeroCoincidence, _require_count, _require_finite
+from .errors import EprSimError, StateError, ZeroCoincidence, _nonnegative, _require_count, _require_finite
 from .fock import PRUNE_TOL, ZERO_TOL, AnyState, MultiModeState, _partner_sum, mixture_average, require_modes
 from .network import STATION_MODES, PhaseSetting, _blocks, _mix_sectors, _occupied, _runs
 
@@ -417,7 +417,7 @@ def sinusoid_residual(state: AnyState, grid_size: int = 8,
 
 def epr_holds(amps: CorrelationAmplitudes, tol: float) -> bool:
     """A1 + A2 = 1 within tol; tol must be finite and nonnegative."""
-    if not (math.isfinite(tol) and tol >= 0.0):
+    if not _nonnegative(tol):
         raise StateError(f"tol must be finite and >= 0, got {tol!r}")
     return abs(amps.a1 + amps.a2 - 1.0) <= tol
 

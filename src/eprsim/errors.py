@@ -76,10 +76,23 @@ class OptimizerShortfall(EprSimError):
     """Closed-form Bell maximum below the analytic value or beaten by the grid: a bug."""
 
 
-def _require_finite(prefix: str = "", **values) -> None:
+def _finite(value) -> bool:
+    """Whether ``value`` is a number that is finite as a float or complex."""
+    try:
+        return isinstance(value, numbers.Number) and cmath.isfinite(value)
+    except OverflowError:  # an int or Fraction beyond the float range
+        return False
+
+
+def _nonnegative(value) -> bool:
+    """Whether ``value`` is a real number >= 0 that is finite as a float."""
+    return isinstance(value, numbers.Real) and _finite(value) and value >= 0.0
+
+
+def _require_finite(prefix: str = "", /, **values) -> None:
     """Raise ``StateError`` naming the first of ``values`` that is not a finite number."""
     for name, value in values.items():
-        if not (isinstance(value, numbers.Number) and cmath.isfinite(value)):
+        if not _finite(value):
             raise StateError(f"{prefix}{name} must be finite, got {value!r}")
 
 

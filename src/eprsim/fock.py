@@ -23,7 +23,6 @@ Conventions
 
 from __future__ import annotations
 
-import cmath
 import functools
 import json
 import math
@@ -38,6 +37,9 @@ from .errors import (
     StateError,
     StateFileError,
     UnknownModeError,
+    _finite,
+    _nonnegative,
+    _require_finite,
 )
 
 NORM_TOL = 1e-9     # relative tolerance on Sum |amplitude|^2 = 1
@@ -257,17 +259,17 @@ class MixedState:
     components: tuple[tuple[float, MultiModeState], ...]
 
     def __post_init__(self) -> None:
-        comps = tuple((float(w), s) for w, s in self.components)
-        object.__setattr__(self, "components", comps)
+        comps = tuple(self.components)
         if not comps:
             raise StateError("mixture needs at least one component")
         layout = comps[0][1].layout
         for w, s in comps:
-            if not w >= 0:
-                raise StateError(f"mixture weight {w} is negative or not a number")
+            if not _nonnegative(w):
+                raise StateError(f"mixture weight {w!r} is negative or not a finite number")
             if s.layout != layout:
                 raise StateError("mixture components must share one layout")
-        total = _fsum(w for w, _ in comps)
+        object.__setattr__(self, "components", tuple((float(w), s) for w, s in comps))
+        total = _fsum(w for w, _ in self.components)
         if not abs(total - 1.0) <= NORM_TOL:
             raise NormalizationError(f"mixture weights sum to {total!r}, not 1")
 
@@ -337,10 +339,10 @@ def coherent_cutoff(alpha_mag: float) -> int:
     the Chernoff estimate exp(-lam) (e*lam/N)^N, which stays under 1e-12 for
     every lam reached at desk scale.
     """
-    a = abs(alpha_mag)
+    a = float(abs(alpha_mag)) if _finite(alpha_mag) else math.inf
     size = a * a + 8.0 * a + 10.0
     if not math.isfinite(size):
-        raise CutoffError(f"no finite cutoff for coherent amplitude |alpha| = {a!r}")
+        raise CutoffError(f"no finite cutoff for coherent amplitude magnitude {alpha_mag!r}")
     return math.ceil(size)
 
 
@@ -422,9 +424,8 @@ def make_coherent(layout: ModeLayout, alphas: Sequence[complex]) -> MultiModeSta
     """
     if len(alphas) != layout.n_modes:
         raise StateError(f"{len(alphas)} amplitudes for {layout.n_modes} modes")
+    _require_finite("coherent amplitude ", **dict(zip(layout.labels, alphas)))
     alphas = [complex(a) for a in alphas]
-    if not all(cmath.isfinite(a) for a in alphas):
-        raise StateError(f"coherent amplitudes must be finite, got {alphas}")
     lam = _fsum(abs(a) * abs(a) for a in alphas)
     return _ladder_state(layout, alphas, 0.0, math.exp(-lam), (1.0 + 0.0j, 1.0 + 0.0j), "coherent-state")
 

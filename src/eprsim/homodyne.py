@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .correlation import CorrelationAmplitudes, _phase
-from .errors import DegenerateLO, StateError, ZeroIntensity, _require_finite
+from .errors import DegenerateLO, StateError, ZeroIntensity, _nonnegative, _require_finite
 from .fock import (
     AnyState,
     ModeLayout,
@@ -64,7 +64,7 @@ class CoherenceFunctions:
 
     def __post_init__(self) -> None:
         _require_finite(g11=self.g11, g20=self.g20)
-        if not (self.g22 >= 0.0 and math.isfinite(self.g22)):
+        if not _nonnegative(self.g22):
             raise StateError(f"g22 must be finite and nonnegative, got {self.g22!r}")
 
 

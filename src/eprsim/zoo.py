@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CatDegenerate, StateError, _require_finite
+from .errors import CatDegenerate, StateError, _finite, _require_finite
 from .fock import ModeLayout, MultiModeState, coherent_cutoff, make_coherent, make_pure, _ladder_state
 from .homodyne import SIGNAL_MODES, CoherenceFunctions
 from .network import STATION_MODES, two_photon_network
@@ -80,7 +80,8 @@ two_photon = two_photon_network  # one photon split across the a arms, one acros
 def coherent_pair(alpha1: complex, alpha2: complex, cutoff: Optional[int] = None) -> MultiModeState:
     """Product coherent state on the signal arms (a1, a2)."""
     if cutoff is None:
-        cutoff = coherent_cutoff(math.hypot(abs(alpha1), abs(alpha2)))
+        finite = _finite(alpha1) and _finite(alpha2)
+        cutoff = coherent_cutoff(math.hypot(abs(alpha1), abs(alpha2)) if finite else math.inf)
     return make_coherent(ModeLayout(SIGNAL_MODES, cutoff), [alpha1, alpha2])
 
 

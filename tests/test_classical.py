@@ -68,6 +68,18 @@ def test_estimates_are_deterministic():
     assert other.a1_hat != r1.a1_hat
 
 
+@pytest.mark.parametrize("name, n, seed", [
+    ("seed", 10, math.nan), ("seed", 10, "x"), ("seed", 10, 1.7), ("seed", 10, True),
+    ("n", "10", 1), ("n", True, 1), ("n", 10.0, 1),
+])
+def test_sample_count_and_seed_must_be_integers(name, n, seed):
+    with pytest.raises(StateError, match=f"{name} must be an integer"):
+        make_ensemble("thermal", {"nbar": 1.0}, n, seed)
+    # numpy integers are integers
+    want = estimate_amplitudes(make_ensemble("thermal", {"nbar": 1.0}, 10, 3))
+    assert estimate_amplitudes(make_ensemble("thermal", {"nbar": 1.0}, np.int64(10), np.uint8(3))) == want
+
+
 def test_mixture_of_deltas():
     ens = make_ensemble("mixture", {"components": [
         (0.5, "delta", {"point": (1.0, 1.0, 1.0, 1.0)}),
@@ -156,7 +168,7 @@ def _per_sample_bootstrap_se(ens, seed):
     """Reference: 200 uniform resamples of length n, plain-sum ratios."""
     from eprsim.classical import _moment_terms
 
-    num1, num2, den = _moment_terms(ens, 0, _fields(ens))[:3]
+    num1, num2, den = _moment_terms(ens.weights[0], _fields(ens))[:3]
     rng = np.random.default_rng(seed)
     boot = []
     for _ in range(200):
@@ -178,7 +190,7 @@ def test_small_ensemble_has_one_group_per_sample():
     from eprsim.classical import BOOTSTRAP_GROUPS, _group_sums, _moment_terms
 
     ens = make_ensemble("thermal", {"nbar": 1.0}, n=BOOTSTRAP_GROUPS, seed=5)
-    num1, num2, den = _moment_terms(ens, 0, _fields(ens))[:3]
+    num1, num2, den = _moment_terms(ens.weights[0], _fields(ens))[:3]
     ((g1, g2, gd),) = _group_sums(ens, num1, num2, den)
     assert gd.shape == (ens.n,)
     np.testing.assert_array_equal(g1, num1)
@@ -186,9 +198,9 @@ def test_small_ensemble_has_one_group_per_sample():
     np.testing.assert_array_equal(gd, den)
     # one more sample and groups start to hold two
     big = make_ensemble("thermal", {"nbar": 1.0}, n=3 * BOOTSTRAP_GROUPS + 1, seed=5)
-    ((_, _, gd),) = _group_sums(big, *_moment_terms(big, 0, _fields(big))[:3])
+    ((_, _, gd),) = _group_sums(big, *_moment_terms(big.weights[0], _fields(big))[:3])
     assert gd.shape == (BOOTSTRAP_GROUPS,)
-    assert math.fsum(gd) == pytest.approx(math.fsum(_moment_terms(big, 0, _fields(big))[2]), rel=1e-12)
+    assert math.fsum(gd) == pytest.approx(math.fsum(_moment_terms(big.weights[0], _fields(big))[2]), rel=1e-12)
 
 
 def test_groups_stay_inside_their_stratum():
@@ -200,12 +212,10 @@ def test_groups_stay_inside_their_stratum():
     ]}, n=5000, seed=11)
     assert ens.strata == ((0, 5000), (5000, 10000))
     assert ens.weights == pytest.approx((0.3 / 5000, 0.7 / 5000), rel=1e-15)
-    num1, num2, den = _moment_terms(ens, 0, _fields(ens))[:3]
-    intensity = (np.abs(ens.alpha1) ** 2 + np.abs(ens.beta1) ** 2) * (
-        np.abs(ens.alpha2) ** 2 + np.abs(ens.beta2) ** 2)
-    for (start, stop), w, (_, _, gd) in zip(ens.strata, ens.weights, _group_sums(ens, num1, num2, den)):
-        # each term carries its own stratum's weight
-        np.testing.assert_array_equal(den[start:stop], w * intensity[start:stop])
+    parts = [_moment_terms(w, [f[start:stop] for f in _fields(ens)])[:3]
+             for (start, stop), w in zip(ens.strata, ens.weights)]
+    num1, num2, den = (np.concatenate(t) for t in zip(*parts))
+    for (start, stop), (_, _, gd) in zip(ens.strata, _group_sums(ens, num1, num2, den)):
         assert math.fsum(gd) == pytest.approx(math.fsum(den[start:stop]), rel=1e-12)
     est = estimate_amplitudes(ens)
     for se in (est.se1, est.se2):

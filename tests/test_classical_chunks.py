@@ -1,9 +1,9 @@
 """The chunked classical pass: exact chunk sums, unchanged estimates, flat memory.
 
-The references kept here are the whole-array implementations the chunk
-pass replaced: ``math.fsum`` of per-CHUNK ``math.fsum`` over Python lists,
-moment terms for all n samples at once, group sums reduced over each
-whole stratum, and fields drawn as complex temporaries.
+The references kept here are whole-array implementations: ``math.fsum``
+of each whole weighted term array as a Python list, moment terms for all
+n samples at once, group sums reduced over each whole stratum, and fields
+drawn as complex temporaries.
 """
 
 import math
@@ -23,13 +23,6 @@ from eprsim.classical import (
 )
 
 MIXTURE = {"components": [(0.6, "thermal", {"nbar": 0.8}), (0.4, "correlated_lo", {"nbar": 1.2})]}
-
-
-def _reference_chunked_fsum(values):
-    return math.fsum(
-        math.fsum(values[start : start + CHUNK].tolist())
-        for start in range(0, values.shape[0], CHUNK)
-    )
 
 
 def _hex_or_error(func, *args):
@@ -62,7 +55,7 @@ def test_exact_chunk_sums_equal_fsum(pool, length, rows, seed):
     if m:
         block = values[: rows * m].reshape(rows, m)
         want = _hex_or_error(lambda: [math.fsum(row.tolist()) for row in block])
-        assert _hex_or_error(_exact_sums, block) == want
+        assert _hex_or_error(lambda: [math.fsum(terms) for terms in _exact_sums(block)]) == want
 
 
 def test_exact_sums_fall_back_before_a_bin_overflows():
@@ -71,7 +64,8 @@ def test_exact_sums_fall_back_before_a_bin_overflows():
     # scaled sum alone exceeds 2^1024
     p, q = 0.99 * 2.0**1015, -0.99 * 2.0**1016
     row = np.array([p, p, q] * 259 + [0.5])
-    assert _exact_sums(row[None]) == [math.fsum(row.tolist())] == [0.5]
+    (terms,) = _exact_sums(row[None])
+    assert math.fsum(terms) == math.fsum(row.tolist()) == 0.5
 
 
 def _reference_fields(kind, params, n, seed):
@@ -98,16 +92,16 @@ def _reference_fields(kind, params, n, seed):
 
 
 def _reference_estimate(e):
-    """Whole-array moment terms, fsum-of-fsums estimates, whole-stratum group sums."""
+    """Whole-array moment terms, whole-array fsum estimates, whole-stratum group sums."""
     num1 = np.conj(e.alpha1) * e.beta1 * e.alpha2 * np.conj(e.beta2)
     num2 = np.conj(e.alpha1) * e.beta1 * np.conj(e.alpha2) * e.beta2
     den = (np.abs(e.alpha1) ** 2 + np.abs(e.beta1) ** 2) * (
         np.abs(e.alpha2) ** 2 + np.abs(e.beta2) ** 2
     )
     w = np.repeat(e.weights, [stop - start for start, stop in e.strata])
-    d = _reference_chunked_fsum(w * den)
-    m1 = complex(_reference_chunked_fsum(w * num1.real), _reference_chunked_fsum(w * num1.imag))
-    m2 = complex(_reference_chunked_fsum(w * num2.real), _reference_chunked_fsum(w * num2.imag))
+    d = math.fsum((w * den).tolist())
+    m1 = complex(math.fsum((w * num1.real).tolist()), math.fsum((w * num1.imag).tolist()))
+    m2 = complex(math.fsum((w * num2.real).tolist()), math.fsum((w * num2.imag).tolist()))
     a1, a2 = 2.0 * abs(m1) / d, 2.0 * abs(m2) / d
     if all(stop - start == 1 for start, stop in e.strata):
         return a1, a2, 0.0, 0.0
@@ -160,6 +154,49 @@ def test_chunk_pass_matches_whole_array_reference(kind, params, n):
     # the SE may move in its last bits; a pure-roundoff SE only absolutely
     for got, want in ((est.se1, se1), (est.se2, se2)):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def _two_strata():
+    """Given fields in two strata, (0, 3001) and (3001, 10007), of unequal weight."""
+    rng = np.random.default_rng(3)
+    fields = [rng.standard_normal(10007) + 1j * rng.standard_normal(10007) for _ in range(4)]
+    return ClassicalEnsemble((0.4 / 3001, 0.6 / 7006), *fields, seed=5, strata=((0, 3001), (3001, 10007)))
+
+
+def test_estimates_do_not_depend_on_the_chunk_size(monkeypatch):
+    # summing per-window rounded sums gave two results over these sizes
+    e = _two_strata()
+    a1, a2 = _reference_estimate(e)[:2]
+    got = set()
+    for chunk in (CHUNK, 4096, 1000, 7):
+        monkeypatch.setattr(classical, "CHUNK", chunk)
+        est = estimate_amplitudes(e)
+        got.add((est.a1_hat.hex(), est.a2_hat.hex()))
+    assert got == {(a1.hex(), a2.hex())}
+
+
+@pytest.mark.parametrize("made", [True, False])
+def test_each_window_lies_in_one_stratum_with_its_weight(monkeypatch, made):
+    monkeypatch.setattr(classical, "CHUNK", 1000)
+    if made:
+        e = make_ensemble("mixture", {"components": [
+            (0.5, "thermal", {"nbar": 1.0}),
+            (0.2, "delta", {"point": (1, 2j, 3, 4)}),
+            (0.3, "correlated_lo", {"nbar": 2.0}),
+        ]}, 2500, seed=3)
+    else:
+        e = _two_strata()
+    whole = np.stack([e.alpha1, e.alpha2, e.beta1, e.beta2])
+    spans = []
+    for w, start, fields in classical._windows(e):
+        stop = start + len(fields[0])
+        inside = [i for i, (first, last) in enumerate(e.strata) if first <= start < stop <= last]
+        assert len(inside) == 1 and w == e.weights[inside[0]]
+        assert np.array_equal(np.asarray(fields), whole[:, start:stop])
+        spans.append((start, stop))
+    # the windows tile the samples in order, and each stratum starts one
+    assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]] and spans[-1][1] == e.n
+    assert {first for first, _ in e.strata} <= {a for a, _ in spans}
 
 
 def test_memory_stays_flat_in_n():

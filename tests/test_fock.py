@@ -23,6 +23,7 @@ from eprsim import (
     StateFileError,
     UnknownModeError,
     coherent_cutoff,
+    coherent_pair,
     fidelity,
     inner_product,
     load_state,
@@ -374,6 +375,21 @@ def test_mixed_state_rejects_nan_weight():
     s = vacuum(("a",), 1)
     with pytest.raises(StateError):
         MixedState(((math.nan, s), (1.0, s)))
+
+
+@pytest.mark.parametrize("bad", [math.inf, pytest.param(10**400, id="10**400"), "1", 1j])
+def test_mixed_state_weight_must_be_a_finite_real(bad):
+    s = vacuum(("a",), 1)
+    with pytest.raises(StateError, match="mixture weight .* is negative or not a finite number"):
+        MixedState(((bad, s),))
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, 1e200, pytest.param(10**400, id="10**400"), "1"])
+def test_no_finite_cutoff_is_a_cutoff_error(bad):
+    with pytest.raises(CutoffError, match="no finite cutoff"):
+        coherent_cutoff(bad)
+    with pytest.raises(CutoffError, match="no finite cutoff"):
+        coherent_pair(bad, 0.5)
 
 
 def test_overflowed_truncated_mass_is_a_cutoff_error():

@@ -231,7 +231,7 @@ def test_network_state_sorts_once_per_component(monkeypatch):
 
 
 @pytest.mark.parametrize("field", ["beta1", "beta2", "theta1", "theta2"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")])
 def test_oscillator_settings_must_be_finite(field, bad):
     values = {"beta1": 1.0, "beta2": 1.0, "theta1": 0.0, "theta2": 0.0, field: bad}
     with pytest.raises(StateError, match=f"oscillator {field} must be finite"):

@@ -286,7 +286,7 @@ def test_figure3_takes_numpy_integers():
 
 
 @pytest.mark.parametrize("field", ["theta1", "theta1p", "theta2", "theta2p"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")])
 def test_bell_settings_must_be_finite(field, bad):
     values = {"theta1": 0.0, "theta1p": 1.0, "theta2": 0.5, "theta2p": -0.5, field: bad}
     with pytest.raises(StateError, match=f"{field} must be finite"):
@@ -294,7 +294,7 @@ def test_bell_settings_must_be_finite(field, bad):
 
 
 @pytest.mark.parametrize("field", ["a1", "a2", "xi", "zeta", "denominator"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")])
 def test_amplitude_fields_must_be_finite(field, bad):
     values = {"a1": 0.3, "a2": 0.2, "xi": 0.0, "zeta": 0.0, "denominator": 2.0, field: bad}
     with pytest.raises(StateError, match=f"{field} must be finite"):

@@ -186,11 +186,11 @@ def test_cat_with_a_subnormal_ladder_start_builds():
 
 
 @pytest.mark.parametrize("field", ["alpha", "phi"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400"), "1"])
 def test_cat_parameters_must_be_finite(field, bad):
     values = {"alpha": 0.5, "phi": 0.0, field: bad}
     with pytest.raises(StateError, match=f"cat {field} must be finite"):
         CatParams(**values)
-    if field == "alpha" and bad != "1":
+    if field == "alpha" and isinstance(bad, float):
         with pytest.raises(StateError, match="cat alpha must be finite"):
             CatParams(complex(0.5, bad), 0.0)
