@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StateError, ZeroDenominator, _nonnegative, _require_count, _require_finite
+from .errors import StateError, ZeroDenominator, _nonnegative, _require_count, _require_finite, _shown
 from .fock import NORM_TOL, _fsum
 
 CHUNK = 1 << 15
@@ -120,7 +120,7 @@ def _tile(e: ClassicalEnsemble, n: int, weights, strata) -> None:
     if starts != [0] + stops[:-1] or stops[-1] != n or any(b <= a for a, b in strata):
         raise StateError(f"strata {strata} do not tile the {n} samples")
     if len(weights) != len(strata) or not all(map(_nonnegative, weights)):
-        raise StateError(f"need one finite weight >= 0 per stratum, got {weights!r}")
+        raise StateError(f"need one finite weight >= 0 per stratum, got {_shown(weights)}")
     weights = tuple(map(float, weights))
     total = _fsum(w * (b - a) for w, (a, b) in zip(weights, strata))
     if not abs(total - 1.0) <= NORM_TOL:
@@ -182,7 +182,7 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
     if not 1 <= n <= SAMPLE_BUDGET:
         raise StateError(f"need 1 <= n <= {SAMPLE_BUDGET} samples")
     if seed < 0:
-        raise StateError(f"seed must be >= 0, got {seed}")
+        raise StateError(f"seed must be >= 0, got {_shown(seed)}")
     leaves = tuple(_leaves(kind, params, n, seed))
     stops = np.cumsum([size for size, *_ in leaves]).tolist()
     e = object.__new__(ClassicalEnsemble)
@@ -204,16 +204,12 @@ def _leaves(kind: str, params: dict, n: int, seed: int) -> list[tuple]:
         raise StateError(f"{kind} ensemble needs params[{key!r}]")
     if kind == "delta":
         point = params["point"]
-        if isinstance(point, (str, bytes, bytearray)) or not isinstance(point, (Sequence, np.ndarray)):
-            point = ()
-        try:
-            point = tuple(map(complex, point)) if all(isinstance(v, numbers.Complex) for v in point) else ()
-        except (TypeError, OverflowError):  # a 0-d array, or an int beyond the float range
-            point = ()
-        if len(point) != 4:
+        listed = isinstance(point, Sequence) and not isinstance(point, (str, bytes, bytearray))
+        point = tuple(point) if listed or isinstance(point, np.ndarray) and point.ndim == 1 else ()
+        if len(point) != 4 or not all(isinstance(v, numbers.Complex) for v in point):
             raise StateError("delta ensemble needs a point of 4 complex amplitudes")
         _require_finite("delta point ", **dict(zip(_FIELDS, point)))
-        return [(1, 1.0, kind, point, seed)]
+        return [(1, 1.0, kind, tuple(map(complex, point)), seed)]
     if kind == "mixture":
         try:
             comps = [(w, sub_kind, sub_params) for w, sub_kind, sub_params in params["components"]]
@@ -233,7 +229,7 @@ def _leaves(kind: str, params: dict, n: int, seed: int) -> list[tuple]:
     values = (params["nbar"], params.get("nbar_lo", params["nbar"]))
     for name, value in zip(("nbar", "nbar_lo"), values):
         if not _nonnegative(value):
-            raise StateError(f"{name} must be finite and >= 0, got {value!r}")
+            raise StateError(f"{name} must be finite and >= 0, got {_shown(value)}")
     return [(n, 1.0 / n, kind, values, seed)]
 
 
@@ -256,25 +252,25 @@ def _draw(kind: str, values: tuple, seed: int, index: int, out: np.ndarray) -> N
 
 
 def _windows(e: ClassicalEnsemble, whole: np.ndarray | None = None):
-    """(w, start, fields) for each CHUNK of each stratum: the weight w of its
-    samples and the (4, m) a1, a2, b1, b2 of samples start .. start + m,
+    """(k, start, fields) for each CHUNK of each stratum: the index k of its
+    stratum and the (4, m) a1, a2, b1, b2 of samples start .. start + m,
     valid until the next window. No window crosses a stratum.
 
     Given fields are sliced. A made leaf's chunk is drawn into one
     (4, CHUNK) buffer, or at its sample position in ``whole``.
     """
     if e._leaves is None:
-        for (first, last), w in zip(e.strata, e.weights):
+        for k, (first, last) in enumerate(e.strata):
             for start in range(first, last, CHUNK):
-                yield w, start, [getattr(e, name)[start : min(start + CHUNK, last)] for name in _FIELDS]
+                yield k, start, [getattr(e, name)[start : min(start + CHUNK, last)] for name in _FIELDS]
         return
     buf = np.empty((4, CHUNK), dtype=np.complex128) if whole is None else None
-    for (first, last), w, (_, _, kind, values, seed) in zip(e.strata, e.weights, e._leaves):
+    for k, ((first, last), (_, _, kind, values, seed)) in enumerate(zip(e.strata, e._leaves)):
         for index, start in enumerate(range(first, last, CHUNK)):
             m = min(CHUNK, last - start)
             out = buf[:, :m] if whole is None else whole[:, start : start + m]
             _draw(kind, values, seed, index, out)
-            yield w, start, out
+            yield k, start, out
 
 
 def _moment_terms(w: float, fields):
@@ -329,35 +325,6 @@ def _exact_sums(block: np.ndarray) -> list[list[float]]:
     return block.tolist()
 
 
-def _group_sums(e: ClassicalEnsemble, num1, num2, den, start: int = 0, sums=None):
-    """Per stratum, sums of the weighted num1, num2 and den over contiguous groups.
-
-    A stratum of size m is cut into min(BOOTSTRAP_GROUPS, m) groups of
-    near-equal size; each group sum is reduced within the stratum's own
-    slice, so no group straddles two strata. The terms belong to samples
-    start .. start + len(den) and are added into ``sums`` (zeros when
-    None), so the samples may come a chunk at a time. A group cut by a
-    chunk boundary is then the sum of its two partial sums.
-    """
-    stop = start + den.shape[0]
-    if sums is None:
-        sums = [
-            (np.zeros(g, dtype=np.complex128), np.zeros(g, dtype=np.complex128), np.zeros(g))
-            for g in (min(BOOTSTRAP_GROUPS, b - a) for a, b in e.strata)
-        ]
-    for (first, last), stratum_sums in zip(e.strata, sums):
-        lo, hi = max(first, start), min(last, stop)
-        if lo >= hi:
-            continue
-        size, g = last - first, stratum_sums[2].shape[0]
-        cuts = first + (np.arange(g) * size) // g
-        i, j = np.searchsorted(cuts, lo, "right") - 1, np.searchsorted(cuts, hi)
-        local = np.maximum(cuts[i:j], lo) - lo
-        for acc, t in zip(stratum_sums, (num1, num2, den)):
-            acc[i:j] += np.add.reduceat(t[lo - start : hi - start], local)
-    return sums
-
-
 def _pass(e: ClassicalEnsemble):
     """(sums, group sums, lit, margin) of ``e`` in one walk over its windows:
     the sums of den and of the real and imaginary parts of num1 and num2,
@@ -368,11 +335,21 @@ def _pass(e: ClassicalEnsemble):
     its own error. lit is read only in windows whose den is all zero, as all
     are when the whole den sums to 0. A made ensemble keeps the result, so
     both callers share one draw.
+
+    A stratum of size m is cut into min(BOOTSTRAP_GROUPS, m) groups of
+    near-equal size, and each window adds its partial group sums into its
+    own stratum's; a group cut by a window boundary sums two partial sums.
     """
     if e._kept is not None:
         return e._kept
-    terms, groups, lit, margin = [[] for _ in range(5)], None, False, math.inf
-    for w, start, fields in _windows(e):
+    cuts = []
+    for first, last in e.strata:
+        g = min(BOOTSTRAP_GROUPS, last - first)
+        cuts.append(first + (np.arange(g) * (last - first)) // g)
+    groups = [tuple(np.zeros(c.size, dtype=t) for t in (complex, complex, float)) for c in cuts]
+    terms, lit, margin = [[] for _ in range(5)], False, math.inf
+    for k, start, fields in _windows(e):
+        w = e.weights[k]
         with np.errstate(over="ignore", invalid="ignore"):
             num1, num2, den, worst = _moment_terms(w, fields)
             block = np.stack([den, num1.real, num1.imag, num2.real, num2.imag])
@@ -385,7 +362,11 @@ def _pass(e: ClassicalEnsemble):
             continue
         for row_terms, window_terms in zip(terms, _exact_sums(block)):
             row_terms += window_terms
-        groups = _group_sums(e, num1, num2, den, start, groups)
+        i, j = np.searchsorted(cuts[k], start, "right") - 1, np.searchsorted(cuts[k], start + den.shape[0])
+        local = np.maximum(cuts[k][i:j], start) - start
+        # reduced in a comprehension: a loop name would keep a term array alive into the next window
+        for acc, part in zip(groups[k], [np.add.reduceat(t, local) for t in (num1, num2, den)]):
+            acc[i:j] += part
         if not lit and w > 0.0 and not den.any():
             a1, a2, b1, b2 = fields
             lit = bool((((a1 != 0) | (b1 != 0)) & ((a2 != 0) | (b2 != 0))).any())

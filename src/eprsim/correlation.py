@@ -55,12 +55,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EprSimError, StateError, ZeroCoincidence, _nonnegative, _require_count, _require_finite
+from .errors import EprSimError, StateError, ZeroCoincidence, _nonnegative, _require_count, _require_finite, _shown
 from .fock import PRUNE_TOL, ZERO_TOL, AnyState, MultiModeState, _partner_sum, mixture_average, require_modes
 from .network import STATION_MODES, PhaseSetting, _blocks, _mix_sectors, _occupied, _runs
 
 NEGATIVE_RATE_TOL = 1e-12   # relative to the coincidence total
 BLOCK_BYTES = 4 << 20       # per block of settings: 2-4 MiB stays in cache, 8 MiB did not
+GRID_BUDGET = 256           # most phases per axis of sinusoid_residual's grid, 32x the default 8
 
 __all__ = [
     "OutputCorrelators",
@@ -392,8 +393,8 @@ def sinusoid_residual(state: AnyState, grid_size: int = 8,
     a phase-sign error would be invisible. Grid points without
     coincidences are skipped; if all are degenerate the error propagates.
     """
-    if _require_count("grid_size", grid_size) < 4:
-        raise StateError("sinusoid_residual needs grid_size >= 4")
+    if not 4 <= _require_count("grid_size", grid_size) <= GRID_BUDGET:
+        raise StateError(f"sinusoid_residual needs 4 <= grid_size <= {GRID_BUDGET}")
     require_modes(state, STATION_MODES, "state")
     if amps is None:
         amps = amplitudes(state)
@@ -418,7 +419,7 @@ def sinusoid_residual(state: AnyState, grid_size: int = 8,
 def epr_holds(amps: CorrelationAmplitudes, tol: float) -> bool:
     """A1 + A2 = 1 within tol; tol must be finite and nonnegative."""
     if not _nonnegative(tol):
-        raise StateError(f"tol must be finite and >= 0, got {tol!r}")
+        raise StateError(f"tol must be finite and >= 0, got {_shown(tol)}")
     return abs(amps.a1 + amps.a2 - 1.0) <= tol
 
 

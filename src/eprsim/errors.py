@@ -76,6 +76,18 @@ class OptimizerShortfall(EprSimError):
     """Closed-form Bell maximum below the analytic value or beaten by the grid: a bug."""
 
 
+def _shown(value) -> str:
+    """repr of ``value``, also inside a tuple or list; an int of 16 or more
+    digits rounded by Decimal, which takes any int, where repr may refuse it."""
+    if isinstance(value, (tuple, list)):
+        items = ", ".join(map(_shown, value))
+        return f"[{items}]" if isinstance(value, list) else f"({items}{',' * (len(value) == 1)})"
+    if not (isinstance(value, int) and abs(value) >= 10 ** 15):
+        return repr(value)
+    from decimal import Decimal  # only an error message needs it; keeps it out of import time
+    return f"{Decimal(value):.3e}"
+
+
 def _finite(value) -> bool:
     """Whether ``value`` is a number that is finite as a float or complex."""
     try:
@@ -93,11 +105,11 @@ def _require_finite(prefix: str = "", /, **values) -> None:
     """Raise ``StateError`` naming the first of ``values`` that is not a finite number."""
     for name, value in values.items():
         if not _finite(value):
-            raise StateError(f"{prefix}{name} must be finite, got {value!r}")
+            raise StateError(f"{prefix}{name} must be finite, got {_shown(value)}")
 
 
 def _require_count(name: str, value) -> int:
     """``value`` if it is an integer (not a bool), else a ``StateError`` naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise StateError(f"{name} must be an integer, got {value!r}")
+        raise StateError(f"{name} must be an integer, got {_shown(value)}")
     return int(value)

@@ -40,6 +40,7 @@ from .errors import (
     _finite,
     _nonnegative,
     _require_finite,
+    _shown,
 )
 
 NORM_TOL = 1e-9     # relative tolerance on Sum |amplitude|^2 = 1
@@ -68,14 +69,6 @@ __all__ = [
     "load_state",
     "save_state",
 ]
-
-
-def _shown(value) -> str:
-    """repr of ``value``; an int of 16 or more digits rounded by Decimal, which takes any int."""
-    if not (isinstance(value, int) and abs(value) >= 10 ** 15):
-        return repr(value)
-    from decimal import Decimal  # only an error message needs it; keeps it out of import time
-    return f"{Decimal(value):.3e}"
 
 
 @dataclass(frozen=True)
@@ -265,7 +258,7 @@ class MixedState:
         layout = comps[0][1].layout
         for w, s in comps:
             if not _nonnegative(w):
-                raise StateError(f"mixture weight {w!r} is negative or not a finite number")
+                raise StateError(f"mixture weight {_shown(w)} is negative or not a finite number")
             if s.layout != layout:
                 raise StateError("mixture components must share one layout")
         object.__setattr__(self, "components", tuple((float(w), s) for w, s in comps))
@@ -342,7 +335,7 @@ def coherent_cutoff(alpha_mag: float) -> int:
     a = float(abs(alpha_mag)) if _finite(alpha_mag) else math.inf
     size = a * a + 8.0 * a + 10.0
     if not math.isfinite(size):
-        raise CutoffError(f"no finite cutoff for coherent amplitude magnitude {alpha_mag!r}")
+        raise CutoffError(f"no finite cutoff for coherent amplitude magnitude {_shown(alpha_mag)}")
     return math.ceil(size)
 
 

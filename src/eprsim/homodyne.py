@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .correlation import CorrelationAmplitudes, _phase
-from .errors import DegenerateLO, StateError, ZeroIntensity, _nonnegative, _require_finite
+from .errors import DegenerateLO, StateError, ZeroIntensity, _nonnegative, _require_finite, _shown
 from .fock import (
     AnyState,
     ModeLayout,
@@ -65,7 +65,7 @@ class CoherenceFunctions:
     def __post_init__(self) -> None:
         _require_finite(g11=self.g11, g20=self.g20)
         if not _nonnegative(self.g22):
-            raise StateError(f"g22 must be finite and nonnegative, got {self.g22!r}")
+            raise StateError(f"g22 must be finite and nonnegative, got {_shown(self.g22)}")
 
 
 @dataclass(frozen=True)

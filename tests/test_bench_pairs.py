@@ -73,4 +73,39 @@ def test_each_checkout_records_its_source_lines(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "BENCH_0.json").read_text(encoding="utf-8"))
     assert doc["src_lines"] == {"parent": {"cli": 1, "fock": 3, "total": 4},
                                 "change": {"cli": 3, "fock": 2, "trace": 1, "total": 6}}
+    assert doc["src_code_lines"] == {"parent": {"cli": 2, "fock": 3, "total": 5},
+                                     "change": {"cli": 3, "fock": 2, "trace": 1, "total": 6}}
     assert doc["workloads"]["w"]["pairs_won"]["round_s"] == {"change": 2, "parent": 0, "pairs": 2}
+
+
+MODULE = '''"""A module docstring
+over two lines."""
+
+import math  # a trailing comment keeps its line
+
+# a comment-only line
+
+
+class Box:
+    """One line."""
+
+    size = 2
+
+
+def area(r):
+    """A function docstring,
+
+    with a blank line inside it.
+    """
+    text = """a string that is
+    not a docstring"""
+    return math.pi * r * r, text
+'''
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
+    # import, class, size, def, text (2 lines), return
+    assert bench_pairs.code_lines(MODULE) == 7
+    root = _checkout(tmp_path / "c", {"geometry": MODULE, "empty": ""})
+    assert bench_pairs.src_code_lines(root) == {"empty": 0, "geometry": 7, "total": 7}
+    assert bench_pairs.src_lines(root)["geometry"] == MODULE.count("\n")

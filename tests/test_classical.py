@@ -150,8 +150,19 @@ def test_malformed_params_are_a_state_error(kind, params):
         make_ensemble(kind, params, n=10, seed=1)
 
 
+@pytest.mark.parametrize("weights, strata, shown", [
+    ((10**5000, 0.5), ((0, 1), (1, 2)), r"\(1\.000e\+5000, 0\.5\)"),
+    ([0.5, -(10**5000)], ((0, 1), (1, 2)), r"\[0\.5, -1\.000e\+5000\]"),
+    ((-1.0,), (), r"\(-1\.0,\)"),
+])
+def test_bad_stratum_weights_are_echoed_short(weights, strata, shown):
+    f = [1.0, 1.0]
+    with pytest.raises(StateError, match=f"need one finite weight >= 0 per stratum, got {shown}$"):
+        ClassicalEnsemble(weights, f, f, f, f, seed=0, strata=strata)
+
+
 @pytest.mark.parametrize("field", range(4))
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf), pytest.param(10**400, id="10**400")])
 def test_a_non_finite_delta_point_names_its_field(field, bad):
     point = [1.0] * 4
     point[field] = bad
@@ -187,24 +198,24 @@ def test_grouped_bootstrap_matches_per_sample_bootstrap():
 
 
 def test_small_ensemble_has_one_group_per_sample():
-    from eprsim.classical import BOOTSTRAP_GROUPS, _group_sums, _moment_terms
+    from eprsim.classical import BOOTSTRAP_GROUPS, _moment_terms, _pass
 
     ens = make_ensemble("thermal", {"nbar": 1.0}, n=BOOTSTRAP_GROUPS, seed=5)
     num1, num2, den = _moment_terms(ens.weights[0], _fields(ens))[:3]
-    ((g1, g2, gd),) = _group_sums(ens, num1, num2, den)
+    ((g1, g2, gd),) = _pass(ens)[1]
     assert gd.shape == (ens.n,)
     np.testing.assert_array_equal(g1, num1)
     np.testing.assert_array_equal(g2, num2)
     np.testing.assert_array_equal(gd, den)
     # one more sample and groups start to hold two
     big = make_ensemble("thermal", {"nbar": 1.0}, n=3 * BOOTSTRAP_GROUPS + 1, seed=5)
-    ((_, _, gd),) = _group_sums(big, *_moment_terms(big.weights[0], _fields(big))[:3])
+    ((_, _, gd),) = _pass(big)[1]
     assert gd.shape == (BOOTSTRAP_GROUPS,)
     assert math.fsum(gd) == pytest.approx(math.fsum(_moment_terms(big.weights[0], _fields(big))[2]), rel=1e-12)
 
 
 def test_groups_stay_inside_their_stratum():
-    from eprsim.classical import _group_sums, _moment_terms
+    from eprsim.classical import _moment_terms, _pass
 
     ens = make_ensemble("mixture", {"components": [
         (0.3, "thermal", {"nbar": 1.0}),
@@ -215,7 +226,7 @@ def test_groups_stay_inside_their_stratum():
     parts = [_moment_terms(w, [f[start:stop] for f in _fields(ens)])[:3]
              for (start, stop), w in zip(ens.strata, ens.weights)]
     num1, num2, den = (np.concatenate(t) for t in zip(*parts))
-    for (start, stop), (_, _, gd) in zip(ens.strata, _group_sums(ens, num1, num2, den)):
+    for (start, stop), (_, _, gd) in zip(ens.strata, _pass(ens)[1]):
         assert math.fsum(gd) == pytest.approx(math.fsum(den[start:stop]), rel=1e-12)
     est = estimate_amplitudes(ens)
     for se in (est.se1, est.se2):

@@ -188,10 +188,10 @@ def test_each_window_lies_in_one_stratum_with_its_weight(monkeypatch, made):
         e = _two_strata()
     whole = np.stack([e.alpha1, e.alpha2, e.beta1, e.beta2])
     spans = []
-    for w, start, fields in classical._windows(e):
+    for k, start, fields in classical._windows(e):
         stop = start + len(fields[0])
         inside = [i for i, (first, last) in enumerate(e.strata) if first <= start < stop <= last]
-        assert len(inside) == 1 and w == e.weights[inside[0]]
+        assert len(inside) == 1 and k == inside[0]
         assert np.array_equal(np.asarray(fields), whole[:, start:stop])
         spans.append((start, stop))
     # the windows tile the samples in order, and each stratum starts one
@@ -288,6 +288,27 @@ def test_moment_overflow_leaves_the_margin():
             estimate_amplitudes(e)
         margin = pointwise_margin(e)
         assert math.isfinite(margin) and margin.hex() == _reference_margin(e).hex()
+
+
+def test_windows_after_an_overflowing_one_still_give_the_margin(monkeypatch):
+    # the first window's fields near 1e100 give terms near 1e400, which
+    # overflow, but intensities near 1e200, which do not; the rest are finite
+    monkeypatch.setattr(classical, "CHUNK", 7)
+    rng = np.random.default_rng(9)
+    fields = [rng.standard_normal(30) + 1j * rng.standard_normal(30) for _ in range(4)]
+    for f in fields:
+        f[:7] *= 1e100
+    e = ClassicalEnsemble((1 / 30,), *fields, seed=0)
+    with pytest.raises(StateError, match="overflow"):
+        estimate_amplitudes(e)
+    assert pointwise_margin(e).hex() == _reference_margin(e).hex()
+
+
+def test_a_name_that_is_not_a_field_draws_nothing(monkeypatch):
+    monkeypatch.setattr(classical, "_draw", None)  # any draw would fail
+    e = make_ensemble("thermal", {"nbar": 1.0}, 10**6, 1)
+    assert not hasattr(e, "gamma")
+    assert "alpha1" not in e.__dict__
 
 
 @pytest.mark.parametrize("component", [

@@ -30,6 +30,7 @@ from eprsim import (
     sinusoid_residual,
 )
 from eprsim import entangled, two_photon
+from eprsim.correlation import GRID_BUDGET
 
 STANDARD = ("a1", "b1", "a2", "b2")
 
@@ -117,6 +118,12 @@ def test_predicted_E_matches_network_E():
 def test_sinusoid_grid_size_is_an_integer(bad):
     with pytest.raises(StateError, match="grid_size must be an integer"):
         sinusoid_residual(entangled("diff"), grid_size=bad)
+
+
+@pytest.mark.parametrize("big", [GRID_BUDGET + 1, pytest.param(10**5000, id="10**5000")])
+def test_sinusoid_grid_size_has_a_budget(big):
+    with pytest.raises(StateError, match=f"grid_size <= {GRID_BUDGET}"):
+        sinusoid_residual(entangled("diff"), grid_size=big)
 
 
 def test_sinusoid_grid_size_takes_numpy_integers():

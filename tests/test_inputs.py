@@ -71,6 +71,8 @@ def _finite(result) -> bool:
 @example(1e308)
 @example(10**400)
 @example(-(10**400))
+@example(10**5000)
+@example(-(10**5000))
 @example(True)
 @example("1")
 def test_checked_inputs_give_a_finite_result_or_a_domain_error(x):

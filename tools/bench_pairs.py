@@ -13,7 +13,9 @@ end-to-end metric, the pairs each side won (ties count for neither, lower
 is better), the median and quartiles of the unscaled wall seconds that
 the report prints above its JSON, the failed operations and whether every
 run was correct. Under "src_lines" it records each checkout's ``wc -l`` of
-``src/eprsim/*.py`` by module, so the change's line delta is measured. It is
+``src/eprsim/*.py`` by module, so the change's line delta is measured, and
+under "src_code_lines" the lines of each that hold code: not blank, not
+comment-only and not in a module, class or function docstring. It is
 rewritten after each pair, so an interrupted series keeps its finished
 pairs. Only the standard library and numpy are used.
 """
@@ -21,12 +23,15 @@ pairs. Only the standard library and numpy are used.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +78,32 @@ def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
 def src_lines(root: Path) -> dict:
     """``wc -l`` of each ``src/eprsim/*.py`` of checkout ``root`` by module, and their total."""
     lines = {p.stem: p.read_bytes().count(b"\n") for p in sorted((root / "src" / "eprsim").glob("*.py"))}
+    return {**lines, "total": sum(lines.values())}
+
+
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(text: str) -> int:
+    """Lines of module ``text`` that hold a token other than a comment, and
+    lie in no module, class or function docstring."""
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0].value if node.body and isinstance(node.body[0], ast.Expr) else None
+            if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                lines.difference_update(range(first.lineno, first.end_lineno + 1))
+    return len(lines)
+
+
+def src_code_lines(root: Path) -> dict:
+    """``code_lines`` of each ``src/eprsim/*.py`` of checkout ``root`` by module, and their total."""
+    lines = {p.stem: code_lines(p.read_text(encoding="utf-8"))
+             for p in sorted((root / "src" / "eprsim").glob("*.py"))}
     return {**lines, "total": sum(lines.values())}
 
 
@@ -157,6 +188,7 @@ def main(argv=None) -> int:
             "tool": "tools/bench_pairs.py",
         },
         "src_lines": {side: src_lines(root) for side, root in roots.items()},
+        "src_code_lines": {side: src_code_lines(root) for side, root in roots.items()},
         "workloads": {},
     }
     for workload, seeds in args.workload:
