@@ -25,18 +25,19 @@ the packed key shifted by the moment's occupation change. The pass runs
 once per pure state: the moments are kept while the state lives (its
 arrays are read-only, so they stay valid), and ``amplitudes``,
 ``epr_check`` and every expansion setting of the state share them. ``evolution``
-pushes blocks of settings through the analyzer optics (phases on the b
-arms, then each station's splitter) with the sector product of
-``network``, on rows computed without sort or search: station k mixes
-only within n_k = a_k + b_k, so every ket lies in the dense
-(n1+1) x (n2+1) block of its sector pair. The rows depend on the
-occupations alone, so one layout is kept, keyed by the cutoff and the
-packed keys: every setting of a state, and every state of one support,
-shares it. A block of settings fills at most ``BLOCK_BYTES``, so its
-buffers stay in cache. It reads the rates as sum |amp|^2 n_x1 n_x2 in
-per-sector sums, with no weight per row: each station-2 sector weights
-its splits j by (j, n2 - j) in one product, and each group's (c1, d1)
-finishes the rates. It never evaluates an input
+pushes the settings through the analyzer optics (phases on the b arms,
+then each station's splitter) with the sector matrices of ``network``,
+on rows computed without sort or search: station k mixes only within
+n_k = a_k + b_k, so every ket lies in the dense (n1+1) x (n2+1) block of
+its sector pair. The rows depend on the occupations alone, so one layout
+is kept, keyed by the cutoff and the packed keys: every setting of a
+state, and every state of one support, shares it. The phase on b2
+commutes with station 1, so settings of equal theta1 share one station-1
+pass, and station 2 runs one sector at a time on chunks of settings held
+within ``BLOCK_BYTES``, so its buffers stay in cache. It reads the rates as
+sum |amp|^2 n_x1 n_x2 in per-sector sums, with no weight per row: each
+station-2 sector weights its splits j by (j, n2 - j) in one product, and
+each group's (c1, d1) finishes the rates. It never evaluates an input
 moment, so the two agree to float precision only if both are right; the
 tests cross-check them. |amp|^2 <= ``PRUNE_TOL**2`` reads as 0, as in a
 stored state, so a cancelled coincidence is exactly 0. That absolute cut
@@ -57,10 +58,10 @@ import numpy as np
 
 from .errors import EprSimError, StateError, ZeroCoincidence, _nonnegative, _require_count, _require_finite, _shown
 from .fock import PRUNE_TOL, ZERO_TOL, AnyState, MultiModeState, _partner_sum, mixture_average, require_modes
-from .network import STATION_MODES, PhaseSetting, _blocks, _mix_sectors, _occupied, _runs
+from .network import STATION_MODES, PhaseSetting, _blocks, _mix_sectors, _occupied, _runs, _sector_matrix
 
 NEGATIVE_RATE_TOL = 1e-12   # relative to the coincidence total
-BLOCK_BYTES = 4 << 20       # per block of settings: 2-4 MiB stays in cache, 8 MiB did not
+BLOCK_BYTES = 4 << 20       # per chunk of settings at station 2: 2-4 MiB stays in cache, 8 MiB did not
 GRID_BUDGET = 256           # most phases per axis of sinusoid_residual's grid, 32x the default 8
 
 __all__ = [
@@ -287,45 +288,56 @@ def _kept_layout(state: MultiModeState) -> _StationLayout:
 def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
     """Rates (cc, cd, dc, dd) x K settings from the analyzer optics.
 
-    Blocks of phased copies amp * e^{i(t1 n_b1 + t2 n_b2)}, each at most
-    ``BLOCK_BYTES``, go through station 1, are reordered for station 2 and
-    go through it, on the rows of ``_kept_layout``; the rates are
-    sum |amp|^2 n_x1 n_x2, with c = a and d = b after each splitter: one
-    product per station-2 sector sums each group's probabilities over the
-    splits j with the weights (j, n2 - j), and the groups' (c1, d1) finish
-    them. The explicit n2 - j keeps a cancelled coincidence exactly 0.
-    Mixtures are weighted per component. A 16-setting block of 137k rows
-    was 35 MB, past glibc's mmap threshold, and so paged in on every call.
+    e^{i t2 n_b2} is constant on each station-1 group (n2, a2), so each run
+    of consecutive settings with equal theta1 phases the kets once, at the
+    run's first t2, and pushes them through station 1 as one column on the
+    rows of ``_kept_layout``. Station 2 takes one sector n2 at a time: it
+    gathers the sector's rows from that column, turns split j by
+    e^{i(t2 - t2_first)(n2 - j)} for each setting of a longer run, mixes
+    and squares. The rates are sum |amp|^2 n_x1 n_x2, with c = a and d = b
+    after each splitter: one product per sector sums each group's
+    probabilities over the splits j with the weights (j, n2 - j), and the
+    groups' (c1, d1) finish them. The explicit n2 - j keeps a cancelled
+    coincidence exactly 0. Mixtures are weighted per component. No buffer
+    spans all rows and settings: one of 137k rows and 16 settings was
+    35 MB, past glibc's mmap threshold, and so paged in on every call.
     """
-    occ = state._occ
     lay = _kept_layout(state)
     ladder = np.arange(int(lay.nb.max()) + 1)    # the b-arm photon counts
-    block = max(1, BLOCK_BYTES // (16 * lay.src.shape[0]))
+    src, order = lay.src.base, lay.order.base    # writable owners; see _station_layout
+    groups = lay.cd1.shape[1]
+    # a chunk of settings holds its group sums and its largest station-2 sector within the budget
+    block = max(1, BLOCK_BYTES // (16 * (groups + max((n + 1) * g for n, _, g in lay.station2))))
     rates = np.empty((4, theta1.shape[0]))
-    for lo in range(0, theta1.shape[0], block):
-        t1, t2 = theta1[lo:lo + block], theta2[lo:lo + block]
-        k = t1.shape[0]
-        out = np.zeros((occ.shape[0] + 1, k), dtype=np.complex128)
-        # np.take(a, i, axis=0) gathers rows on numpy's fast path, a[i] on 2-d a does not;
-        # the gathers index with the writable owners of nb, src and order; see _station_layout
-        out[:-1] = (state._amp[:, None]
-                    * np.take(np.exp(1j * np.outer(ladder, t1)), lay.nb.base[0], axis=0)
-                    * np.take(np.exp(1j * np.outer(ladder, t2)), lay.nb.base[1], axis=0))
-        out = np.take(out, lay.src.base, axis=0)     # station-1 rows; frees the phased copy
-        _mix_sectors(out, lay.station1)              # a1, b1 -> c1, d1
-        out = np.take(out, lay.order.base, axis=0)   # and frees the station-1 buffer
-        _mix_sectors(out, lay.station2)              # a2, b2 -> c2, d2
-        np.square(out.view(np.float64), out=out.view(np.float64))   # re^2, im^2 in place
-        prob = out.real + out.imag
-        del out
-        prob[prob <= PRUNE_TOL ** 2] = 0.0    # as in a stored state: a cancelled coincidence is 0, not ~1e-34
-        sums = np.empty((2, lay.cd1.shape[1] * k))   # (c2, d2)-weighted sums of each group
-        g0 = j0 = 0
-        for n, s0, g in lay.station2:
-            np.matmul(lay.cd2[:, j0:j0 + n + 1], prob[s0:s0 + (n + 1) * g].reshape(n + 1, -1),
-                      out=sums[:, g0 * k:(g0 + g) * k])
-            g0, j0 = g0 + g, j0 + n + 1
-        rates[:, lo:lo + k] = (lay.cd1 @ sums.reshape(2, -1, k)).swapaxes(0, 1).reshape(4, k)
+    first = theta1.tolist()
+    starts = [k for k in range(len(first)) if k == 0 or first[k] != first[k - 1]]
+    for lo, hi in zip(starts, starts[1:] + [len(first)]):
+        col = np.zeros(state._amp.shape[0] + 1, dtype=np.complex128)
+        col[:-1] = (state._amp * np.take(np.exp(1j * ladder * theta1[lo]), lay.nb.base[0])
+                    * np.take(np.exp(1j * ladder * theta2[lo]), lay.nb.base[1]))
+        col = np.take(col, src)            # station-1 rows; frees the phased kets
+        _mix_sectors(col, lay.station1)    # a1, b1 -> c1, d1
+        for c0 in range(lo, hi, block):
+            k = min(hi - c0, block)
+            # cd2[1] holds n_b2 = n2 - j of each station-2 split j
+            turn = np.exp(1j * np.outer(lay.cd2[1], theta2[c0:c0 + k] - theta2[lo])) if hi - lo > 1 else None
+            sums = np.empty((2, groups * k))   # (c2, d2)-weighted sums of each group
+            g0 = j0 = 0
+            for n, s0, g in lay.station2:
+                amp = np.take(col, order[s0:s0 + (n + 1) * g])
+                if turn is not None:
+                    amp = amp.reshape(n + 1, g, 1) * turn[j0:j0 + n + 1, None, :]
+                # a2, b2 -> c2, d2 on the interleaved (re, im) pairs, then re^2, im^2 in place
+                out = _sector_matrix(n) @ amp.view(np.float64).reshape(n + 1, -1)
+                np.square(out, out=out)
+                prob = out[:, 0::2] + out[:, 1::2]
+                prob[prob <= PRUNE_TOL ** 2] = 0.0    # as in a stored state: a cancelled coincidence is 0, not ~1e-34
+                np.matmul(lay.cd2[:, j0:j0 + n + 1], prob, out=sums[:, g0 * k:(g0 + g) * k])
+                g0, j0 = g0 + g, j0 + n + 1
+            # one contiguous (groups, 1) product per setting, as a one-setting call makes:
+            # BLAS sums a wider product's groups in another order, 1e-14 of the total apart
+            sums = np.ascontiguousarray(sums.reshape(2, groups, k).transpose(2, 0, 1))
+            rates[:, c0:c0 + k] = (lay.cd1 @ sums[..., None]).transpose(2, 1, 0, 3).reshape(4, k)
     return rates
 
 

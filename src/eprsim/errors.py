@@ -78,14 +78,16 @@ class OptimizerShortfall(EprSimError):
 
 def _shown(value) -> str:
     """repr of ``value``, also inside a tuple or list; an int of 16 or more
-    digits rounded by Decimal, which takes any int, where repr may refuse it."""
+    digits, or a non-integer rational such as a Fraction, rounded by Decimal,
+    which takes any int, where repr may refuse one of more than 4300 digits."""
     if isinstance(value, (tuple, list)):
         items = ", ".join(map(_shown, value))
         return f"[{items}]" if isinstance(value, list) else f"({items}{',' * (len(value) == 1)})"
-    if not (isinstance(value, int) and abs(value) >= 10 ** 15):
+    ratio = isinstance(value, numbers.Rational) and not isinstance(value, numbers.Integral)
+    if not (ratio or isinstance(value, int) and abs(value) >= 10 ** 15):
         return repr(value)
     from decimal import Decimal  # only an error message needs it; keeps it out of import time
-    return f"{Decimal(value):.3e}"
+    return f"{Decimal(value.numerator) / Decimal(value.denominator) if ratio else Decimal(value):.3e}"
 
 
 def _finite(value) -> bool:

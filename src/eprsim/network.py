@@ -24,14 +24,15 @@ The splitter mixes only kets that agree on every other mode and on the
 pair sector n = n_a + n_b. Lay the kets out so that sector n is one
 dense (n+1, groups) block of rows, ket j of group g at row
 start + j*groups + g, and the splitter is one product with the
-(n+1, n+1) sector matrix per sector: ``_mix_sectors`` is that loop, and
-the only one. Both layouts are built from ``_occupied``, ``_runs`` and
-``_blocks``, so neither is sized by the cutoff. ``beamsplitter``'s
-``_pair_layout`` groups the kets of a stored state, which may carry any
-other modes, by one ``np.unique`` of their packed (sector, other modes)
-key, the one sort left; the evolution backend of ``correlation`` lays out
-its two stations by arithmetic alone and pushes blocks of phase
-settings, sized in bytes to stay in cache, through them.
+(n+1, n+1) sector matrix per sector: ``_mix_sectors`` is that loop. Both
+layouts are built from ``_occupied``, ``_runs`` and ``_blocks``, so
+neither is sized by the cutoff. ``beamsplitter``'s ``_pair_layout``
+groups the kets of a stored state, which may carry any other modes, by
+one ``np.unique`` of their packed (sector, other modes) key, the one sort
+left; the evolution backend of ``correlation`` lays out its two stations
+by arithmetic alone, mixes station 1 with ``_mix_sectors`` once per run
+of equal theta1, and applies the sector matrices of station 2 one sector
+at a time to that run's settings side by side.
 """
 
 from __future__ import annotations
@@ -155,9 +156,8 @@ def _pair_layout(occ: np.ndarray, cutoff: int, ia: int, ib: int):
 
 
 def _mix_sectors(out: np.ndarray, sectors) -> None:
-    """Push the (R, K) amplitudes ``out`` (a state per column) through the
-    50:50 splitter in place; ``sectors`` lists the (n, start, groups) blocks."""
-    k = out.shape[1]
+    """Push the (R,) or (R, K) amplitudes ``out`` (a state per column) through
+    the 50:50 splitter in place; ``sectors`` lists the (n, start, groups) blocks."""
     for n, s0, g in sectors:
         # the real sector matrix acts on the interleaved (re, im) pairs; a block
         # that is no view of ``out`` raises rather than leaving ``out`` unmixed

@@ -421,16 +421,48 @@ def test_evolution_settings_blocks_stay_within_the_byte_budget():
     state = homodyne_network_state(signal, LOConfig(*optimal_lo(signal)), lo_cutoff=18)
     assert len(state.amplitudes()) == 36_032
     peaks = []
-    for k in (1, 64):
-        theta = np.linspace(-3.0, 3.0, k)
+    # one setting, 64 runs of one setting, and one run of 64 settings at one theta1
+    for theta1, theta2 in ((np.array([0.4]), np.array([-0.4])),
+                           (np.linspace(-3.0, 3.0, 64), np.linspace(3.0, -3.0, 64)),
+                           (np.full(64, 0.7), np.linspace(-3.0, 3.0, 64))):
         tracemalloc.start()
         try:
-            correlation._evolution_rates(state, theta, -theta)
+            correlation._evolution_rates(state, theta1, theta2)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     # 16-setting blocks of this state's 90 680 rows held 23 MB per buffer
     assert peaks[1] - peaks[0] <= 2 * correlation.BLOCK_BYTES
+    assert peaks[2] - peaks[0] <= 2 * correlation.BLOCK_BYTES
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5], ids=["coherent+lo", "split-cat+lo"])
+def test_residual_grid_rates_match_one_setting_calls(monkeypatch, alpha):
+    """sinusoid_residual's 4 x 4 grid, four runs of one theta1, on the coherent
+    pair and the alpha = 0.5 split cat with local oscillators, against one call
+    per setting."""
+    import eprsim.correlation as correlation
+    from eprsim import CatParams, LOConfig, coherent_pair, homodyne_network_state, optimal_lo, split_cat
+
+    if alpha is None:
+        signal, lo_cutoff = coherent_pair(1.0, 1.0, 18), 18
+    else:
+        signal, lo_cutoff = split_cat(CatParams(alpha, 0.0)), None
+    state = homodyne_network_state(signal, LOConfig(*optimal_lo(signal)), lo_cutoff=lo_cutoff)
+    calls = []
+    evolve = correlation._evolution_rates
+
+    def logged(state, theta1, theta2):
+        calls.append((theta1, theta2, evolve(state, theta1, theta2)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(correlation, "_evolution_rates", logged)
+    assert sinusoid_residual(state, grid_size=4) <= 1e-9
+    [(theta1, theta2, grid)] = calls
+    assert grid.shape == (4, 16) and len(set(theta1.tolist())) == 4
+    for k in range(16):
+        one = evolve(state, theta1[k:k + 1], theta2[k:k + 1])[:, 0]
+        assert np.all(np.abs(grid[:, k] - one) <= 1e-12 * one.sum()), (k, grid[:, k], one)
 
 
 def test_evolution_layout_has_no_weight_per_row():
@@ -678,7 +710,8 @@ def test_kept_layout_gathers_copy_no_index(monkeypatch):
     builds = _count_layout_builds(monkeypatch)
     theta = np.array([0.4])
     correlation._evolution_rates(state, theta, -theta)
-    rows = correlation._kept_layout(state).src.shape[0]
+    lay = correlation._kept_layout(state)
+    rows = lay.src.shape[0]
     assert builds == [36_032] and rows == 90_680
     tracemalloc.start()
     try:
@@ -686,38 +719,30 @@ def test_kept_layout_gathers_copy_no_index(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the peak is the station-2 gather, two 16 B amplitudes per row; np.take
-    # given the read-only order copies it, 8 B more per row
+    # the peak is the station-1 gather beside the phased kets, 16 B per row and
+    # per ket; station 2 gathers one sector at a time, never all rows at once
     assert peak <= 36 * rows
-    # and neither row gather is given a read-only index
-    writable = []
+    # every gather, per ket, per row and per station-2 sector, indexes with a
+    # writable contiguous array: a run of 3 settings at one theta1, then one more
+    indices = []
     take = np.take
 
-    def spy(a, indices, *args, **kwargs):
-        if indices.shape[0] == rows:
-            writable.append(indices.flags.writeable)
-        return take(a, indices, *args, **kwargs)
+    def spy(a, index, *args, **kwargs):
+        indices.append(index)
+        return take(a, index, *args, **kwargs)
 
     monkeypatch.setattr(np, "take", spy)
-    correlation._evolution_rates(state, theta, -theta)
-    assert writable == [True, True]
-    # nor either phase-table gather, per ket, a strided or read-only one; and
-    # over several blocks every block gathers with the same two index arrays
-    kets = state._occ.shape[0]
-    phase_indices = []
-
-    def phase_spy(a, indices, *args, **kwargs):
-        if indices.shape[0] == kets:
-            phase_indices.append(indices)
-        return take(a, indices, *args, **kwargs)
-
-    monkeypatch.setattr(np, "take", phase_spy)
-    many = np.linspace(-3.0, 3.0, 5)
-    assert correlation.BLOCK_BYTES // (16 * rows) < many.shape[0]
-    correlation._evolution_rates(state, many, -many)
-    assert len(phase_indices) >= 4 and len(phase_indices) % 2 == 0
-    for index in phase_indices:
+    theta1 = np.array([0.4, 0.4, 0.4, -1.0])
+    correlation._evolution_rates(state, theta1, np.linspace(-3.0, 3.0, 4))
+    for index in indices:
         assert index.flags.writeable and index.flags.c_contiguous
-    assert len({id(index.base) for index in phase_indices}) == 1
-    assert np.array_equal(phase_indices[0], state._occ[:, 1])
-    assert np.array_equal(phase_indices[1], state._occ[:, 3])
+    # per run: the two phase tables per ket, the station-1 rows and one slice
+    # of the station-2 rows per sector, all from the layout's owners
+    sectors = len(lay.station2)
+    assert len(indices) == 2 * (3 + sectors)
+    for run in (indices[:3 + sectors], indices[3 + sectors:]):
+        assert run[0].base is run[1].base is lay.nb.base
+        assert np.array_equal(run[0], state._occ[:, 1]) and np.array_equal(run[1], state._occ[:, 3])
+        assert run[2] is lay.src.base
+        assert all(index.base is lay.order.base for index in run[3:])
+        assert sum(index.shape[0] for index in run[3:]) == rows

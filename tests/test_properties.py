@@ -9,10 +9,11 @@ repeat/unique splitter. Both moment paths share one partner-ket kernel,
 so ``normal_moment`` itself is checked against dense Kronecker-product
 ladder matrices. The evolution backend's closed-form station layout is
 checked against the stored-state optics chain on states with few
-occupied sector pairs (n1, n2), and its settings blocks against one
-setting at a time.
+occupied sector pairs (n1, n2), and its runs of equal theta1, taken
+through station 2 in chunks of settings, against one setting at a time.
 """
 
+import itertools
 import math
 from unittest import mock
 
@@ -93,40 +94,66 @@ def test_batched_evolution_matches_single_settings_and_expansion(state, pairs):
 
 
 @st.composite
-def block_cases(draw):
-    """A station state, a block size b of 1-3 settings and 1-3 blocks of
-    settings, the last one partial when b > 1."""
+def run_cases(draw):
+    """A station state, a chunk size b of 1-3 settings and 1-3 runs of equal
+    theta1, each of 1-7 settings; runs of one theta1 in a row merge."""
     state = draw(station_states())
     block = draw(st.integers(1, 3))
-    count = block * draw(st.integers(1, 3)) - (draw(st.integers(1, block - 1)) if block > 1 else 0)
-    pairs = draw(st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
-                          min_size=count, max_size=count))
+    pairs = []
+    for t1 in draw(st.lists(st.sampled_from([-2.5, -0.5, 0.0, 1.25, 3.0]), min_size=1, max_size=3)):
+        t2s = draw(st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=7))
+        pairs += [(t1, t2) for t2 in t2s]
     return state, block, pairs
 
 
+class _SectorSpy:
+    """A station-2 sector matrix that logs (n, columns) of each block it mixes."""
+
+    def __init__(self, n, log):
+        self.n, self.log = n, log
+
+    def __matmul__(self, block):
+        self.log.append((self.n, block.shape[1]))
+        return _sector_matrix(self.n) @ block
+
+
+def _budget_width(lay):
+    """Bytes per setting of a station-2 chunk, over 16: its group sums and its largest sector."""
+    return lay.cd1.shape[1] + max((n + 1) * g for n, _, g in lay.station2)
+
+
 @settings(max_examples=60, deadline=None)
-@given(block_cases())
+@given(run_cases())
 def test_settings_blocks_match_one_setting_at_a_time(case):
     state, block, pairs = case
     theta1 = np.array([t1 for t1, _ in pairs])
     theta2 = np.array([t2 for _, t2 in pairs])
     comps = state.components if isinstance(state, MixedState) else ((1.0, state),)
-    rows = [_station_layout(s._occ).order.shape[0] for _, s in comps]
-    widths = []
+    lays = [_station_layout(s._occ) for _, s in comps]
+    runs = [len(list(run)) for _, run in itertools.groupby(theta1.tolist())]
+    passes, mixed = [], []
 
-    def mix(out, sectors):
-        widths.append(out.shape[1])
+    def station1(out, sectors):
+        passes.append(out.shape)
         _mix_sectors(out, sectors)
 
-    # the budget gives the component with the fewest rows blocks of b settings
-    with mock.patch.object(correlation, "BLOCK_BYTES", 16 * min(rows) * block), \
-            mock.patch.object(correlation, "_mix_sectors", mix):
+    # the budget gives the component with the narrowest chunks b settings per chunk
+    budget = 16 * min(map(_budget_width, lays)) * block
+    with mock.patch.object(correlation, "BLOCK_BYTES", budget), \
+            mock.patch.object(correlation, "_mix_sectors", station1), \
+            mock.patch.object(correlation, "_sector_matrix", lambda n: _SectorSpy(n, mixed)):
         got = _evolution_rates(state, theta1, theta2)
-    full, last = divmod(len(pairs), block)
-    assert (last > 0) == (block > 1)
-    if len(rows) == 1:
-        assert widths == [w for w in [block] * full + [last] * (last > 0) for _ in (0, 1)]
-    assert max(widths) <= 3
+    # one station-1 pass per run of each component, on one column
+    assert passes == [lay.src.shape for lay in lays for _ in runs]
+    # then each run in station-2 chunks of at most b settings, sector by sector
+    chunks = []
+    for lay in lays:
+        b = max(1, budget // (16 * _budget_width(lay)))
+        assert b <= block
+        for m in runs:
+            for k in [b] * (m // b) + [m % b] * (m % b > 0):
+                chunks += [(n, 2 * g * k) for n, _, g in lay.station2]
+    assert mixed == chunks
     for k, (t1, t2) in enumerate(pairs):
         want = _rates(output_correlators(state, PhaseSetting(t1, t2), backend="evolution"))
         assert np.all(np.abs(got[:, k] - want) <= 1e-12 * want.sum()), (got[:, k], want)
