@@ -210,8 +210,7 @@ def cmd_sweep_cat(args) -> int:
             amps = homodyne.signal_amplitudes(zoo.split_cat(params, cutoff=args.cutoff))
             pred = zoo.cat_predictions(params)
             best = inequalities.bell_max(amps)
-            b_formula = 2.0 * math.sqrt(2.0) * math.sqrt(pred.sum_sq)
-            row = (alpha, phi, amps.a1, pred.a1, amps.a2, pred.a2, best.b_max, b_formula)
+            row = (alpha, phi, amps.a1, pred.a1, amps.a2, pred.a2, best.b_max, pred.b_max)
             lines.append(",".join(map(_c6, row)))
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

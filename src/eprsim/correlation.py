@@ -19,31 +19,16 @@ M1 = <a1^dag b1 a2 b2^dag>, M2 = <a1^dag b1 a2^dag b2> and
 den = <(n_a1 + n_b1)(n_a2 + n_b2)>.
 
 Two backends compute the correlators. ``expansion`` evaluates the five
-input moments (ss, m1, m2, s1d2, d1s2) in one pass over the kets: ss is
-diagonal, and each other moment finds its partner ket by one search of
-the packed key shifted by the moment's occupation change. The pass runs
-once per pure state: the moments are kept while the state lives (its
-arrays are read-only, so they stay valid), and ``amplitudes``,
-``epr_check`` and every expansion setting of the state share them. ``evolution``
-pushes the settings through the analyzer optics (phases on the b arms,
-then each station's splitter) with the sector matrices of ``network``,
-on rows computed without sort or search: station k mixes only within
-n_k = a_k + b_k, so every ket lies in the dense (n1+1) x (n2+1) block of
-its sector pair. The rows depend on the occupations alone, so one layout
-is kept, keyed by the cutoff and the packed keys: every setting of a
-state, and every state of one support, shares it. The phase on b2
-commutes with station 1, so settings of equal theta1 share one station-1
-pass, and station 2 runs one sector at a time on chunks of settings held
-within ``BLOCK_BYTES``, so its buffers stay in cache. It reads the rates as
-sum |amp|^2 n_x1 n_x2 in per-sector sums, with no weight per row: each
-station-2 sector weights its splits j by (j, n2 - j) in one product, and
-each group's (c1, d1) finishes the rates. It never evaluates an input
-moment, so the two agree to float precision only if both are right; the
-tests cross-check them. |amp|^2 <= ``PRUNE_TOL**2`` reads as 0, as in a
-stored state, so a cancelled coincidence is exactly 0. That absolute cut
-is safe because the optics are unitary on each normalised pure component.
-So is ``ZERO_TOL`` on a coincidence total: the total is at least
-P(both stations fire).
+input moments (ss, m1, m2, s1d2, d1s2) of ``_station_moments`` once per
+pure state, and every setting reads them. ``evolution`` pushes the
+settings through the analyzer optics (phases on the b arms, then each
+station's splitter) on the station rows of ``_station_layout``; see
+``_evolution_rates``. It never evaluates an input moment, so the two agree
+to float precision only if both are right; the tests cross-check them.
+It reads |amp|^2 <= ``PRUNE_TOL**2`` as 0, as in a stored state, so a
+cancelled coincidence is exactly 0. That absolute cut is safe because the
+optics are unitary on each normalised pure component. So is ``ZERO_TOL``
+on a coincidence total: the total is at least P(both stations fire).
 """
 
 from __future__ import annotations
@@ -61,7 +46,7 @@ from .fock import PRUNE_TOL, ZERO_TOL, AnyState, MultiModeState, _partner_sum, m
 from .network import STATION_MODES, PhaseSetting, _blocks, _mix_sectors, _occupied, _runs, _sector_matrix
 
 NEGATIVE_RATE_TOL = 1e-12   # relative to the coincidence total
-BLOCK_BYTES = 4 << 20       # per chunk of settings at station 2: 2-4 MiB stays in cache, 8 MiB did not
+BLOCK_BYTES = 4 << 20       # per chunk of settings at station 2, so that its buffers stay in cache
 GRID_BUDGET = 256           # most phases per axis of sinusoid_residual's grid, 32x the default 8
 
 __all__ = [
@@ -291,16 +276,19 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
     e^{i t2 n_b2} is constant on each station-1 group (n2, a2), so each run
     of consecutive settings with equal theta1 phases the kets once, at the
     run's first t2, and pushes them through station 1 as one column on the
-    rows of ``_kept_layout``. Station 2 takes one sector n2 at a time: it
-    gathers the sector's rows from that column, turns split j by
-    e^{i(t2 - t2_first)(n2 - j)} for each setting of a longer run, mixes
-    and squares. The rates are sum |amp|^2 n_x1 n_x2, with c = a and d = b
-    after each splitter: one product per sector sums each group's
-    probabilities over the splits j with the weights (j, n2 - j), and the
-    groups' (c1, d1) finish them. The explicit n2 - j keeps a cancelled
-    coincidence exactly 0. Mixtures are weighted per component. No buffer
-    spans all rows and settings: one of 137k rows and 16 settings was
-    35 MB, past glibc's mmap threshold, and so paged in on every call.
+    rows of ``_kept_layout``. Station 2 takes the run in chunks of settings
+    within ``BLOCK_BYTES``, one sector n2 at a time: it gathers the sector's
+    rows from that column and, in a longer run, turns split j by
+    e^{i(t2 - t2_first)(n2 - j)} for each setting, setting-major, so every
+    setting's groups stay contiguous. It mixes, squares, and multiplies
+    each |amp|^2 by (|amp|^2 > ``PRUNE_TOL**2``): as in a stored state, a
+    cancelled probability is exactly +0, and every other value keeps its
+    bits. The rates are sum |amp|^2 n_x1 n_x2, with c = a and d = b after
+    each splitter: one product per sector sums each group's probabilities
+    over the splits j with the weights (j, n2 - j), whose explicit n2 - j
+    keeps a cancelled coincidence exactly 0. Each setting's sums then go
+    back into group order, and the groups' (c1, d1) finish them. Mixtures
+    are weighted per component.
     """
     lay = _kept_layout(state)
     ladder = np.arange(int(lay.nb.max()) + 1)    # the b-arm photon counts
@@ -321,23 +309,25 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
             k = min(hi - c0, block)
             # cd2[1] holds n_b2 = n2 - j of each station-2 split j
             turn = np.exp(1j * np.outer(lay.cd2[1], theta2[c0:c0 + k] - theta2[lo])) if hi - lo > 1 else None
-            sums = np.empty((2, groups * k))   # (c2, d2)-weighted sums of each group
+            sums = np.empty((2, groups * k))   # (c2, d2)-weighted sums, sector by sector, setting-major in each
             g0 = j0 = 0
             for n, s0, g in lay.station2:
                 amp = np.take(col, order[s0:s0 + (n + 1) * g])
                 if turn is not None:
-                    amp = amp.reshape(n + 1, g, 1) * turn[j0:j0 + n + 1, None, :]
+                    amp = amp.reshape(n + 1, 1, g) * turn[j0:j0 + n + 1, :, None]
                 # a2, b2 -> c2, d2 on the interleaved (re, im) pairs, then re^2, im^2 in place
                 out = _sector_matrix(n) @ amp.view(np.float64).reshape(n + 1, -1)
                 np.square(out, out=out)
                 prob = out[:, 0::2] + out[:, 1::2]
-                prob[prob <= PRUNE_TOL ** 2] = 0.0    # as in a stored state: a cancelled coincidence is 0, not ~1e-34
+                prob *= prob > PRUNE_TOL ** 2    # branch-free: a masked store at scattered cuts is slower
                 np.matmul(lay.cd2[:, j0:j0 + n + 1], prob, out=sums[:, g0 * k:(g0 + g) * k])
                 g0, j0 = g0 + g, j0 + n + 1
+            if k > 1:   # each sector's sums are setting-major: put every setting's back in group order
+                ends = np.cumsum([g * k for _, _, g in lay.station2]).tolist()
+                sums = np.concatenate([sums[:, a:b].reshape(2, k, -1) for a, b in zip([0] + ends, ends)], axis=2)
             # one contiguous (groups, 1) product per setting, as a one-setting call makes:
             # BLAS sums a wider product's groups in another order, 1e-14 of the total apart
-            sums = np.ascontiguousarray(sums.reshape(2, groups, k).transpose(2, 0, 1))
-            rates[:, c0:c0 + k] = (lay.cd1 @ sums[..., None]).transpose(2, 1, 0, 3).reshape(4, k)
+            rates[:, c0:c0 + k] = (lay.cd1 @ sums.reshape(2, k, groups, 1)).transpose(2, 0, 1, 3).reshape(4, k)
     return rates
 
 

@@ -29,10 +29,8 @@ layouts are built from ``_occupied``, ``_runs`` and ``_blocks``, so
 neither is sized by the cutoff. ``beamsplitter``'s ``_pair_layout``
 groups the kets of a stored state, which may carry any other modes, by
 one ``np.unique`` of their packed (sector, other modes) key, the one sort
-left; the evolution backend of ``correlation`` lays out its two stations
-by arithmetic alone, mixes station 1 with ``_mix_sectors`` once per run
-of equal theta1, and applies the sector matrices of station 2 one sector
-at a time to that run's settings side by side.
+left; the evolution backend lays out its two stations by arithmetic
+alone (``correlation._evolution_rates``).
 """
 
 from __future__ import annotations

@@ -56,6 +56,11 @@ class CatPredictions:
     a2: float
     sum_sq: float
 
+    @property
+    def b_max(self) -> float:
+        """Bell maximum 2 sqrt(2) sqrt(a1^2 + a2^2) of the predicted pair."""
+        return 2.0 * math.sqrt(2.0) * math.sqrt(self.sum_sq)
+
 
 def entangled(variant: str) -> MultiModeState:
     """Single-photon-pair states driving exactly one interference term.

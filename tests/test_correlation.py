@@ -30,7 +30,7 @@ from eprsim import (
     sinusoid_residual,
 )
 from eprsim import entangled, two_photon
-from eprsim.correlation import GRID_BUDGET
+from eprsim.correlation import GRID_BUDGET, _evolution_rates
 
 STANDARD = ("a1", "b1", "a2", "b2")
 
@@ -218,6 +218,19 @@ def test_epr_check_on_perfectly_correlated_state():
     assert rep.witness.cd == pytest.approx(0.0, abs=1e-12)
     assert rep.witness.dc == pytest.approx(0.0, abs=1e-12)
     assert rep.witness.cc + rep.witness.dd == pytest.approx(rep.witness.total, abs=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["sum", "diff"])
+@pytest.mark.parametrize("at", [0, 2])
+def test_witness_zeros_stay_exact_inside_a_run_of_settings(variant, at):
+    # in a run of equal theta1, every setting after the first is turned from the first's phases
+    state = entangled(variant)
+    phases = epr_check(state).phases
+    theta2 = [phases.theta2 + 0.7, phases.theta2 - 1.9]
+    theta2.insert(at, phases.theta2)
+    rates = _evolution_rates(state, np.full(3, phases.theta1), np.array(theta2))
+    assert rates[1, at] == 0.0 and rates[2, at] == 0.0
+    assert rates[0, at] + rates[3, at] > 0.0
 
 
 def test_epr_check_tracks_interference_phases():

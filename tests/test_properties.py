@@ -10,7 +10,8 @@ so ``normal_moment`` itself is checked against dense Kronecker-product
 ladder matrices. The evolution backend's closed-form station layout is
 checked against the stored-state optics chain on states with few
 occupied sector pairs (n1, n2), and its runs of equal theta1, taken
-through station 2 in chunks of settings, against one setting at a time.
+through station 2 in chunks of settings, against one setting at a time
+and, byte for byte, against one unchunked call.
 """
 
 import itertools
@@ -154,6 +155,9 @@ def test_settings_blocks_match_one_setting_at_a_time(case):
             for k in [b] * (m // b) + [m % b] * (m % b > 0):
                 chunks += [(n, 2 * g * k) for n, _, g in lay.station2]
     assert mixed == chunks
+    # the chunks give the bytes of one unchunked call
+    with mock.patch.object(correlation, "BLOCK_BYTES", 1 << 40):
+        assert got.tobytes() == _evolution_rates(state, theta1, theta2).tobytes()
     for k, (t1, t2) in enumerate(pairs):
         want = _rates(output_correlators(state, PhaseSetting(t1, t2), backend="evolution"))
         assert np.all(np.abs(got[:, k] - want) <= 1e-12 * want.sum()), (got[:, k], want)

@@ -13,10 +13,12 @@ import pytest
 from eprsim import (
     CatDegenerate,
     CatParams,
+    CorrelationAmplitudes,
     CutoffError,
     ModeLayout,
     StateError,
     beamsplitter,
+    bell_max,
     cat_predictions,
     coherence_functions,
     coherent_pair,
@@ -115,6 +117,14 @@ def test_cat_predictions_table():
         assert p.a2 == pytest.approx(a2, abs=1e-9)
         assert p.sum_sq == pytest.approx(ssq, abs=1e-9)
         assert p.a1 + p.a2 == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("phi", [0.0, math.pi / 2, math.pi])
+def test_cat_predicted_bell_maximum_is_that_of_the_predicted_pair(phi):
+    for alpha in np.linspace(0.1, 3.0, 30):
+        pred = cat_predictions(CatParams(float(alpha), phi))
+        best = bell_max(CorrelationAmplitudes(pred.a1, pred.a2, 0.0, 0.0))
+        assert abs(pred.b_max - best.analytic) <= 1e-12
 
 
 def test_cat_numeric_g_matches_predictions():
