@@ -1,10 +1,8 @@
 """Interferometric photon-number correlations for multimode bosonic states.
 
-Truncated-Fock simulation of two-station interference measurements:
-correlation amplitudes, CHSH/Bell maxima, stochastic-field bounds,
-local-oscillator coherence analysis, example states, and classical
-Monte Carlo counterparts. The package re-exports every name in each
-module's ``__all__``, so that list is the one place a name is made public.
+README's "Library overview" maps the modules. The package re-exports every
+name in each module's ``__all__``, so that list is the one place a name is
+made public.
 """
 
 from .correlation import *

@@ -13,24 +13,9 @@ fields,
 |a|^2 + |b|^2 >= 2|a b| forces a_k <= 1/2 for every such model, which the
 estimators here verify empirically with bootstrap standard errors.
 
-Sampling is chunked with per-chunk child seeds, so an ensemble made here
-is a recipe, not an array: one pass draws the samples a CHUNK-sized
-window at a time and forms the moment terms, their sums, the bootstrap
-group sums and the pointwise margin, and no per-sample array outlives
-its window. Memory is bounded by CHUNK, not by n; the fields are drawn
-whole only if a caller reads them. A window is one CHUNK of one stratum,
-so it has one weight. Its terms binned by exponent give exact partial
-sums, and each moment is one math.fsum of all of them: the correctly
-rounded sum of the weighted terms, whatever CHUNK is and wherever mixture
-leaves start.
-
-The standard errors come from a stratified grouped bootstrap. Each stratum
-(a mixture component, or the whole ensemble) is cut into at most
-``BOOTSTRAP_GROUPS`` contiguous groups of i.i.d. samples, whose weighted
-sums are formed in one pass; every resample then draws groups with
-replacement within each stratum. The cost after that pass does not grow
-with n, and a stratum of at most ``BOOTSTRAP_GROUPS`` samples is
-bootstrapped sample by sample (cf. Kleiner et al., JRSS-B 76, 2014).
+Read ``make_ensemble`` and ``ClassicalEnsemble`` for what an ensemble
+holds, ``_windows`` and ``_pass`` for the one pass over its samples, and
+``estimate_amplitudes`` for the estimates and their bootstrap.
 """
 
 from __future__ import annotations
@@ -94,6 +79,7 @@ class ClassicalEnsemble:
             if not np.all(np.isfinite(arr)):
                 raise StateError(f"{name} contains non-finite values")
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
         _tile(self, n, self.weights, self.strata)
 
     def __getattr__(self, name: str):
@@ -110,6 +96,13 @@ class ClassicalEnsemble:
 
 
 _FIELDS = ("alpha1", "alpha2", "beta1", "beta2")
+
+
+def _checked_seed(seed) -> int:
+    """``seed`` if it is an integer >= 0 (not a bool), else a StateError."""
+    if _require_count("seed", seed) < 0:
+        raise StateError(f"seed must be >= 0, got {_shown(seed)}")
+    return int(seed)
 
 
 def _tile(e: ClassicalEnsemble, n: int, weights, strata) -> None:
@@ -178,11 +171,9 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
     allocated: each CHUNK of a leaf is fixed by the leaf's seed and the
     chunk's index, so the chunks are drawn when they are used.
     """
-    n, seed = _require_count("n", n), _require_count("seed", seed)
+    n, seed = _require_count("n", n), _checked_seed(seed)
     if not 1 <= n <= SAMPLE_BUDGET:
         raise StateError(f"need 1 <= n <= {SAMPLE_BUDGET} samples")
-    if seed < 0:
-        raise StateError(f"seed must be >= 0, got {_shown(seed)}")
     leaves = tuple(_leaves(kind, params, n, seed))
     stops = np.cumsum([size for size, *_ in leaves]).tolist()
     e = object.__new__(ClassicalEnsemble)
@@ -334,7 +325,8 @@ def _pass(e: ClassicalEnsemble):
     overflow leaves the sums or the margin None, so each caller raises only
     its own error. lit is read only in windows whose den is all zero, as all
     are when the whole den sums to 0. A made ensemble keeps the result, so
-    both callers share one draw.
+    both callers share one draw. No per-sample array outlives its window,
+    so memory is bounded by CHUNK, not by n.
 
     A stratum of size m is cut into min(BOOTSTRAP_GROUPS, m) groups of
     near-equal size, and each window adds its partial group sums into its
@@ -380,15 +372,16 @@ def _pass(e: ClassicalEnsemble):
 def estimate_amplitudes(e: ClassicalEnsemble) -> AmplitudeEstimate:
     """Moment-ratio estimates with stratified grouped bootstrap standard errors.
 
-    The sums come from one pass over the samples, a window at a time, that
-    pointwise_margin shares. Terms that overflow float64, or that underflow to a zero denominator
-    although a weighted sample has a field at both stations, are a
-    StateError.
+    The sums come from ``_pass``. Terms that overflow float64, or that
+    underflow to a zero denominator although a weighted sample has a field
+    at both stations, are a StateError.
 
     Each of the BOOTSTRAP_RESAMPLES resamples draws, within every stratum,
     as many of its pre-summed groups as it has, with replacement, and takes
     the ratio of the summed draws. Weighted group sums keep each stratum's
     total unbiased, so unequal groups and weights need no special case.
+    The cost after the pass does not grow with n (cf. Kleiner et al.,
+    JRSS-B 76, 2014).
     An ensemble whose strata are single samples (point masses) is exact
     and gets zero standard errors. The bootstrap is seeded from the
     ensemble seed, so the whole estimate is reproducible bit for bit.
@@ -432,9 +425,8 @@ def pointwise_margin(e: ClassicalEnsemble) -> float:
     """Worst-case margin of |a|^2 + |b|^2 >= 2|a b| over samples and stations.
 
     Mathematically the margin is (|a| - |b|)^2 >= 0; the returned value can
-    dip an ulp below zero only through rounding. It comes from the same pass
-    as estimate_amplitudes. Fields whose intensities overflow float64 are a
-    StateError.
+    dip an ulp below zero only through rounding. It comes from ``_pass``.
+    Fields whose intensities overflow float64 are a StateError.
     """
     margin = _pass(e)[3]
     if margin is None:

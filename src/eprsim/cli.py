@@ -1,19 +1,8 @@
-"""Command-line front end.
-
-Commands
---------
-state      Resolve a named example state (or a JSON state file), print its
-           correlation amplitudes, Bell maximum, and bound classification.
-figure3    CSV of the bound-boundary curves in the (a1, a2) plane plus one
-           point per example state.
-classical  Run a classical field-ensemble Monte Carlo and report the
-           amplitude estimates against the 1/2 bound.
-sweep-cat  Grid over cat-state parameters comparing numeric amplitudes and
-           Bell maxima with their closed forms.
+"""Command-line front end; ``build_parser`` lists the commands.
 
 All output is deterministic for a fixed argument list (including seeds):
-JSON carries 9 significant digits, CSV 6. Domain failures exit nonzero
-with a one-line JSON error document on stdout.
+JSON carries 9 significant digits, CSV 6. A domain failure prints a
+one-line JSON error document on stdout and exits 1.
 """
 
 from __future__ import annotations
@@ -94,11 +83,10 @@ def _assess(amps):
 
 
 def _analyze(state, tol: float) -> dict:
-    # a station state's EPR test computes its amplitudes; the report reuses them
+    # a station state's EPR test computes its amplitudes and its verdict; the report reuses both
     epr = correlation.epr_check(state, tol=tol) if state.layout.labels == STATION_MODES else None
     amps = _amplitudes(state) if epr is None else epr.amplitudes
     best, report = _assess(amps)
-    is_epr = correlation.epr_holds(amps, tol)
     doc = {
         "a1": _f9(amps.a1),
         "a2": _f9(amps.a2),
@@ -108,7 +96,7 @@ def _analyze(state, tol: float) -> dict:
         "sum_sq": _f9(amps.a1 ** 2 + amps.a2 ** 2),
         "b_max": _f9(best.b_max),
         "b_max_analytic": _f9(best.analytic),
-        "is_epr": bool(is_epr),
+        "is_epr": bool(correlation.epr_holds(amps, tol) if epr is None else epr.is_epr),
         "region": report.region,
         "epr_boundary": bool(report.epr_boundary),
         "bell_ok": bool(report.bell_ok),

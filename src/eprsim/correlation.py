@@ -18,17 +18,15 @@ where A1 = 2|M1|/den, A2 = 2|M2|/den, xi = arg M1, zeta = arg M2, with
 M1 = <a1^dag b1 a2 b2^dag>, M2 = <a1^dag b1 a2^dag b2> and
 den = <(n_a1 + n_b1)(n_a2 + n_b2)>.
 
-Two backends compute the correlators. ``expansion`` evaluates the five
-input moments (ss, m1, m2, s1d2, d1s2) of ``_station_moments`` once per
-pure state, and every setting reads them. ``evolution`` pushes the
-settings through the analyzer optics (phases on the b arms, then each
-station's splitter) on the station rows of ``_station_layout``; see
-``_evolution_rates``. It never evaluates an input moment, so the two agree
-to float precision only if both are right; the tests cross-check them.
-It reads |amp|^2 <= ``PRUNE_TOL**2`` as 0, as in a stored state, so a
-cancelled coincidence is exactly 0. That absolute cut is safe because the
-optics are unitary on each normalised pure component. So is ``ZERO_TOL``
-on a coincidence total: the total is at least P(both stations fire).
+Two backends compute the correlators: ``expansion`` from the input moments
+of ``_station_moments``, and ``evolution`` through the analyzer optics in
+``_evolution_rates``. The second never evaluates an input moment, so the
+two agree to float precision only if both are right; the tests
+cross-check them. ``evolution`` reads |amp|^2 <= ``PRUNE_TOL**2`` as 0, as
+in a stored state, so a cancelled coincidence is exactly 0. That absolute
+cut is safe because the optics are unitary on each normalised pure
+component. So is ``ZERO_TOL`` on a coincidence total: the total is at
+least P(both stations fire).
 """
 
 from __future__ import annotations
@@ -133,13 +131,8 @@ class CorrelationAmplitudes:
 
 @dataclass(frozen=True)
 class EprReport:
-    """Result of the perfect-correlation test A1 + A2 = 1.
-
-    ``phases`` and ``witness`` are filled only when the test passes: the
-    phase pair drives both cosines to +1, and the witness correlators at
-    that setting (evolution backend, so independently of the moment
-    expansion) show the cross coincidences vanishing.
-    """
+    """Result of ``epr_check``; ``phases`` and ``witness`` are filled only when
+    the test passes."""
 
     is_epr: bool
     amplitudes: CorrelationAmplitudes
@@ -150,13 +143,12 @@ class EprReport:
 def _station_moments(state: AnyState) -> dict[str, complex]:
     """The input moments that determine every correlator, in one pass.
 
-    ss = <S1 S2> is a diagonal sum. Each other moment <psi| X |psi> moves
-    a ket by a fixed occupation change delta on (a1, b1, a2, b2) with a
-    ket-dependent weight, and is one ``fock._partner_sum``: the weight
-    vanishes wherever the shifted occupation would be invalid, and photon
-    number is conserved, so every searched partner lies within the cutoff.
-    A pure state's moments are computed once and kept while it lives; a
-    mixture's are the weighted sum of its components' kept moments.
+    ss = <S1 S2> is a diagonal sum, and each other moment one
+    ``fock._partner_sum``, whose weight vanishes wherever the shifted
+    occupation would be invalid; photon number is conserved, so every
+    searched partner lies within the cutoff. A pure state's moments are
+    computed once and kept while it lives; a mixture's are the weighted sum
+    of its components' kept moments.
     """
     return dict(zip(MOMENTS, _moment_vector(state).tolist()))
 
@@ -206,8 +198,7 @@ def _station_layout(occ: np.ndarray) -> _StationLayout:
     pairs (n1, n2); at station 2 the groups of sector n2 are the (n1, c1).
     The pair grid spans the occupied sectors only: each adds at least n + 1
     station-2 rows, so the grid holds at most twice those rows, whatever
-    the cutoff. Array methods stand in for numpy's functions, whose
-    dispatch costs as much as the small arrays of a cutoff-3 state.
+    the cutoff.
     """
     a1, b1, a2, b2 = occ.T
     sec1, r1 = _occupied(a1 + b1)
@@ -241,7 +232,7 @@ def _station_layout(occ: np.ndarray) -> _StationLayout:
     cd2 = np.array([run_j, sec2[run_q2] - run_j], dtype=np.float64)
     # a kept layout is shared by every call on its support, so its arrays are read-only;
     # src, order and nb are views of writable contiguous owners, since np.take copies a
-    # read-only or strided index array on every call (1 MB on a 137k-row state)
+    # read-only or strided index array on every call
     src, order, nb = src.view(), order.view(), occ[:, [1, 3]].T.copy().view()
     for value in (src, order, cd1, cd2, nb):
         value.setflags(write=False)
@@ -432,7 +423,8 @@ def epr_check(state: AnyState, tol: float = 1e-9) -> EprReport:
     (a vanishing amplitude reports phase 0, which makes its constraint
     vacuous), so E = A1 + A2 there. For a perfectly correlated state the
     cross coincidences cd and dc vanish at that setting; they are returned
-    as the witness, computed with the evolution backend.
+    as the witness, computed with the evolution backend, so independently
+    of the moment expansion.
     """
     amps = amplitudes(state)
     if not epr_holds(amps, tol):

@@ -1,24 +1,8 @@
 """Sparse multimode Fock-space states and normally ordered moments.
 
-Conventions
------------
-* A state lives on a ``ModeLayout``: an ordered tuple of mode labels plus a
-  single total-photon cutoff. Basis kets are occupation tuples whose entries
-  sum to at most the cutoff.
-* Amplitudes are stored sparsely. Internally each state keeps a canonical
-  (sorted, deduplicated) pair of arrays: an (N, M) occupation matrix and an
-  (N,) complex amplitude vector. Amplitudes smaller than ``PRUNE_TOL`` are
-  dropped; the removed mass is below N * 1e-30 and never affects moments at
-  the tolerances used anywhere in this package.
-* Normally ordered moments <prod (a_m^dag)^p_m (a_m)^q_m> are evaluated
-  exactly on the truncated space: annihilation strings act on the ket,
-  creation strings on the bra, so truncation introduces no operator error
-  for a state already inside the cutoff.
-* Mixed states are convex combinations of pure states (never dense
-  multimode density matrices); moments are weighted averages.
-* The truncated coherent and cat builders enumerate every occupation
-  within the cutoff. A layout with more than ``TERM_BUDGET`` of them is a
-  ``CutoffError``, raised before any ladder or occupation is allocated.
+Read ``ModeLayout``, ``MultiModeState`` and ``MixedState`` for what a state
+is, ``normal_moment`` for its moments, and ``make_pure`` and
+``_ladder_state`` for how states are built.
 """
 
 from __future__ import annotations
@@ -39,6 +23,7 @@ from .errors import (
     UnknownModeError,
     _finite,
     _nonnegative,
+    _require_count,
     _require_finite,
     _shown,
 )
@@ -73,7 +58,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModeLayout:
-    """Ordered mode labels sharing one total-photon cutoff."""
+    """Ordered mode labels sharing one total-photon cutoff: a basis ket is an
+    occupation tuple whose entries sum to at most the cutoff."""
 
     labels: tuple[str, ...]
     cutoff: int
@@ -104,7 +90,7 @@ def _key_strides(n_modes: int, cutoff: int) -> np.ndarray:
     """Place value of each mode in a packed key (base cutoff+1, first mode highest)."""
     base = cutoff + 1
     if base ** n_modes > 2 ** 62:
-        raise StateError(f"cutoff {cutoff} with {n_modes} modes exceeds the packed-key range")
+        raise StateError(f"cutoff {_shown(cutoff)} with {n_modes} modes exceeds the packed-key range")
     return (base ** np.arange(n_modes - 1, -1, -1)).astype(np.int64)
 
 
@@ -120,7 +106,9 @@ def _find(keys: np.ndarray, targets):
 
 
 class MultiModeState:
-    """Immutable pure state: complex amplitudes over occupation tuples."""
+    """Immutable pure state: complex amplitudes over occupation tuples, kept
+    sparse as a canonical (sorted, deduplicated) pair of arrays, an (N, M)
+    occupation matrix and an (N,) complex amplitude vector."""
 
     __slots__ = ("layout", "_occ", "_amp", "_keys", "__weakref__")
 
@@ -220,7 +208,9 @@ def _canonicalize(layout: ModeLayout, occ: np.ndarray, amp: np.ndarray):
 
 
 def _pruned(occ: np.ndarray, amp: np.ndarray):
-    """Drop amplitudes at or below PRUNE_TOL; order is kept."""
+    """Drop amplitudes at or below PRUNE_TOL; order is kept. The removed mass
+    is below N * 1e-30 and never affects moments at the tolerances used
+    anywhere in this package."""
     keep = np.abs(amp) > PRUNE_TOL
     if not np.all(keep):
         occ, amp = occ[keep], amp[keep]
@@ -247,7 +237,8 @@ def _check_norm(amp: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class MixedState:
-    """Convex mixture of pure states sharing one layout."""
+    """Convex mixture of pure states sharing one layout, never a dense
+    multimode density matrix; moments are weighted averages."""
 
     components: tuple[tuple[float, MultiModeState], ...]
 
@@ -369,10 +360,12 @@ def _ladder_state(layout: ModeLayout, alphas: Sequence[complex], log_start: floa
 
     Occupation n with N photons in all gets parity[N % 2] * prod_m l_m(n_m),
     with l_m(k) = e^{log_start} alpha_m^k / sqrt(k!), on every n within the
-    cutoff. The product is taken left to right in real arithmetic, as
-    Python's complex product does, so no numpy complex kernel can move its
-    bits. The kept mass weight * sum |amp|^2 must pass ``_check_tail``, which
-    also rejects an overflowed one, before the state is renormalized.
+    cutoff; a layout of more than TERM_BUDGET of them is a CutoffError,
+    raised before any ladder or occupation is allocated. The product is
+    taken left to right in real arithmetic, as Python's complex product
+    does, so no numpy complex kernel can move its bits. The kept mass
+    weight * sum |amp|^2 must pass ``_check_tail`` before the state is
+    renormalized.
     """
     cutoff, n_modes = layout.cutoff, layout.n_modes
     if math.comb(cutoff + n_modes, n_modes) > TERM_BUDGET:
@@ -408,13 +401,7 @@ def _ladder_state(layout: ModeLayout, alphas: Sequence[complex], log_start: floa
 
 
 def make_coherent(layout: ModeLayout, alphas: Sequence[complex]) -> MultiModeState:
-    """Truncated multimode coherent state, renormalized.
-
-    The truncation requirement is enforced on the exact truncated mass
-    e^{-lam} sum |prod_m alpha_m^{n_m} / sqrt(n_m!)|^2 of the total photon
-    number (lam = sum |alpha_i|^2), not just the sizing rule in
-    ``coherent_cutoff``.
-    """
+    """Truncated multimode coherent state, renormalized; see ``_ladder_state``."""
     if len(alphas) != layout.n_modes:
         raise StateError(f"{len(alphas)} amplitudes for {layout.n_modes} modes")
     _require_finite("coherent amplitude ", **dict(zip(layout.labels, alphas)))
@@ -501,22 +488,28 @@ def _partner_sum(state: MultiModeState, delta, weight: np.ndarray) -> complex:
 
 @mixture_average
 def normal_moment(state: AnyState, spec) -> complex:
-    """<prod_m (a_m^dag)^p_m (a_m)^q_m>, exact on the truncated space.
+    """<prod_m (a_m^dag)^p_m (a_m)^q_m>, exact on the truncated space:
+    annihilation strings act on the ket, creation strings on the bra, so
+    truncation introduces no operator error for a state already inside the
+    cutoff.
 
     ``spec`` lists (mode, p, q) factors, each mode at most once, with
-    nonnegative exponents.
+    nonnegative integer exponents. An exponent above the cutoff makes the
+    moment exactly 0, which is returned before any coefficient is built.
     """
-    factors = tuple((str(m), int(p), int(q)) for m, p, q in spec)
+    factors = tuple((str(m), _require_count("exponent", p), _require_count("exponent", q)) for m, p, q in spec)
     if len({m for m, _, _ in factors}) != len(factors):
-        raise StateError(f"mode repeated in moment spec {factors}")
+        raise StateError(f"mode repeated in moment spec {_shown(factors)}")
     if any(p < 0 or q < 0 for _, p, q in factors):
-        raise StateError(f"negative exponent in moment spec {factors}")
+        raise StateError(f"negative exponent in moment spec {_shown(factors)}")
     layout, occ = state.layout, state._occ
+    cols = [layout.index(mode) for mode, _, _ in factors]
+    if any(max(p, q) > layout.cutoff for _, p, q in factors):
+        return 0j
     delta = np.zeros(layout.n_modes, dtype=np.int64)
     # sqrt of prod n!/(n-q)! * (n-q+p)!/(n-q)!, which is 0 where some n < q
     coeff = np.ones(occ.shape[0], dtype=np.float64)
-    for mode, p, q in factors:
-        col = layout.index(mode)
+    for col, (_, p, q) in zip(cols, factors):
         delta[col] = p - q
         coeff *= _falling(occ[:, col], q)
         coeff *= _falling(occ[:, col] - q + p, p)
@@ -530,7 +523,12 @@ def mixture_from_density(fock_matrix, label: str = "a") -> MixedState:
     Eigenvalues below ZERO_TOL are dropped and the remaining weights are
     renormalized so they sum to 1.
     """
-    rho = np.asarray(fock_matrix, dtype=np.complex128)
+    try:
+        rho = np.asarray(fock_matrix, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        rho = None
+    if rho is None or not np.isfinite(rho).all():
+        raise StateError("density matrix entries must be finite numbers")
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise StateError(f"density matrix must be square, got shape {rho.shape}")
     if not np.allclose(rho, rho.conj().T, atol=NORM_TOL):

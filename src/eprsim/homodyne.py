@@ -9,15 +9,9 @@ through three normalized coherence functions
     g20 = <a1^dag a2^dag> / sqrt(<n1><n2>)    (anomalous)
     g22 = <a1^dag a2^dag a2 a1> / (<n1><n2>)  (intensity cross-correlation)
 
-and, at the oscillator amplitudes maximizing the correlation
-(beta1 beta2 = sqrt(<n1 n2>), beta1/beta2 = sqrt(<n1>/<n2>)),
+and, at the oscillator amplitudes of ``optimal_lo``,
 
     A1 = |g11| / (1 + sqrt(g22)),   A2 = |g20| / (1 + sqrt(g22)).
-
-``signal_amplitudes`` expresses these in the standard (A1, A2, xi, zeta)
-form, and ``homodyne_network_state`` builds the explicit four-mode state
-so the closed form can be cross-checked against the full network
-correlators.
 """
 
 from __future__ import annotations

@@ -1,18 +1,8 @@
 """Bell/CHSH combinations, bound classification, and boundary curves.
 
-The CHSH quantity uses the sign pattern
+Read ``bell_B`` and ``bell_max`` for the CHSH combination and its maximum,
+and ``classify`` for the bounds on the amplitude pair (first quadrant):
 
-    B = E(t1, t2) - E(t1', t2) + E(t1, t2') + E(t1', t2')
-
-With the two-cosine correlation E = A1 cos(t1 - t2 + xi)
-+ A2 cos(t1 + t2 + zeta) the maximum of |B| over all settings is
-2 sqrt(2) sqrt(A1^2 + A2^2) (Clauser-Horne-Shimony-Holt 1969, Tsirelson
-1980). ``bell_max`` computes the optimal phases in closed form, evaluates B
-there, and checks that value from both sides: it must reach the analytic
-maximum, and no point of a grid over the four phases may beat it. Failing
-either check signals a bug, not a physics result.
-
-Bounds on the amplitude pair (first quadrant):
     stochastic-field:  A1 <= 1/2 and A2 <= 1/2
     Bell (local):      A1^2 + A2^2 <= 1/2      (b_max <= 2; on A1 + A2 = 1, the stochastic bound)
     Tsirelson:         A1^2 + A2^2 <= 1
@@ -87,7 +77,7 @@ def _coerce_amps(source) -> CorrelationAmplitudes:
 
 
 def bell_B(source, settings: BellSettings) -> float:
-    """CHSH combination of four correlation values."""
+    """CHSH combination B = E(t1, t2) - E(t1', t2) + E(t1, t2') + E(t1', t2')."""
     amps = _coerce_amps(source)
     e = lambda t1, t2: predict_E(amps, PhaseSetting(t1, t2))
     return (
@@ -136,8 +126,10 @@ def _b_grid(amps: CorrelationAmplitudes, n: int) -> float:
 def bell_max(source) -> BellMaxResult:
     """Maximize B over settings; checked against 2 sqrt(2) |A| and a grid.
 
-    ``b_max`` is B evaluated at the closed-form settings, not the analytic
-    value itself. It must reach ``analytic`` and no point of the
+    Over all settings of the two-cosine correlation, max |B| is
+    2 sqrt(2) sqrt(A1^2 + A2^2) (Clauser-Horne-Shimony-Holt 1969, Tsirelson
+    1980). ``b_max`` is B evaluated at the closed-form settings, not the
+    analytic value itself. It must reach ``analytic`` and no point of the
     ``GRID_POINTS``^4 grid may beat it, each within ``SHORTFALL_TOL`` times
     max(1, analytic); the comparisons are written so that NaN fails them.
     """

@@ -16,21 +16,7 @@ the inverse map used to transform kets is
     b^dag = (c^dag + d^dag) / sqrt(2)
 
 which is unitary and photon-number conserving, so a state inside the total
-cutoff stays inside it.
-
-Grouped-sector kernel
----------------------
-The splitter mixes only kets that agree on every other mode and on the
-pair sector n = n_a + n_b. Lay the kets out so that sector n is one
-dense (n+1, groups) block of rows, ket j of group g at row
-start + j*groups + g, and the splitter is one product with the
-(n+1, n+1) sector matrix per sector: ``_mix_sectors`` is that loop. Both
-layouts are built from ``_occupied``, ``_runs`` and ``_blocks``, so
-neither is sized by the cutoff. ``beamsplitter``'s ``_pair_layout``
-groups the kets of a stored state, which may carry any other modes, by
-one ``np.unique`` of their packed (sector, other modes) key, the one sort
-left; the evolution backend lays out its two stations by arithmetic
-alone (``correlation._evolution_rates``).
+cutoff stays inside it. ``_mix_sectors`` applies the splitter.
 """
 
 from __future__ import annotations
@@ -40,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import StateError, _require_finite
+from .errors import StateError, _require_count, _require_finite
 from .fock import (
     AnyState,
     ModeLayout,
@@ -155,7 +141,12 @@ def _pair_layout(occ: np.ndarray, cutoff: int, ia: int, ib: int):
 
 def _mix_sectors(out: np.ndarray, sectors) -> None:
     """Push the (R,) or (R, K) amplitudes ``out`` (a state per column) through
-    the 50:50 splitter in place; ``sectors`` lists the (n, start, groups) blocks."""
+    the 50:50 splitter in place. The splitter mixes only kets that agree on
+    every other mode and on the pair sector n = n_a + n_b, so each of the
+    (n, start, groups) ``sectors`` is a dense (n+1, groups) block, ket j of
+    group g at row start + j*groups + g, mixed by one product with the
+    (n+1, n+1) ``_sector_matrix``.
+    """
     for n, s0, g in sectors:
         # the real sector matrix acts on the interleaved (re, im) pairs; a block
         # that is no view of ``out`` raises rather than leaving ``out`` unmixed
@@ -168,8 +159,8 @@ def beamsplitter(state: AnyState, mode_a: str, mode_b: str):
     """Apply the 50:50 splitter to (mode_a, mode_b); outputs reuse the labels.
 
     mode_a carries the c output (symmetric combination on the ket side),
-    mode_b the d output. This is the one-column case of the grouped-sector
-    kernel, followed by the usual prune and canonical sort.
+    mode_b the d output. This is the one-column case of ``_mix_sectors``,
+    followed by the usual prune and canonical sort.
     """
     layout = state.layout
     ia, ib = layout.index(mode_a), layout.index(mode_b)
@@ -203,11 +194,9 @@ def epr_split_network(state: AnyState, input_mode: str = "a") -> AnyState:
 
 
 def two_photon_network(cutoff: int = 2) -> MultiModeState:
-    """Two independent single photons, one split across the a arms, one across the b arms.
-
-    Photon 1 enters the (a1, a2) splitter, photon 2 the (b1, b2) splitter;
-    the result is reported on the standard (a1, b1, a2, b2) ordering.
-    """
+    """Two independent single photons, one split by the (a1, a2) splitter and
+    one by the (b1, b2) splitter, on the standard (a1, b1, a2, b2) ordering."""
+    cutoff = _require_count("cutoff", cutoff)
     if cutoff < 2:
         raise StateError("two photons need cutoff >= 2")
     half = cutoff // 2

@@ -3,8 +3,7 @@
 Builders return states on the standard layouts: the four analyzer arms
 ``STATION_MODES`` for the single-photon entangled pair and the two-photon
 network, the two signal arms ``SIGNAL_MODES`` for the states measured
-against local oscillators. ``ZOO`` maps each name the CLI accepts to its
-builder; ``ZOO_NAMES`` lists those names.
+against local oscillators.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ def entangled(variant: str) -> MultiModeState:
     raise StateError(f"unknown entangled variant {variant!r}; use 'sum' or 'diff'")
 
 
-two_photon = two_photon_network  # one photon split across the a arms, one across the b arms
+two_photon = two_photon_network
 
 
 def coherent_pair(alpha1: complex, alpha2: complex, cutoff: Optional[int] = None) -> MultiModeState:
@@ -101,12 +100,12 @@ def _cat(p: CatParams, cutoff: Optional[int], labels: tuple[str, ...]) -> MultiM
     with beta = sqrt(2 / modes) alpha: the amplitude sqrt(2) alpha split
     evenly between the modes.
 
-    N = 1 / sqrt(2 (1 + e^{-4|alpha|^2} cos phi)); the cat is degenerate
-    where that diverges. The cutoff defaults to the sizing rule for
-    sqrt(2)|alpha|, and the truncation is accepted only if the exactly
-    computed discarded mass is below ``TAIL_TOL``. Occupation n has the
-    amplitude N (1 + e^{i phi} (-1)^{sum n}) prod_m l(n_m), with the ladder
-    l(n) = e^{-|beta|^2/2} beta^n / sqrt(n!).
+    N = 1 / sqrt(2 (1 + e^{-4|alpha|^2} cos phi)), the same for every number
+    of modes, since a 50:50 splitter keeps the overlap e^{-4|alpha|^2}; the
+    cat is degenerate where N diverges. The cutoff defaults to the sizing
+    rule for sqrt(2)|alpha|. Occupation n has the amplitude
+    N (1 + e^{i phi} (-1)^{sum n}) prod_m l(n_m), with the ladder
+    l(n) = e^{-|beta|^2/2} beta^n / sqrt(n!), built by ``_ladder_state``.
     """
     alpha = complex(p.alpha)
     mag = abs(alpha)
@@ -126,22 +125,14 @@ def _cat(p: CatParams, cutoff: Optional[int], labels: tuple[str, ...]) -> MultiM
 
 
 def split_cat(p: CatParams, cutoff: Optional[int] = None) -> MultiModeState:
-    """N (|alpha, alpha> + e^{i phi} |-alpha, -alpha>) on (a1, a2).
-
-    Built by direct truncated expansion; equivalently obtained by mixing
-    the single-mode cat of amplitude sqrt(2) alpha with vacuum on a 50:50
-    splitter (kept as a test oracle).
-    """
+    """N (|alpha, alpha> + e^{i phi} |-alpha, -alpha>) on (a1, a2); see ``_cat``."""
     return _cat(p, cutoff, SIGNAL_MODES)
 
 
 def single_mode_cat(p: CatParams, cutoff: Optional[int] = None) -> MultiModeState:
-    """N (|sqrt(2) alpha> + e^{i phi} |-sqrt(2) alpha>) on one mode.
-
-    Splitting this on a 50:50 beamsplitter with vacuum reproduces
-    ``split_cat`` (same normalization constant, since the coherent-state
-    overlap e^{-4|alpha|^2} is preserved by the splitter).
-    """
+    """N (|sqrt(2) alpha> + e^{i phi} |-sqrt(2) alpha>) on one mode; split
+    with vacuum on a 50:50 beamsplitter it gives ``split_cat``, which the
+    tests use as an oracle."""
     return _cat(p, cutoff, ("a",))
 
 

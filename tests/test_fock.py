@@ -231,8 +231,9 @@ def test_unknown_mode_and_bad_spec():
     s = vacuum(("a", "b"), 1)
     with pytest.raises(UnknownModeError):
         normal_moment(s, [("zz", 1, 1)])
-    with pytest.raises(StateError):
-        normal_moment(s, [("a", -1, 0)])
+    for bad in (-1, 1.5, True):
+        with pytest.raises(StateError):
+            normal_moment(s, [("a", bad, 0)])
     with pytest.raises(StateError):
         normal_moment(s, [("a", 1, 0), ("a", 0, 1)])
 

@@ -11,12 +11,14 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eprsim import (
     BellSettings,
     CatParams,
+    ClassicalEnsemble,
     CoherenceFunctions,
     CorrelationAmplitudes,
     EprSimError,
@@ -31,11 +33,15 @@ from eprsim import (
     make_coherent,
     make_ensemble,
     make_pure,
+    mixture_from_density,
+    normal_moment,
     phase_shift,
+    two_photon_network,
 )
 
 AMPS = CorrelationAmplitudes(0.3, 0.2, 0.0, 0.0, 2.0)
 PAIR = make_pure(ModeLayout(("a1", "b1"), 2), [((1, 0), 0.6), ((0, 1), 0.8)])
+FIELD = np.ones(4)
 
 
 def _calls(x):
@@ -56,6 +62,10 @@ def _calls(x):
         ("phase_shift", lambda: phase_shift(PAIR, "b1", x).norm_sq()),
         ("make_ensemble n", lambda: estimate_amplitudes(make_ensemble("thermal", {"nbar": 1.0}, x, 1))),
         ("make_ensemble seed", lambda: estimate_amplitudes(make_ensemble("thermal", {"nbar": 1.0}, 16, x))),
+        ("ClassicalEnsemble seed", lambda: estimate_amplitudes(ClassicalEnsemble((0.25,), *[FIELD] * 4, seed=x))),
+        ("normal_moment exponent", lambda: normal_moment(PAIR, [("a1", x, 0)])),
+        ("mixture_from_density", lambda: mixture_from_density([[x]]).components[0][0]),
+        ("two_photon_network", lambda: two_photon_network(x).norm_sq()),
     ]
 
 

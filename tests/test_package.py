@@ -1,9 +1,15 @@
-"""The package namespace: built from each module's ``__all__``, and none lost."""
+"""The package: a namespace built from each module's ``__all__`` with none
+lost, and docstrings and comments that keep no measurement history."""
 
+import ast
 import inspect
+import io
+import re
 import subprocess
 import sys
+import tokenize
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -73,3 +79,19 @@ def test_a_fresh_interpreter_sees_classical(subprocess_env):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
+# a timing, a memory size or a PR number: measurement history, which CHANGES.md keeps
+HISTORY = re.compile(r"\d\s*(ms|µs|ns|KB|kB|MB|MiB|GB)\b|\bPR \d+")
+
+
+def test_docstrings_and_comments_keep_no_measurement_history():
+    found = []
+    for path in sorted(Path(eprsim.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        comments = [tok.string for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+                    if tok.type == tokenize.COMMENT]
+        docs = [ast.get_docstring(node, clean=False) or "" for node in ast.walk(ast.parse(text))
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+        found += [(path.name, match.group(0)) for s in comments + docs for match in HISTORY.finditer(s)]
+    assert not found
