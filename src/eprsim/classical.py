@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StateError, ZeroDenominator, _nonnegative, _require_count, _require_finite, _shown
+from .errors import StateError, ZeroDenominator, _nonnegative, _numbers, _require_count, _require_finite, _shown
 from .fock import NORM_TOL, _fsum
 
 CHUNK = 1 << 15
@@ -73,13 +73,13 @@ class ClassicalEnsemble:
     def __post_init__(self) -> None:
         n = np.asarray(self.alpha1).size
         for name in _FIELDS:
-            arr = np.asarray(getattr(self, name), dtype=np.complex128)
+            arr = _numbers(getattr(self, name))
+            if arr is None or not np.all(np.isfinite(arr)):
+                raise StateError(f"{name} contains non-finite values or entries that are not numbers")
             if arr.shape != (n,):
                 raise StateError(f"{name} has shape {arr.shape}, expected ({n},)")
-            if not np.all(np.isfinite(arr)):
-                raise StateError(f"{name} contains non-finite values")
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "seed", _checked_seed(self.seed))
+        object.__setattr__(self, "seed", _require_count("seed", self.seed, 0))
         _tile(self, n, self.weights, self.strata)
 
     def __getattr__(self, name: str):
@@ -98,20 +98,13 @@ class ClassicalEnsemble:
 _FIELDS = ("alpha1", "alpha2", "beta1", "beta2")
 
 
-def _checked_seed(seed) -> int:
-    """``seed`` if it is an integer >= 0 (not a bool), else a StateError."""
-    if _require_count("seed", seed) < 0:
-        raise StateError(f"seed must be >= 0, got {_shown(seed)}")
-    return int(seed)
-
-
 def _tile(e: ClassicalEnsemble, n: int, weights, strata) -> None:
     """Check and set n, the strata tiling n samples and one weight per stratum."""
-    strata = tuple((int(a), int(b)) for a, b in strata) or ((0, n),)
+    strata = tuple(tuple(_require_count("stratum bound", x) for x in ab) for ab in strata) or ((0, n),)
     starts = [a for a, _ in strata]
     stops = [b for _, b in strata]
     if starts != [0] + stops[:-1] or stops[-1] != n or any(b <= a for a, b in strata):
-        raise StateError(f"strata {strata} do not tile the {n} samples")
+        raise StateError(f"strata {_shown(strata)} do not tile the {n} samples")
     if len(weights) != len(strata) or not all(map(_nonnegative, weights)):
         raise StateError(f"need one finite weight >= 0 per stratum, got {_shown(weights)}")
     weights = tuple(map(float, weights))
@@ -171,9 +164,7 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
     allocated: each CHUNK of a leaf is fixed by the leaf's seed and the
     chunk's index, so the chunks are drawn when they are used.
     """
-    n, seed = _require_count("n", n), _checked_seed(seed)
-    if not 1 <= n <= SAMPLE_BUDGET:
-        raise StateError(f"need 1 <= n <= {SAMPLE_BUDGET} samples")
+    n, seed = _require_count("n", n, 1, SAMPLE_BUDGET), _require_count("seed", seed, 0)
     leaves = tuple(_leaves(kind, params, n, seed))
     stops = np.cumsum([size for size, *_ in leaves]).tolist()
     e = object.__new__(ClassicalEnsemble)

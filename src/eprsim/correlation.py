@@ -386,8 +386,7 @@ def sinusoid_residual(state: AnyState, grid_size: int = 8,
     a phase-sign error would be invisible. Grid points without
     coincidences are skipped; if all are degenerate the error propagates.
     """
-    if not 4 <= _require_count("grid_size", grid_size) <= GRID_BUDGET:
-        raise StateError(f"sinusoid_residual needs 4 <= grid_size <= {GRID_BUDGET}")
+    grid_size = _require_count("grid_size", grid_size, 4, GRID_BUDGET)
     require_modes(state, STATION_MODES, "state")
     if amps is None:
         amps = amplitudes(state)

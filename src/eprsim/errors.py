@@ -8,6 +8,8 @@ belongs to the command line and stays out of ``__all__``.
 import cmath
 import numbers
 
+import numpy as np
+
 __all__ = [
     "EprSimError",
     "StateError",
@@ -80,6 +82,7 @@ def _shown(value) -> str:
     """repr of ``value``, also inside a tuple or list; an int of 16 or more
     digits, or a non-integer rational such as a Fraction, rounded by Decimal,
     which takes any int, where repr may refuse one of more than 4300 digits."""
+    value = value.item() if isinstance(value, np.generic) else value
     if isinstance(value, (tuple, list)):
         items = ", ".join(map(_shown, value))
         return f"[{items}]" if isinstance(value, list) else f"({items}{',' * (len(value) == 1)})"
@@ -110,8 +113,28 @@ def _require_finite(prefix: str = "", /, **values) -> None:
             raise StateError(f"{prefix}{name} must be finite, got {_shown(value)}")
 
 
-def _require_count(name: str, value) -> int:
-    """``value`` if it is an integer (not a bool), else a ``StateError`` naming ``name``."""
+def _require_count(name: str, value, least=None, most=None) -> int:
+    """``int(value)`` if it is an integer (not a bool) in ``least`` .. ``most``,
+    either bound optional, else a ``StateError`` naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise StateError(f"{name} must be an integer, got {_shown(value)}")
+    if not ((least is None or value >= least) and (most is None or value <= most)):
+        low, high = ("" if least is None else f"{least} <= "), ("" if most is None else f" <= {most}")
+        raise StateError(f"need {low}{name}{high}, got {_shown(value)}")
     return int(value)
+
+
+def _numbers(values, integral: bool = False):
+    """``values`` as an array of integers in their own dtype if ``integral``,
+    else of complex128 (not copied if it is one), or None if an entry is not
+    such a number, is a bool or passes the float range. Only an object array
+    is read entry by entry; numpy upcasts a bool in a list of ints unseen."""
+    kind = numbers.Integral if integral else numbers.Number
+    try:
+        arr = np.asarray(values)
+        if not (arr.dtype.kind in ("iu" if integral else "iufc") or arr.dtype.kind == "O" and all(
+                isinstance(x, kind) and not isinstance(x, bool) for x in arr.flat)):
+            return None
+        return arr if integral else arr.astype(np.complex128, copy=False)
+    except (TypeError, ValueError, OverflowError):  # ragged rows, or an int past the float range
+        return None

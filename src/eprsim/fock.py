@@ -23,6 +23,7 @@ from .errors import (
     UnknownModeError,
     _finite,
     _nonnegative,
+    _numbers,
     _require_count,
     _require_finite,
     _shown,
@@ -71,9 +72,7 @@ class ModeLayout:
             raise StateError("layout needs at least one mode label")
         if len(set(labels)) != len(labels):
             raise StateError(f"duplicate mode labels in {labels}")
-        if type(self.cutoff) is bool or not isinstance(self.cutoff, (int, np.integer)) or self.cutoff < 0:
-            raise StateError(f"cutoff must be a nonnegative integer, got {_shown(self.cutoff)}")
-        object.__setattr__(self, "cutoff", int(self.cutoff))
+        object.__setattr__(self, "cutoff", _require_count("cutoff", self.cutoff, 0))
 
     @property
     def n_modes(self) -> int:
@@ -143,9 +142,8 @@ class MultiModeState:
         return {tuple(row): a for row, a in zip(self._occ.tolist(), self._amp.tolist())}
 
     def amplitude(self, occ: Sequence[int]) -> complex:
-        key = _pack_keys(np.array([occ], dtype=np.int64), self.layout.cutoff)[0]
-        pos, hit = _find(self._keys, key)
-        return complex(self._amp[pos]) if hit else 0.0 + 0.0j
+        pos, hit = _find(self._keys, _pack_keys(_checked_terms(self.layout, [occ], [1.0])[0], self.layout.cutoff))
+        return complex(self._amp[pos[0]]) if hit[0] else 0.0 + 0.0j
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self._amp) ** 2))
@@ -157,34 +155,33 @@ class MultiModeState:
 def _checked_terms(layout: ModeLayout, occs: Sequence, values: Sequence):
     """Caller-given terms as (N, M) int64 occupations and (N,) complex
     amplitudes, or a StateError: no terms, or the first term with the wrong
-    arity, a negative entry, too many photons or a non-finite amplitude.
-    """
-    def term(i: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in occs[i])
+    length, a non-integer or negative entry, too many photons or a non-finite
+    amplitude, or amplitudes that are not numbers (``_numbers``)."""
+    def first(bad) -> str:
+        return _shown(tuple(occs[int(np.argmax(bad))]))
 
     if not occs:
         raise StateError("state needs at least one amplitude")
-    arity = np.fromiter(map(len, occs), dtype=np.int64, count=len(occs))
-    if np.any(arity != layout.n_modes):
-        i = int(np.argmax(arity != layout.n_modes))
-        raise StateError(f"occupation {term(i)} has {arity[i]} entries, layout has {layout.n_modes} modes")
-    try:
-        occ = np.array(occs, dtype=np.int64).reshape(len(occs), layout.n_modes)
-    except OverflowError:
-        raise StateError(f"an occupation entry lies outside 0 .. {layout.cutoff}") from None
-    amp = np.array(values, dtype=np.complex128)
+    occ = _numbers(occs, integral=True)
+    if occ is None or occ.shape != (len(occs), layout.n_modes):
+        bad = [np.shape(_numbers(o, integral=True)) != (layout.n_modes,) for o in occs]
+        raise StateError(f"occupation {first(bad)} must be one integer per mode of {layout.labels}")
     negative = np.any(occ < 0, axis=1)
     if np.any(negative):
-        raise StateError(f"negative occupation in {term(int(np.argmax(negative)))}")
+        raise StateError(f"negative occupation in {first(negative)}")
     # a row whose int64 sum wraps has an entry beyond the cutoff, flagged on its own
     over = np.any(occ > layout.cutoff, axis=1) | (occ.sum(axis=1) > layout.cutoff)
     if np.any(over):
-        raise StateError(f"occupation {term(int(np.argmax(over)))} exceeds total-photon cutoff {layout.cutoff}")
+        raise StateError(f"occupation {first(over)} exceeds total-photon cutoff {_shown(layout.cutoff)}")
+    if occ.dtype == object:  # ints past int64, within a cutoff past the packed-key range
+        _key_strides(layout.n_modes, layout.cutoff)
+    amp = _numbers(values)
+    if amp is None:
+        raise StateError("amplitudes must be numbers within the float range")
     finite = np.isfinite(amp)
     if not np.all(finite):
-        i = int(np.argmin(finite))
-        raise StateError(f"amplitude {complex(amp[i])!r} of occupation {term(i)} is not finite")
-    return occ, amp
+        raise StateError(f"amplitude {complex(amp[~finite][0])!r} of occupation {first(~finite)} is not finite")
+    return occ.astype(np.int64), amp
 
 
 def _merged(layout: ModeLayout, occ: np.ndarray, amp: np.ndarray):
@@ -497,11 +494,10 @@ def normal_moment(state: AnyState, spec) -> complex:
     nonnegative integer exponents. An exponent above the cutoff makes the
     moment exactly 0, which is returned before any coefficient is built.
     """
-    factors = tuple((str(m), _require_count("exponent", p), _require_count("exponent", q)) for m, p, q in spec)
+    factors = tuple((str(m), _require_count("exponent", p, 0), _require_count("exponent", q, 0))
+                    for m, p, q in spec)
     if len({m for m, _, _ in factors}) != len(factors):
         raise StateError(f"mode repeated in moment spec {_shown(factors)}")
-    if any(p < 0 or q < 0 for _, p, q in factors):
-        raise StateError(f"negative exponent in moment spec {_shown(factors)}")
     layout, occ = state.layout, state._occ
     cols = [layout.index(mode) for mode, _, _ in factors]
     if any(max(p, q) > layout.cutoff for _, p, q in factors):
@@ -523,10 +519,7 @@ def mixture_from_density(fock_matrix, label: str = "a") -> MixedState:
     Eigenvalues below ZERO_TOL are dropped and the remaining weights are
     renormalized so they sum to 1.
     """
-    try:
-        rho = np.asarray(fock_matrix, dtype=np.complex128)
-    except (TypeError, ValueError, OverflowError):
-        rho = None
+    rho = _numbers(fock_matrix)
     if rho is None or not np.isfinite(rho).all():
         raise StateError("density matrix entries must be finite numbers")
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -581,9 +574,6 @@ def load_state(path) -> MultiModeState:
     modes = doc["modes"]
     if not isinstance(modes, list) or not all(isinstance(m, str) for m in modes):
         raise StateFileError(f"{path}: 'modes' must be a list of strings")
-    # parsed JSON holds exact int/float/bool types; bool is an int subclass
-    if type(doc["cutoff"]) is not int:
-        raise StateFileError(f"{path}: 'cutoff' must be an integer")
     if not isinstance(doc["terms"], list):
         raise StateFileError(f"{path}: 'terms' must be a list")
     try:

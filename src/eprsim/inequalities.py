@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationAmplitudes, amplitudes, epr_holds, predict_E
-from .errors import OptimizerShortfall, StateError, _require_count, _require_finite
+from .errors import OptimizerShortfall, _require_count, _require_finite
 from .network import PhaseSetting
 
 BOUND_TOL = 1e-9
@@ -191,9 +191,7 @@ def figure3_boundaries(samples_per_curve: int) -> list[tuple[str, float, float]]
     (a1^2 + a2^2 = 1). With an odd sample count the midpoint of the first
     three curves lands exactly on (1/2, 1/2), where they intersect.
     """
-    m = _require_count("samples_per_curve", samples_per_curve)
-    if not 2 <= m <= CURVE_BUDGET:
-        raise StateError(f"figure3_boundaries needs 2 <= samples_per_curve <= {CURVE_BUDGET}")
+    m = _require_count("samples_per_curve", samples_per_curve, 2, CURVE_BUDGET)
     s = [i / (m - 1) for i in range(m)]                    # quantum and stochastic
     t = [0.5 * math.pi * i / (m - 1) for i in range(m)]    # bell and tsirelson
     r_bell = math.sqrt(0.5)

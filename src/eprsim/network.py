@@ -196,9 +196,7 @@ def epr_split_network(state: AnyState, input_mode: str = "a") -> AnyState:
 def two_photon_network(cutoff: int = 2) -> MultiModeState:
     """Two independent single photons, one split by the (a1, a2) splitter and
     one by the (b1, b2) splitter, on the standard (a1, b1, a2, b2) ordering."""
-    cutoff = _require_count("cutoff", cutoff)
-    if cutoff < 2:
-        raise StateError("two photons need cutoff >= 2")
+    cutoff = _require_count("cutoff", cutoff, 2)
     half = cutoff // 2
     # inject through the symmetric port so each split carries + signs
     one_a = MultiModeState(ModeLayout(("a1", "a2"), half), {(0, 1): 1.0})

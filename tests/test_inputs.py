@@ -26,16 +26,20 @@ from eprsim import (
     MixedState,
     ModeLayout,
     PhaseSetting,
+    StateError,
     coherent_cutoff,
     coherent_pair,
+    entangled,
     epr_holds,
     estimate_amplitudes,
+    figure3_boundaries,
     make_coherent,
     make_ensemble,
     make_pure,
     mixture_from_density,
     normal_moment,
     phase_shift,
+    sinusoid_residual,
     two_photon_network,
 )
 
@@ -66,6 +70,10 @@ def _calls(x):
         ("normal_moment exponent", lambda: normal_moment(PAIR, [("a1", x, 0)])),
         ("mixture_from_density", lambda: mixture_from_density([[x]]).components[0][0]),
         ("two_photon_network", lambda: two_photon_network(x).norm_sq()),
+        ("amplitude lookup", lambda: PAIR.amplitude((x, 0))),
+        ("make_pure occupation", lambda: make_pure(ModeLayout(("a",), 2), [((x,), 1.0)]).norm_sq()),
+        ("stratum bound", lambda: estimate_amplitudes(ClassicalEnsemble(
+            (0.25, 0.25), *[FIELD] * 4, seed=0, strata=((0, x), (x, 4))))),
     ]
 
 
@@ -107,3 +115,27 @@ def _check(x):
             assert len(str(err)) < 200, (name, str(err)[:200])
             continue
         assert _finite(result), (name, result)
+
+
+# each integer a caller passes, as a function of it; ``PAIR.amplitude``
+# gets (x, x) because numpy upcasts a bool beside an int before any check
+INTEGER_INPUTS = {
+    "ModeLayout cutoff": lambda x: ModeLayout(("a",), x),
+    "amplitude lookup": lambda x: PAIR.amplitude((x, x)),
+    "make_pure occupation": lambda x: make_pure(ModeLayout(("a",), 2), [((x,), 1.0)]),
+    "stratum bound": lambda x: ClassicalEnsemble((0.25, 0.25), *[FIELD] * 4, seed=0, strata=((0, x), (x, 4))),
+    "ClassicalEnsemble seed": lambda x: ClassicalEnsemble((0.25,), *[FIELD] * 4, seed=x),
+    "make_ensemble n": lambda x: make_ensemble("thermal", {"nbar": 1.0}, x, 1),
+    "make_ensemble seed": lambda x: make_ensemble("thermal", {"nbar": 1.0}, 16, x),
+    "normal_moment exponent": lambda x: normal_moment(PAIR, [("a1", x, 0)]),
+    "two_photon_network cutoff": lambda x: two_photon_network(x),
+    "sinusoid_residual grid_size": lambda x: sinusoid_residual(entangled("diff"), grid_size=x),
+    "figure3_boundaries samples": lambda x: figure3_boundaries(x),
+}
+
+
+@pytest.mark.parametrize("x", [True, 2.5, "1"])
+@pytest.mark.parametrize("name", list(INTEGER_INPUTS))
+def test_an_integer_input_refuses_a_bool_a_float_and_a_string(name, x):
+    with pytest.raises(StateError):
+        INTEGER_INPUTS[name](x)
