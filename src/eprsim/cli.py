@@ -76,17 +76,11 @@ def _amplitudes(state):
     return homodyne.signal_amplitudes(state)
 
 
-def _assess(amps):
-    """Bell maximum and bound report of a state's amplitudes."""
-    best = inequalities.bell_max(amps)
-    return best, inequalities.classify(amps, best.b_max)
-
-
-def _analyze(state, tol: float) -> dict:
-    # a station state's EPR test computes its amplitudes and its verdict; the report reuses both
-    epr = correlation.epr_check(state, tol=tol) if state.layout.labels == STATION_MODES else None
+def _analyze(state) -> dict:
+    # a station state's EPR test computes its amplitudes and witness; the report reuses both
+    epr = correlation.epr_check(state) if state.layout.labels == STATION_MODES else None
     amps = _amplitudes(state) if epr is None else epr.amplitudes
-    best, report = _assess(amps)
+    best, report = inequalities.bell_max(amps), inequalities.classify(amps)
     doc = {
         "a1": _f9(amps.a1),
         "a2": _f9(amps.a2),
@@ -96,7 +90,7 @@ def _analyze(state, tol: float) -> dict:
         "sum_sq": _f9(amps.a1 ** 2 + amps.a2 ** 2),
         "b_max": _f9(best.b_max),
         "b_max_analytic": _f9(best.analytic),
-        "is_epr": bool(correlation.epr_holds(amps, tol) if epr is None else epr.is_epr),
+        "is_epr": bool(report.epr_boundary),   # the one EPR decision, correlation.epr_holds
         "region": report.region,
         "epr_boundary": bool(report.epr_boundary),
         "bell_ok": bool(report.bell_ok),
@@ -120,7 +114,7 @@ def _analyze(state, tol: float) -> dict:
 
 
 def cmd_state(args) -> int:
-    doc = {"source": args.source, **_analyze(_resolve_state(args), args.tol)}
+    doc = {"source": args.source, **_analyze(_resolve_state(args))}
     if args.format == "json":
         _print_json(doc)
     else:
@@ -141,8 +135,8 @@ def _zoo_points(cutoff: Optional[int]) -> list[tuple[str, float, float]]:
         points = FIGURE3_CATS.get(name, {"": (STATE_ALPHA, STATE_PHI)})
         for suffix, (alpha, phi) in points.items():
             amps = _amplitudes(build(alpha=alpha, alpha2=None, phi=phi, cutoff=cutoff))
-            _, report = _assess(amps)
-            rows.append((f"state:{name}{suffix}:{report.region}", amps.a1, amps.a2))
+            region = inequalities.classify(amps).region
+            rows.append((f"state:{name}{suffix}:{region}", amps.a1, amps.a2))
     return rows
 
 
@@ -222,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_state.add_argument("--alpha2", type=complex, default=None)
     p_state.add_argument("--phi", type=float, default=STATE_PHI)
     p_state.add_argument("--cutoff", type=int, default=None)
-    p_state.add_argument("--tol", type=float, default=1e-9)
     p_state.add_argument("--format", choices=("json", "csv"), default="json")
     p_state.set_defaults(func=cmd_state)
 

@@ -39,10 +39,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EprSimError, StateError, ZeroCoincidence, _nonnegative, _require_count, _require_finite, _shown
+from .errors import EprSimError, StateError, ZeroCoincidence, _require_count, _require_finite
 from .fock import PRUNE_TOL, ZERO_TOL, AnyState, MultiModeState, _partner_sum, mixture_average, require_modes
 from .network import STATION_MODES, PhaseSetting, _blocks, _mix_sectors, _occupied, _runs, _sector_matrix
 
+BOUND_TOL = 1e-9            # absolute slack on the bound lines, A1 + A2 = 1 among them
 NEGATIVE_RATE_TOL = 1e-12   # relative to the coincidence total
 BLOCK_BYTES = 4 << 20       # per chunk of settings at station 2, so that its buffers stay in cache
 GRID_BUDGET = 256           # most phases per axis of sinusoid_residual's grid, 32x the default 8
@@ -111,17 +112,12 @@ class OutputCorrelators:
 
 @dataclass(frozen=True)
 class CorrelationAmplitudes:
-    """The (A1, A2, xi, zeta) parameters of the two-cosine correlation.
-
-    ``denominator`` is <(n_a1 + n_b1)(n_a2 + n_b2)> when the instance came
-    from a state, and 2 for a bare (a1, a2, xi, zeta) pair.
-    """
+    """The (A1, A2, xi, zeta) parameters of the two-cosine correlation."""
 
     a1: float
     a2: float
     xi: float
     zeta: float
-    denominator: float = 2.0
 
     def __post_init__(self) -> None:
         _require_finite(**vars(self))
@@ -366,7 +362,6 @@ def amplitudes(state: AnyState) -> CorrelationAmplitudes:
         a2=2.0 * abs(m2) / den,
         xi=_phase(m1),
         zeta=_phase(m2),
-        denominator=den,
     )
 
 
@@ -408,14 +403,12 @@ def sinusoid_residual(state: AnyState, grid_size: int = 8,
     return worst
 
 
-def epr_holds(amps: CorrelationAmplitudes, tol: float) -> bool:
-    """A1 + A2 = 1 within tol; tol must be finite and nonnegative."""
-    if not _nonnegative(tol):
-        raise StateError(f"tol must be finite and >= 0, got {_shown(tol)}")
-    return abs(amps.a1 + amps.a2 - 1.0) <= tol
+def epr_holds(amps: CorrelationAmplitudes) -> bool:
+    """A1 + A2 = 1 within ``BOUND_TOL``: whether the pair is a generalized EPR pair."""
+    return abs(amps.a1 + amps.a2 - 1.0) <= BOUND_TOL
 
 
-def epr_check(state: AnyState, tol: float = 1e-9) -> EprReport:
+def epr_check(state: AnyState) -> EprReport:
     """Test A1 + A2 = 1 and, when it holds, exhibit the matching phases.
 
     At theta1 = -(xi + zeta)/2, theta2 = (xi - zeta)/2 both cosines hit 1
@@ -426,7 +419,7 @@ def epr_check(state: AnyState, tol: float = 1e-9) -> EprReport:
     of the moment expansion.
     """
     amps = amplitudes(state)
-    if not epr_holds(amps, tol):
+    if not epr_holds(amps):
         return EprReport(is_epr=False, amplitudes=amps, phases=None, witness=None)
     phases = PhaseSetting(-(amps.xi + amps.zeta) / 2.0, (amps.xi - amps.zeta) / 2.0)
     witness = output_correlators(state, phases, backend="evolution")

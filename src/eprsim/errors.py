@@ -94,9 +94,9 @@ def _shown(value) -> str:
 
 
 def _finite(value) -> bool:
-    """Whether ``value`` is a number that is finite as a float or complex."""
+    """Whether ``value`` is a number, not a bool, that is finite as a float or complex."""
     try:
-        return isinstance(value, numbers.Number) and cmath.isfinite(value)
+        return isinstance(value, numbers.Number) and not isinstance(value, bool) and cmath.isfinite(value)
     except OverflowError:  # an int or Fraction beyond the float range
         return False
 

@@ -122,8 +122,7 @@ def signal_amplitudes(state: AnyState) -> CorrelationAmplitudes:
     """The oscillator-measured amplitudes of a signal state in the standard form.
 
     With both oscillator phases at zero the interference moments are
-    proportional to g11 and g20, so the phase offsets are their arguments;
-    the denominator keeps its bare-pair default, 2.
+    proportional to g11 and g20, so the phase offsets are their arguments.
     """
     g = coherence_functions(state)
     return CorrelationAmplitudes(*amplitudes_from_g(g), _phase(g.g11), _phase(g.g20))

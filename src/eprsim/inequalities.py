@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CorrelationAmplitudes, amplitudes, epr_holds, predict_E
+from .correlation import BOUND_TOL, CorrelationAmplitudes, amplitudes, epr_holds, predict_E
 from .errors import OptimizerShortfall, _require_count, _require_finite
 from .network import PhaseSetting
 
-BOUND_TOL = 1e-9
 SHORTFALL_TOL = 1e-12   # relative to max(1, analytic): roundoff, not optimizer slack
 CURVE_BUDGET = 100_000  # most samples per figure3 curve
 GRID_POINTS = 24        # phases per setting in bell_max's grid check
@@ -153,7 +152,7 @@ def bell_max(source) -> BellMaxResult:
     return BellMaxResult(b_max=b_max, settings=settings, analytic=analytic)
 
 
-def classify(amps: CorrelationAmplitudes, state_b_max: float) -> InequalityReport:
+def classify(amps: CorrelationAmplitudes, state_b_max: float | None = None) -> InequalityReport:
     """Place an amplitude pair in the bound geometry, with one Bell verdict.
 
     A pair violates Bell past the circle, or past the box on the EPR line
@@ -164,7 +163,7 @@ def classify(amps: CorrelationAmplitudes, state_b_max: float) -> InequalityRepor
     """
     a1, a2 = float(amps.a1), float(amps.a2)
     circle, total, stochastic = a1 * a1 + a2 * a2, a1 + a2, 0.5 - max(a1, a2)
-    epr = epr_holds(amps, BOUND_TOL)
+    epr = epr_holds(amps)
     bell = circle > 0.5 + BOUND_TOL or (epr and stochastic < -BOUND_TOL)
     if total > 1.0 + BOUND_TOL:
         region = "unphysical"

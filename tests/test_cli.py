@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eprsim import ModeLayout, correlation, fock, make_pure, save_state
+from eprsim import ModeLayout, correlation, fock, make_pure, save_state, zoo
 from eprsim.cli import main
 
 
@@ -82,6 +82,15 @@ def test_a_weakly_violating_split_cat_prints_one_bell_verdict(capsys, alpha):
     assert doc["margins"]["stochastic"] < -1e-9
     assert doc["region"] == "bell-violating"
     assert doc["bell_ok"] is False
+
+
+@pytest.mark.parametrize("argv", [[name] for name in zoo.ZOO_NAMES] + [
+    ["split-cat", "--alpha", alpha, "--phi", phi] for alpha in ("0.5", "2", "2.5") for phi in ("0", str(math.pi / 2))
+], ids=" ".join)
+def test_a_report_prints_one_epr_verdict(capsys, argv):
+    code, doc = run_json(capsys, "state", *argv)
+    assert code == 0
+    assert doc["is_epr"] == doc["epr_boundary"]
 
 
 def test_state_csv_format(capsys):
@@ -182,13 +191,15 @@ def test_state_file_amplitudes_of_any_finite_scale(capsys, tmp_path, scale):
     (("classical", "--kind", "delta", "--point", "1,1,1"), "StateError"),
     (("classical", "--kind", "delta", "--point", "1,1,1,1,1"), "StateError"),
     (("classical", "--kind", "thermal", "--seed", "-1"), "StateError"),
-    (("state", "coherent", "--tol", "nan"), "StateError"),
-    (("state", "coherent", "--tol", "-1"), "StateError"),
-    (("state", "entangled-sum", "--tol", "inf"), "StateError"),
+    (("state", "split-cat", "--phi", "nan"), "StateError"),
+    (("classical", "--kind", "thermal", "--nbar", "nan"), "StateError"),
+    (("classical", "--kind", "correlated_lo", "--nbar", "inf"), "StateError"),
     (("state", "coherent", "--alpha", "1e200"), "CutoffError"),
     (("state", "split-cat", "--alpha", "1e200"), "CutoffError"),
     (("state", "split-cat", "--alpha", "1e150", "--cutoff", "5"), "CutoffError"),
     (("classical", "--kind", "delta", "--point", "inf,1,1,1"), "StateError"),
+    # there is no tolerance to set: is_epr and epr_boundary are one decision
+    (("state", "split-cat", "--alpha", "2", "--phi", "0", "--tol", "0"), "UsageError"),
 ])
 def test_bad_numbers_fail_cleanly(capsys, argv, error):
     code, out = run(capsys, *argv)
@@ -397,7 +408,7 @@ COMMANDS = {
     "state": (st.sampled_from(["entangled-sum", "entangled-diff", "two-photon", "coherent",
                                "split-photon", "split-cat", "no-such-source"]).map(lambda s: [s]),
               [("--alpha", reals), ("--alpha2", reals), ("--phi", reals), ("--cutoff", ints),
-               ("--tol", reals), ("--format", st.sampled_from(["json", "csv", "xml"]))]),
+               ("--format", st.sampled_from(["json", "csv", "xml"]))]),
     "figure3": (st.just([]), [("--samples", ints), ("--cutoff", ints)]),
     "classical": (st.sampled_from(["delta", "thermal", "correlated_lo", "mixture"]).map(lambda k: ["--kind", k]),
                   [("--nbar", reals), ("--point", lists), ("--samples", ints), ("--seed", ints)]),

@@ -29,7 +29,7 @@ from eprsim import (
     reorder,
     sinusoid_residual,
 )
-from eprsim import entangled, two_photon
+from eprsim import ZOO, classify, entangled, two_photon
 from eprsim.correlation import GRID_BUDGET, _evolution_rates
 
 STANDARD = ("a1", "b1", "a2", "b2")
@@ -296,10 +296,10 @@ def test_clip_rate_fails_on_nan():
         _clip_rate(math.nan, "cc")
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
-def test_epr_check_rejects_bad_tolerance(tol):
-    with pytest.raises(StateError):
-        epr_check(entangled("sum"), tol=tol)
+@pytest.mark.parametrize("name", ["entangled-sum", "entangled-diff", "two-photon"])
+def test_epr_check_and_classify_make_one_epr_decision(name):
+    state = ZOO[name]()
+    assert epr_check(state).is_epr == classify(amplitudes(state)).epr_boundary
 
 
 def test_clip_rate_scales_with_the_coincidence_total():

@@ -30,7 +30,6 @@ from eprsim import (
     coherent_cutoff,
     coherent_pair,
     entangled,
-    epr_holds,
     estimate_amplitudes,
     figure3_boundaries,
     make_coherent,
@@ -43,7 +42,6 @@ from eprsim import (
     two_photon_network,
 )
 
-AMPS = CorrelationAmplitudes(0.3, 0.2, 0.0, 0.0, 2.0)
 PAIR = make_pure(ModeLayout(("a1", "b1"), 2), [((1, 0), 0.6), ((0, 1), 0.8)])
 FIELD = np.ones(4)
 
@@ -51,7 +49,6 @@ FIELD = np.ones(4)
 def _calls(x):
     """(name, call) for each checked constructor or parameter, handed ``x``."""
     return [
-        ("epr_holds tol", lambda: epr_holds(AMPS, x)),
         ("make_coherent", lambda: make_coherent(ModeLayout(("a", "b"), 4), [0.5, x]).norm_sq()),
         ("coherent_pair", lambda: coherent_pair(x, 0.5).norm_sq()),
         ("coherent_cutoff", lambda: coherent_cutoff(x)),
@@ -139,3 +136,33 @@ INTEGER_INPUTS = {
 def test_an_integer_input_refuses_a_bool_a_float_and_a_string(name, x):
     with pytest.raises(StateError):
         INTEGER_INPUTS[name](x)
+
+
+# each real or complex number a caller passes, as a function of it: a bool
+# is a ``numbers.Number`` too, and the one real-number rule refuses it
+REAL_INPUTS = {
+    "LOConfig": lambda x: LOConfig(x, 1.0),
+    "PhaseSetting": lambda x: PhaseSetting(x, 0.0),
+    "BellSettings": lambda x: BellSettings(0.0, 1.0, x, -0.5),
+    "CorrelationAmplitudes": lambda x: CorrelationAmplitudes(0.3, x, 0.0, 0.0),
+    "CatParams alpha": lambda x: CatParams(x, 0.0),
+    "CatParams phi": lambda x: CatParams(1.0, x),
+    "CoherenceFunctions": lambda x: CoherenceFunctions(1.0, x, 1.0),
+    "CoherenceFunctions g22": lambda x: CoherenceFunctions(1.0, 0.5, x),
+    "MixedState weight": lambda x: MixedState(((x, PAIR),)),
+    "make_coherent": lambda x: make_coherent(ModeLayout(("a", "b"), 30), [0.5, x]),
+    "coherent_pair": lambda x: coherent_pair(x, 0.5),
+    "coherent_cutoff": lambda x: coherent_cutoff(x),
+    "phase_shift": lambda x: phase_shift(PAIR, "b1", x),
+    "thermal nbar": lambda x: make_ensemble("thermal", {"nbar": x}, 16, 1),
+    "correlated_lo nbar": lambda x: make_ensemble("correlated_lo", {"nbar": x}, 16, 1),
+    "delta point": lambda x: make_ensemble("delta", {"point": (x, 1, 1, 1)}, 16, 1),
+    "mixture weight": lambda x: make_ensemble("mixture", {"components": [(x, "thermal", {"nbar": 1.0})]}, 16, 1),
+    "stratum weight": lambda x: ClassicalEnsemble((x,), *[np.ones(1)] * 4, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", list(REAL_INPUTS))
+def test_a_real_input_refuses_a_bool(name):
+    with pytest.raises(StateError):
+        REAL_INPUTS[name](True)
