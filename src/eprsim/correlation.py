@@ -40,7 +40,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import EprSimError, StateError, ZeroCoincidence, _require_count, _require_finite
-from .fock import PRUNE_TOL, ZERO_TOL, AnyState, MultiModeState, _partner_sum, mixture_average, require_modes
+from .fock import (PRUNE_TOL, ZERO_TOL, AnyState, MultiModeState, _partner_sum, _partners, mixture_average,
+                   require_modes)
 from .network import STATION_MODES, PhaseSetting, _blocks, _mix_sectors, _occupied, _runs, _sector_matrix
 
 BOUND_TOL = 1e-9            # absolute slack on the bound lines, A1 + A2 = 1 among them
@@ -137,14 +138,17 @@ class EprReport:
 
 
 def _station_moments(state: AnyState) -> dict[str, complex]:
-    """The input moments that determine every correlator, in one pass.
+    """The input moments that determine every correlator, by name.
 
-    ss = <S1 S2> is a diagonal sum, and each other moment one
-    ``fock._partner_sum``, whose weight vanishes wherever the shifted
-    occupation would be invalid; photon number is conserved, so every
-    searched partner lies within the cutoff. A pure state's moments are
-    computed once and kept while it lives; a mixture's are the weighted sum
-    of its components' kept moments.
+    ss = <S1 S2> is a diagonal sum, and each other moment a
+    ``fock._partner_sum`` over one ``fock._partners`` search, whose weight
+    vanishes wherever the shifted occupation would be invalid; photon number
+    is conserved, so every searched partner lies within the cutoff. What
+    depends on the occupations alone, S1, S2 and the four searches, is the
+    moment plan, kept for the last support seen (``_kept``), so states on
+    the same kets search once. A pure state's moments are computed once and
+    kept while it lives; a mixture's are the weighted sum of its components'
+    kept moments.
     """
     return dict(zip(MOMENTS, _moment_vector(state).tolist()))
 
@@ -152,22 +156,53 @@ def _station_moments(state: AnyState) -> dict[str, complex]:
 _MOMENTS_KEPT = weakref.WeakKeyDictionary()   # pure state -> its read-only moment vector
 
 
+def _kept(entry: tuple, state: MultiModeState, build) -> tuple:
+    """``entry`` if it was made for ``state``'s support, else a new entry of ``build()``.
+
+    A kept entry is (cutoff, packed keys, value): the cutoff and the
+    state's read-only packed keys, which with the cutoff fix its
+    occupations, and what was built from them; it holds no reference to the
+    state. A hit needs the same cutoff and the same keys array or equal
+    keys, so states of one support share the value. The caller replaces its
+    entry as one tuple, so a thread never reads a mixed entry.
+    """
+    cutoff, keys, _ = entry
+    if cutoff == state.layout.cutoff and (keys is state._keys or np.array_equal(keys, state._keys)):
+        return entry
+    return state.layout.cutoff, state._keys, build()
+
+
+def _moment_plan(state: MultiModeState) -> tuple:
+    """S1, S2 and the ``fock._partners`` of m1, m2, s1d2 and d1s2 of a pure
+    state's occupations, as read-only arrays."""
+    a1, b1, a2, b2 = state._occ.T.astype(np.float64)
+    s1, s2 = a1 + b1, a2 + b2
+    plan = (s1, s2) + tuple(_partners(state, delta, weight) for delta, weight in (
+        ((1, -1, -1, 1), np.sqrt((a1 + 1) * b1 * a2 * (b2 + 1))),
+        ((1, -1, 1, -1), np.sqrt((a1 + 1) * b1 * (a2 + 1) * b2)),
+        ((0, 0, 1, -1), s1 * np.sqrt((a2 + 1) * b2)),
+        ((1, -1, 0, 0), s2 * np.sqrt((a1 + 1) * b1)),
+    ))
+    for value in (s1, s2, *(a for pairs in plan[2:] for a in pairs)):
+        value.setflags(write=False)
+    return plan
+
+
+_PLAN_KEPT = (None, None, None)   # (cutoff, packed keys, moment plan) of the last support planned
+
+
 @mixture_average
 def _moment_vector(state: AnyState) -> np.ndarray:
     """The moments of ``_station_moments`` of a pure state, in ``MOMENTS`` order."""
+    global _PLAN_KEPT
     vec = _MOMENTS_KEPT.get(state)
     if vec is not None:
         return vec
+    entry = _PLAN_KEPT = _kept(_PLAN_KEPT, state, lambda: _moment_plan(state))
+    s1, s2, *pairs = entry[2]
     amp = state._amp
-    a1, b1, a2, b2 = state._occ.T.astype(np.float64)
-    s1, s2 = a1 + b1, a2 + b2
-    vec = np.array([
-        complex(np.sum((amp.real ** 2 + amp.imag ** 2) * s1 * s2)),
-        _partner_sum(state, (1, -1, -1, 1), np.sqrt((a1 + 1) * b1 * a2 * (b2 + 1))),
-        _partner_sum(state, (1, -1, 1, -1), np.sqrt((a1 + 1) * b1 * (a2 + 1) * b2)),
-        _partner_sum(state, (0, 0, 1, -1), s1 * np.sqrt((a2 + 1) * b2)),
-        _partner_sum(state, (1, -1, 0, 0), s2 * np.sqrt((a1 + 1) * b1)),
-    ])
+    vec = np.array([complex(((amp.real ** 2 + amp.imag ** 2) * s1 * s2).sum())]
+                   + [_partner_sum(amp, p) for p in pairs])
     vec.setflags(write=False)
     _MOMENTS_KEPT[state] = vec
     return vec
@@ -239,21 +274,10 @@ _LAYOUT_KEPT = (None, None, None)   # (cutoff, packed keys, layout) of the last 
 
 
 def _kept_layout(state: MultiModeState) -> _StationLayout:
-    """``_station_layout`` of a pure state's occupations, built once per support.
-
-    The one kept entry is the cutoff, the state's read-only packed keys,
-    which with the cutoff fix its occupations, and their layout; it holds
-    no reference to the state. A hit needs the same cutoff and the same
-    keys array or equal keys, so states of one support share a layout. The
-    entry is replaced as one tuple, so a thread never reads a mixed entry.
-    """
+    """``_station_layout`` of a pure state's occupations, built once per support (``_kept``)."""
     global _LAYOUT_KEPT
-    cutoff, keys, lay = _LAYOUT_KEPT
-    if cutoff == state.layout.cutoff and (keys is state._keys or np.array_equal(keys, state._keys)):
-        return lay
-    lay = _station_layout(state._occ)
-    _LAYOUT_KEPT = (state.layout.cutoff, state._keys, lay)
-    return lay
+    entry = _LAYOUT_KEPT = _kept(_LAYOUT_KEPT, state, lambda: _station_layout(state._occ))
+    return entry[2]
 
 
 @mixture_average

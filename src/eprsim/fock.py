@@ -468,19 +468,27 @@ def _falling(n: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _partner_sum(state: MultiModeState, delta, weight: np.ndarray) -> complex:
-    """sum_n conj(amp[n + delta]) * weight[n] * amp[n] over the kets n.
+def _partners(state: MultiModeState, delta, weight: np.ndarray):
+    """The rows of the kets n with weight[n] > 0 whose partner n + delta is
+    stored, the rows of those partners, and the kets' weights.
 
-    The partner ket n + delta is found by one search of the packed key
-    shifted by delta . strides. Only kets with weight > 0 are searched, and
-    for those n + delta must be an occupation within the cutoff, so that
-    the shifted key is its exact key.
+    The partner ket is found by one search of the packed key shifted by
+    delta . strides. Only kets with weight > 0 are searched, and for those
+    n + delta must be an occupation within the cutoff, so that the shifted
+    key is its exact key. The result depends on the occupations alone.
     """
-    keys, amp = state._keys, state._amp
-    live = weight > 0.0
+    keys = state._keys
+    live = np.flatnonzero(weight > 0.0)
     shift = int(np.dot(delta, _key_strides(state.layout.n_modes, state.layout.cutoff)))
     pos, hit = _find(keys, keys[live] + shift)
-    return complex(np.sum(np.conj(amp[pos[hit]]) * weight[live][hit] * amp[live][hit]))
+    ket = live[hit]
+    return ket, pos[hit], weight[ket]
+
+
+def _partner_sum(amp: np.ndarray, pairs) -> complex:
+    """sum conj(amp[partner]) * weight * amp[ket] over the ``_partners`` of one moment."""
+    ket, partner, weight = pairs
+    return complex((np.conj(amp[partner]) * weight * amp[ket]).sum())
 
 
 @mixture_average
@@ -510,7 +518,7 @@ def normal_moment(state: AnyState, spec) -> complex:
         coeff *= _falling(occ[:, col], q)
         coeff *= _falling(occ[:, col] - q + p, p)
     coeff[occ.sum(axis=1) + delta.sum() > layout.cutoff] = 0.0
-    return _partner_sum(state, delta, np.sqrt(coeff))
+    return _partner_sum(state._amp, _partners(state, delta, np.sqrt(coeff)))
 
 
 def mixture_from_density(fock_matrix, label: str = "a") -> MixedState:

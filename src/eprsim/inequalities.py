@@ -117,8 +117,10 @@ def _b_grid(amps: CorrelationAmplitudes, n: int) -> float:
     e = amps.a1 * np.cos(t[:, None] - t[None, :] + amps.xi) + amps.a2 * np.cos(
         t[:, None] + t[None, :] + amps.zeta
     )  # e[i, k] = E(t_i, t_k)
-    plus = (e[:, :, None] + e[:, None, :]).max(axis=0)   # [k, l]: E(t1, t_k) + E(t1, t_l)
-    minus = (e[:, None, :] - e[:, :, None]).max(axis=0)  # [k, l]: E(t1', t_l) - E(t1', t_k)
+    cube = e[:, :, None] + e[:, None, :]
+    plus = cube.max(axis=0)     # [k, l]: E(t1, t_k) + E(t1, t_l)
+    np.subtract(e[:, None, :], e[:, :, None], out=cube)
+    minus = cube.max(axis=0)    # [k, l]: E(t1', t_l) - E(t1', t_k)
     return float((plus + minus).max())
 
 

@@ -109,3 +109,27 @@ def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
     root = _checkout(tmp_path / "c", {"geometry": MODULE, "empty": ""})
     assert bench_pairs.src_code_lines(root) == {"empty": 0, "geometry": 7, "total": 7}
     assert bench_pairs.src_lines(root)["geometry"] == MODULE.count("\n")
+
+
+def test_workload_entry_gives_the_paired_ratio_and_whether_it_is_resolved():
+    tight = [0.100, 0.101, 0.102, 0.103, 0.104, 0.105, 0.106, 0.107, 0.108, 0.109]
+    wide = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+
+    def entry(parent, change):
+        runs = {"parent": [_run(v, None) for v in parent], "change": [_run(v, None) for v in change]}
+        return bench_pairs.workload_entry(list(range(len(parent))), runs)
+
+    # every pair 0.8x and a tight parent: the change wins 10 of 10 by more than the spread
+    fast = entry(tight, [0.8 * v for v in tight])
+    assert fast["paired_ratio"]["round_s"] == pytest.approx(0.8)
+    assert fast["resolved"]["round_s"] is True
+    assert fast["pairs_won"]["round_s"] == {"change": 10, "parent": 0, "pairs": 10}
+    # the parent may win as well
+    assert entry(tight, [1.25 * v for v in tight])["resolved"]["round_s"] is True
+    # 10 of 10 pairs, but the medians differ by less than the parent's quartile spread
+    spread = entry(wide, [0.8 * v for v in wide])
+    assert spread["paired_ratio"]["round_s"] == pytest.approx(0.8) and spread["resolved"]["round_s"] is False
+    # a wide gap, but won in only 8 of 10 pairs
+    mixed = entry(tight, [0.5 * v for v in tight[:8]] + [2.0 * v for v in tight[8:]])
+    assert mixed["paired_ratio"]["round_s"] == pytest.approx(0.5) and mixed["resolved"]["round_s"] is False
+    json.dumps(fast)

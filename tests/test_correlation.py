@@ -357,8 +357,9 @@ def test_evolution_backend_never_calls_the_partner_ket_kernel(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the evolution backend searched for a partner ket")
 
-    monkeypatch.setattr(fock, "_partner_sum", forbidden)
-    monkeypatch.setattr(correlation, "_partner_sum", forbidden)
+    monkeypatch.setattr(fock, "_partners", forbidden)
+    monkeypatch.setattr(correlation, "_partners", forbidden)
+    monkeypatch.setattr(correlation, "_PLAN_KEPT", (None, None, None))
     # the expansion backend does reach the patched kernel on a state whose moments are not yet kept
     with pytest.raises(AssertionError, match="partner ket"):
         output_correlators(fock.relabel(lo_state, {}), setting, backend="expansion")
@@ -503,17 +504,19 @@ def test_evolution_layout_has_no_weight_per_row():
 
 
 def _count_partner_sums(monkeypatch):
-    """Patch the correlation module's partner-ket kernel to log each call."""
+    """Empty the kept moment plan and patch the correlation module's
+    partner-ket search to log each call."""
     import eprsim.correlation as correlation
 
     calls = []
-    search = correlation._partner_sum
+    search = correlation._partners
 
     def counted(state, delta, weight):
         calls.append(delta)
         return search(state, delta, weight)
 
-    monkeypatch.setattr(correlation, "_partner_sum", counted)
+    monkeypatch.setattr(correlation, "_PLAN_KEPT", (None, None, None))
+    monkeypatch.setattr(correlation, "_partners", counted)
     return calls
 
 
@@ -566,10 +569,100 @@ def test_a_mixture_keeps_each_components_moments(monkeypatch):
     epr_check(mixed)
     for t in (-2.0, 0.3):
         output_correlators(mixed, PhaseSetting(t, 1.1 - t), backend="expansion")
-    assert len(calls) == 4 * len(parts)
+    # the two random parts share one support, so they share one moment plan
+    supports = 2
+    assert len(calls) == 4 * supports
     kept = correlation._moment_vector(mixed)
     assert kept.tobytes() == correlation._moment_vector(fresh).tobytes()
-    assert len(calls) == 8 * len(parts)
+    assert len(calls) == 8 * supports
+
+
+def _count_plan_builds(monkeypatch):
+    """Empty the kept moment plan and patch its builder to log each build."""
+    import eprsim.correlation as correlation
+
+    builds = []
+    build = correlation._moment_plan
+
+    def counted(state):
+        builds.append(state.n_terms)
+        return build(state)
+
+    monkeypatch.setattr(correlation, "_PLAN_KEPT", (None, None, None))
+    monkeypatch.setattr(correlation, "_moment_plan", counted)
+    return builds
+
+
+def _fresh_plan_moments(monkeypatch, state):
+    """The moment vector of a new copy of ``state`` with a moment plan searched
+    for every pure state, as before the plan was kept."""
+    import eprsim.correlation as correlation
+
+    copy = (MixedState(tuple((w, relabel(s, {})) for w, s in state.components))
+            if isinstance(state, MixedState) else relabel(state, {}))
+    with monkeypatch.context() as m:
+        m.setattr(correlation, "_kept", lambda entry, s, build: (None, None, build()))
+        return correlation._moment_vector(copy)
+
+
+def test_kept_plan_moments_match_a_fresh_search(monkeypatch):
+    import eprsim.correlation as correlation
+
+    rng = np.random.default_rng(11)
+    scan = [random_four_mode(rng, cutoff=3) for _ in range(8)]
+    mixtures = [MixedState(((0.4, scan[0]), (0.6, scan[1]))),
+                MixedState(((0.2, scan[2]), (0.5, random_four_mode(rng, cutoff=3)), (0.3, scan[3])))]
+    want = [_fresh_plan_moments(monkeypatch, s).tobytes() for s in scan + mixtures]
+    builds = _count_plan_builds(monkeypatch)
+    got = [correlation._moment_vector(s).tobytes() for s in scan + mixtures]
+    assert builds == [35] and got == want
+    # equal packed keys at another cutoff are another support, with another plan
+    pairs = [
+        (make_pure(ModeLayout(STANDARD, 1), [((0, 0, 1, 0), 1.0)]),
+         make_pure(ModeLayout(STANDARD, 2), [((0, 0, 0, 2), 1.0)])),
+        (make_pure(ModeLayout(STANDARD, 2), [((1, 0, 0, 1), 1.0), ((1, 0, 1, 0), 1.0j)]),
+         make_pure(ModeLayout(STANDARD, 4), [((0, 1, 0, 3), 1.0), ((0, 1, 1, 0), 1.0j)])),
+    ]
+    for first, second in pairs:
+        assert np.array_equal(first._keys, second._keys)
+        want = [_fresh_plan_moments(monkeypatch, s).tobytes() for s in (first, second)]
+        builds = _count_plan_builds(monkeypatch)
+        assert [correlation._moment_vector(s).tobytes() for s in (first, second)] == want
+        assert builds == [first.n_terms, second.n_terms]
+    # the last pair's moments differ, so a shared plan would show in them
+    assert want[0] != want[1]
+
+
+def test_one_moment_plan_per_support(monkeypatch):
+    builds = _count_plan_builds(monkeypatch)
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        state = random_four_mode(rng, cutoff=3)
+        assert state.n_terms == 35
+        epr_check(state)
+        output_correlators(state, PhaseSetting(0.4, -1.1), backend="expansion")
+    assert builds == [35]
+
+
+def test_kept_plan_keeps_no_state_alive_and_is_read_only(monkeypatch):
+    import gc
+    import weakref
+
+    import eprsim.correlation as correlation
+
+    builds = _count_plan_builds(monkeypatch)
+    state = relabel(random_four_mode(np.random.default_rng(5)), {})
+    amplitudes(state)
+    assert builds == [state.n_terms] and correlation._PLAN_KEPT[1] is state._keys
+    s1, s2, *pairs = correlation._PLAN_KEPT[2]
+    assert len(pairs) == 4
+    for value in (s1, s2, *(a for p in pairs for a in p)):
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = 0
+    ref = weakref.ref(state)
+    del state
+    gc.collect()
+    assert ref() is None
 
 
 def _count_layout_builds(monkeypatch):
@@ -690,12 +783,16 @@ def test_threads_never_read_a_mixed_kept_layout():
     states = [entangled("sum"), random_four_mode(rng), random_four_mode(rng, cutoff=3)]
     theta1, theta2 = rng.uniform(-3.0, 3.0, 3), rng.uniform(-3.0, 3.0, 3)
     want = [correlation._evolution_rates(s, theta1, theta2).tobytes() for s in states]
+    moments = [correlation._moment_vector(s).tobytes() for s in states]
     wrong = []
 
     def work(offset):
         for i in range(60):
             k = (i + offset) % len(states)
             if correlation._evolution_rates(states[k], theta1, theta2).tobytes() != want[k]:
+                wrong.append(k)
+            # a new copy's moments are not kept yet, so they read the kept plan
+            if correlation._moment_vector(relabel(states[k], {})).tobytes() != moments[k]:
                 wrong.append(k)
 
     interval = sys.getswitchinterval()

@@ -85,6 +85,28 @@ def test_bell_max_grid_check_catches_wrong_settings(monkeypatch):
         bell_max(pair(0.3, 0.6, 0.4, 1.1))
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_b_grid_is_the_maximum_of_every_grid_point(n):
+    import itertools
+
+    from eprsim import inequalities
+    from eprsim.correlation import predict_E
+    from eprsim.network import PhaseSetting
+
+    rng = np.random.default_rng(40 + n)
+    t = 2.0 * math.pi * np.arange(n) / n
+    for _ in range(5):
+        amps = pair(*rng.uniform(0.0, 0.7, 2), *rng.uniform(-3.0, 3.0, 2))
+        e = amps.a1 * np.cos(t[:, None] - t[None, :] + amps.xi) + amps.a2 * np.cos(
+            t[:, None] + t[None, :] + amps.zeta)
+        for i, k in itertools.product(range(n), repeat=2):
+            assert e[i, k] == pytest.approx(predict_E(amps, PhaseSetting(t[i], t[k])), abs=1e-15)
+        # B = [E(t1, t2) + E(t1, t2')] + [E(t1', t2') - E(t1', t2)] at every (t1, t1', t2, t2')
+        grid = max((e[i, k] + e[i, l]) + (e[ip, l] - e[ip, k])
+                   for i, ip, k, l in itertools.product(range(n), repeat=4))
+        assert inequalities._b_grid(amps, n) == grid
+
+
 def test_bell_max_catches_settings_off_by_more_than_roundoff(monkeypatch):
     from eprsim import inequalities
 

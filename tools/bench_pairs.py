@@ -12,8 +12,11 @@ output holds, per workload and side, the median and quartiles of every
 end-to-end metric, the pairs each side won (ties count for neither, lower
 is better), the median and quartiles of the unscaled wall seconds that
 the report prints above its JSON, the failed operations and whether every
-run was correct. Under "src_lines" it records each checkout's ``wc -l`` of
-``src/eprsim/*.py`` by module, so the change's line delta is measured, and
+run was correct. Per metric it also gives the median of the per-pair
+ratios change/parent, and whether the difference is resolved: one side
+won at least 9 of 10 pairs, and the two medians differ by more than the
+parent's quartile spread. Under "src_lines" it records each checkout's
+``wc -l`` of ``src/eprsim/*.py`` by module, so the change's line delta is measured, and
 under "src_code_lines" the lines of each that hold code: not blank, not
 comment-only and not in a module, class or function docstring. It is
 rewritten after each pair, so an interrupted series keeps its finished
@@ -113,20 +116,31 @@ def summary(values: list[float]) -> dict:
             "q3": round(float(q3), 4), "n": len(values)}
 
 
+def resolved(parent: list[float], change: list[float], won: dict) -> bool:
+    """One side won at least 9 of 10 pairs, and the medians differ by more
+    than the parent's quartile spread."""
+    q1, median, q3 = np.percentile(parent, [25, 50, 75])
+    return bool(max(won["change"], won["parent"]) >= 0.9 * won["pairs"]
+                and abs(np.median(change) - median) > q3 - q1)
+
+
 def workload_entry(seeds: list[int], runs: dict[str, list[dict]]) -> dict:
     metrics = list(runs["parent"][0]["metrics"]) if runs["parent"] else []
     value = lambda run, m: run["metrics"][m]["value"]
     entry = {"seeds": seeds[:len(runs["change"])]}
     for side in ("parent", "change"):
         entry[side] = {m: summary([value(r, m) for r in runs[side]]) for m in metrics}
-    entry["pairs_won"] = {}
+    entry["pairs_won"], entry["paired_ratio"], entry["resolved"] = {}, {}, {}
     for m in metrics:
-        pairs = list(zip(runs["parent"], runs["change"]))
-        entry["pairs_won"][m] = {
-            "change": sum(value(c, m) < value(p, m) for p, c in pairs),
-            "parent": sum(value(p, m) < value(c, m) for p, c in pairs),
+        pairs = [(value(p, m), value(c, m)) for p, c in zip(runs["parent"], runs["change"])]
+        won = entry["pairs_won"][m] = {
+            "change": sum(c < p for p, c in pairs),
+            "parent": sum(p < c for p, c in pairs),
             "pairs": len(pairs),
         }
+        ratios = [c / p for p, c in pairs if p]
+        entry["paired_ratio"][m] = round(float(np.median(ratios)), 4) if ratios else None
+        entry["resolved"][m] = resolved(*zip(*pairs), won)
     # wall seconds before the reference kernel's scaling, which follows the
     # worker's allocator state as well as the host
     entry["unscaled_wall_s"] = {
