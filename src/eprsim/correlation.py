@@ -145,10 +145,11 @@ def _station_moments(state: AnyState) -> dict[str, complex]:
     vanishes wherever the shifted occupation would be invalid; photon number
     is conserved, so every searched partner lies within the cutoff. What
     depends on the occupations alone, S1, S2 and the four searches, is the
-    moment plan, kept for the last support seen (``_kept``), so states on
-    the same kets search once. A pure state's moments are computed once and
-    kept while it lives; a mixture's are the weighted sum of its components'
-    kept moments.
+    moment plan. It is kept for the last support seen (``_kept``) from that
+    support's second state on, so a scan of states on the same kets searches
+    twice and supports that take turns keep none. A pure state's moments are
+    computed once and kept while it lives; a mixture's are the weighted sum
+    of its components' kept moments.
     """
     return dict(zip(MOMENTS, _moment_vector(state).tolist()))
 
@@ -164,7 +165,9 @@ def _kept(entry: tuple, state: MultiModeState, build) -> tuple:
     occupations, and what was built from them; it holds no reference to the
     state. A hit needs the same cutoff and the same keys array or equal
     keys, so states of one support share the value. The caller replaces its
-    entry as one tuple, so a thread never reads a mixed entry.
+    entry as one tuple, so a thread never reads a mixed entry. The station
+    layout is kept from a support's first state; the moment plan's value is
+    None until its second (``_station_moments``).
     """
     cutoff, keys, _ = entry
     if cutoff == state.layout.cutoff and (keys is state._keys or np.array_equal(keys, state._keys)):
@@ -188,7 +191,7 @@ def _moment_plan(state: MultiModeState) -> tuple:
     return plan
 
 
-_PLAN_KEPT = (None, None, None)   # (cutoff, packed keys, moment plan) of the last support planned
+_PLAN_KEPT = (None, None, None)   # (cutoff, packed keys, moment plan or None) of the last support seen
 
 
 @mixture_average
@@ -198,8 +201,12 @@ def _moment_vector(state: AnyState) -> np.ndarray:
     vec = _MOMENTS_KEPT.get(state)
     if vec is not None:
         return vec
-    entry = _PLAN_KEPT = _kept(_PLAN_KEPT, state, lambda: _moment_plan(state))
-    s1, s2, *pairs = entry[2]
+    kept = _PLAN_KEPT
+    entry = _PLAN_KEPT = _kept(kept, state, lambda: None)   # a first state keeps the key only
+    plan = entry[2] or _moment_plan(state)
+    if entry is kept and entry[2] is None:                  # a second state keeps the plan
+        _PLAN_KEPT = entry[:2] + (plan,)
+    s1, s2, *pairs = plan
     amp = state._amp
     vec = np.array([complex(((amp.real ** 2 + amp.imag ** 2) * s1 * s2).sum())]
                    + [_partner_sum(amp, p) for p in pairs])

@@ -47,6 +47,20 @@ def test_workload_entry_summarises_the_unscaled_wall_per_side():
     assert list(bench_pairs.workload_entry([1, 2], runs)["unscaled_wall_s"]) == ["parent"]
 
 
+def test_workload_entry_summarises_the_operations_per_run_per_side():
+    def run(attempted):
+        return {**_run(0.4, None), "attempted": attempted}
+
+    runs = {"parent": [run(n) for n in (100, 120, 110, 130)], "change": [run(n) for n in (200, 220)]}
+    entry = bench_pairs.workload_entry([1, 2, 3, 4], runs)
+    assert entry["ops_per_run"] == {
+        "parent": {"median": 115.0, "q1": 107.5, "q3": 122.5, "n": 4},
+        "change": {"median": 210.0, "q1": 205.0, "q3": 215.0, "n": 2},
+    }
+    assert entry["failed_ops"] == {"parent": "0/460", "change": "0/420"}
+    json.dumps(entry)
+
+
 def _checkout(root, modules):
     """A checkout with ``src/eprsim/<name>.py`` of the given texts and a BENCHMARK.json."""
     package = root / "src" / "eprsim"

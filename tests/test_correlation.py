@@ -569,12 +569,12 @@ def test_a_mixture_keeps_each_components_moments(monkeypatch):
     epr_check(mixed)
     for t in (-2.0, 0.3):
         output_correlators(mixed, PhaseSetting(t, 1.1 - t), backend="expansion")
-    # the two random parts share one support, so they share one moment plan
-    supports = 2
-    assert len(calls) == 4 * supports
+    # the two random parts share one support: the first searches with a plan it
+    # does not keep, and the second searches again and keeps its plan
+    assert len(calls) == 4 * len(parts)
     kept = correlation._moment_vector(mixed)
     assert kept.tobytes() == correlation._moment_vector(fresh).tobytes()
-    assert len(calls) == 8 * supports
+    assert len(calls) == 8 * len(parts)
 
 
 def _count_plan_builds(monkeypatch):
@@ -615,7 +615,8 @@ def test_kept_plan_moments_match_a_fresh_search(monkeypatch):
     want = [_fresh_plan_moments(monkeypatch, s).tobytes() for s in scan + mixtures]
     builds = _count_plan_builds(monkeypatch)
     got = [correlation._moment_vector(s).tobytes() for s in scan + mixtures]
-    assert builds == [35] and got == want
+    # the first state's plan is not kept; the second state's is, and the rest read it
+    assert builds == [35, 35] and got == want
     # equal packed keys at another cutoff are another support, with another plan
     pairs = [
         (make_pure(ModeLayout(STANDARD, 1), [((0, 0, 1, 0), 1.0)]),
@@ -641,7 +642,31 @@ def test_one_moment_plan_per_support(monkeypatch):
         assert state.n_terms == 35
         epr_check(state)
         output_correlators(state, PhaseSetting(0.4, -1.1), backend="expansion")
-    assert builds == [35]
+    # one build for the first state, one kept from the second
+    assert builds == [35, 35]
+
+
+def test_supports_that_take_turns_keep_no_plan(monkeypatch):
+    import eprsim.correlation as correlation
+    from eprsim import LOConfig, coherent_pair, homodyne_network_state
+
+    # three supports in turn, as lo-network visits its three LO states
+    rng = np.random.default_rng(12)
+    states = [homodyne_network_state(coherent_pair(0.5, 0.5), LOConfig(0.5, 0.5)),
+              random_four_mode(rng), random_four_mode(rng, cutoff=3)]
+    assert len({s.n_terms for s in states}) == 3
+    want = [_fresh_plan_moments(monkeypatch, s).tobytes() for s in states]
+    builds = _count_plan_builds(monkeypatch)
+    for _ in range(3):
+        for state, w in zip(states, want):
+            assert correlation._moment_vector(relabel(state, {})).tobytes() == w
+            assert correlation._PLAN_KEPT[2] is None
+    assert builds == [s.n_terms for s in states] * 3
+    # a second state of the last support keeps its plan, and a third reads it
+    for _ in range(2):
+        assert correlation._moment_vector(relabel(states[2], {})).tobytes() == want[2]
+        assert correlation._PLAN_KEPT[2] is not None
+    assert builds == [s.n_terms for s in states] * 3 + [states[2].n_terms]
 
 
 def test_kept_plan_keeps_no_state_alive_and_is_read_only(monkeypatch):
@@ -652,8 +677,10 @@ def test_kept_plan_keeps_no_state_alive_and_is_read_only(monkeypatch):
 
     builds = _count_plan_builds(monkeypatch)
     state = relabel(random_four_mode(np.random.default_rng(5)), {})
+    # a second state of the support keeps the plan
     amplitudes(state)
-    assert builds == [state.n_terms] and correlation._PLAN_KEPT[1] is state._keys
+    amplitudes(relabel(state, {}))
+    assert builds == [state.n_terms] * 2 and correlation._PLAN_KEPT[1] is state._keys
     s1, s2, *pairs = correlation._PLAN_KEPT[2]
     assert len(pairs) == 4
     for value in (s1, s2, *(a for p in pairs for a in p)):
@@ -791,9 +818,11 @@ def test_threads_never_read_a_mixed_kept_layout():
             k = (i + offset) % len(states)
             if correlation._evolution_rates(states[k], theta1, theta2).tobytes() != want[k]:
                 wrong.append(k)
-            # a new copy's moments are not kept yet, so they read the kept plan
-            if correlation._moment_vector(relabel(states[k], {})).tobytes() != moments[k]:
-                wrong.append(k)
+            # a new copy's moments are not kept yet; two copies back to back replace
+            # a key-only entry with a kept plan while the supports take turns
+            for _ in range(2):
+                if correlation._moment_vector(relabel(states[k], {})).tobytes() != moments[k]:
+                    wrong.append(k)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

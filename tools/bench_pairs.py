@@ -11,12 +11,13 @@ first on even pair indices and the change first on odd ones. The
 output holds, per workload and side, the median and quartiles of every
 end-to-end metric, the pairs each side won (ties count for neither, lower
 is better), the median and quartiles of the unscaled wall seconds that
-the report prints above its JSON, the failed operations and whether every
-run was correct. Per metric it also gives the median of the per-pair
-ratios change/parent, and whether the difference is resolved: one side
-won at least 9 of 10 pairs, and the two medians differ by more than the
-parent's quartile spread. Under "src_lines" it records each checkout's
-``wc -l`` of ``src/eprsim/*.py`` by module, so the change's line delta is measured, and
+the report prints above its JSON and of the operations attempted per run,
+the failed operations and whether every run was correct. Per metric it
+also gives the median of the per-pair ratios change/parent, and whether
+the difference is resolved: one side won at least 9 of 10 pairs, and the
+two medians differ by more than the parent's quartile spread. Under
+"src_lines" it records each checkout's ``wc -l`` of ``src/eprsim/*.py`` by
+module, so the change's line delta is measured, and
 under "src_code_lines" the lines of each that hold code: not blank, not
 comment-only and not in a module, class or function docstring. It is
 rewritten after each pair, so an interrupted series keeps its finished
@@ -147,6 +148,8 @@ def workload_entry(seeds: list[int], runs: dict[str, list[dict]]) -> dict:
         side: {m: summary([r["unscaled"][m] for r in runs[side]]) for m in ("setup_s", "round_s")}
         for side in ("parent", "change") if runs[side] and all(r["unscaled"] for r in runs[side])
     }
+    # state-scan's peak RSS grows with the operations a run completes
+    entry["ops_per_run"] = {side: summary([r["attempted"] for r in runs[side]]) for side in ("parent", "change")}
     entry["failed_ops"] = {
         side: f"{sum(r['failed'] for r in runs[side])}/{sum(r['attempted'] for r in runs[side])}"
         for side in ("parent", "change")
