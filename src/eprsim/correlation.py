@@ -35,7 +35,7 @@ import cmath
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -215,8 +215,7 @@ def _moment_vector(state: AnyState) -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True)
-class _StationLayout:
+class _StationLayout(NamedTuple):
     """Rows of the evolution backend's two stations, and its rate weights per
     station-2 group and split, not per row; see ``_station_layout``."""
 

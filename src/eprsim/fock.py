@@ -112,17 +112,17 @@ class MultiModeState:
     __slots__ = ("layout", "_occ", "_amp", "_keys", "__weakref__")
 
     def __new__(cls, layout: ModeLayout, amplitudes: Mapping[tuple[int, ...], complex]):
-        occ, amp = _merged(layout, *_checked_terms(layout, list(amplitudes), list(amplitudes.values())))
+        keys, occ, amp = _merged(layout, *_checked_terms(layout, list(amplitudes), list(amplitudes.values())))
         _check_norm(amp)  # before the prune, which would drop amplitudes of a tiny norm
-        return cls._from_canonical(layout, *_pruned(occ, amp))
+        return cls._from_canonical(layout, *_pruned(keys, occ, amp))
 
     @classmethod
-    def _from_canonical(cls, layout: ModeLayout, occ: np.ndarray, amp: np.ndarray) -> "MultiModeState":
-        """The one install step of every state: arrays already sorted, unique
-        and pruned; the norm is checked here, and the arrays become read-only."""
+    def _from_canonical(cls, layout: ModeLayout, keys: np.ndarray, occ: np.ndarray, amp: np.ndarray):
+        """The one install step of every state: keys, occupations and amplitudes
+        already sorted, unique and pruned; the norm is checked, the arrays made read-only."""
         _check_norm(amp)
         self = object.__new__(cls)
-        for name, value in (("_occ", occ), ("_amp", amp), ("_keys", _pack_keys(occ, layout.cutoff))):
+        for name, value in (("_occ", occ), ("_amp", amp), ("_keys", keys)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "layout", layout)
@@ -185,18 +185,22 @@ def _checked_terms(layout: ModeLayout, occs: Sequence, values: Sequence):
 
 
 def _merged(layout: ModeLayout, occ: np.ndarray, amp: np.ndarray):
-    """Sort by packed key and sum repeated occupations in the order given."""
+    """Packed keys, occupations and amplitudes sorted by key, repeats summed in the order given."""
     keys = _pack_keys(occ, layout.cutoff)
     order = np.argsort(keys)
     sorted_keys = keys[order]
-    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
-        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        merged = np.zeros(uniq.shape[0], dtype=np.complex128)
+    repeat = sorted_keys[1:] == sorted_keys[:-1]
+    if np.any(repeat):
+        # equal keys are equal occupations, so any row of a run stands for it
+        start = np.concatenate(([True], ~repeat))
+        inverse = np.empty_like(order)
+        inverse[order] = start.cumsum() - 1
+        merged = np.zeros(np.count_nonzero(start), dtype=np.complex128)
         with np.errstate(over="ignore"):  # an inf sum is refused by the caller
             np.add.at(merged.real, inverse, amp.real)
             np.add.at(merged.imag, inverse, amp.imag)
-        return occ[first], merged
-    return occ[order], amp[order]
+        return sorted_keys[start], occ[order[start]], merged
+    return sorted_keys, occ[order], amp[order]
 
 
 def _canonicalize(layout: ModeLayout, occ: np.ndarray, amp: np.ndarray):
@@ -204,16 +208,16 @@ def _canonicalize(layout: ModeLayout, occ: np.ndarray, amp: np.ndarray):
     return _pruned(*_merged(layout, occ, amp))
 
 
-def _pruned(occ: np.ndarray, amp: np.ndarray):
-    """Drop amplitudes at or below PRUNE_TOL; order is kept. The removed mass
-    is below N * 1e-30 and never affects moments at the tolerances used
-    anywhere in this package."""
+def _pruned(keys: np.ndarray, occ: np.ndarray, amp: np.ndarray):
+    """Drop amplitudes at or below PRUNE_TOL, with their keys and rows; order
+    is kept. The removed mass is below N * 1e-30 and never affects moments
+    at the tolerances used anywhere in this package."""
     keep = np.abs(amp) > PRUNE_TOL
     if not np.all(keep):
-        occ, amp = occ[keep], amp[keep]
+        keys, occ, amp = keys[keep], occ[keep], amp[keep]
     if amp.shape[0] == 0:
         raise StateError("state has no amplitude above the pruning tolerance")
-    return occ, amp
+    return keys, occ, amp
 
 
 def _fsum(values) -> float:
@@ -298,13 +302,13 @@ def make_pure(layout: ModeLayout, terms: Iterable[tuple[Sequence[int], complex]]
     terms = list(terms)
     occ, amp = _checked_terms(layout, [o for o, _ in terms], [v for _, v in terms])
     # a merged amplitude is a sum started at +0, so a -0 part becomes +0
-    occ, amp = _merged(layout, occ, amp + 0.0)
+    keys, occ, amp = _merged(layout, occ, amp + 0.0)
     top = float(np.max(np.abs(amp.view(np.float64))))
     if not 0.0 < top < math.inf:
         raise StateError("merged amplitudes overflow" if top else "all terms are zero; cannot normalize")
     amp = np.ldexp(amp.view(np.float64), -math.frexp(top)[1]).view(np.complex128)
     nsq = math.fsum((np.hypot(amp.real, amp.imag) ** 2).tolist())
-    return MultiModeState._from_canonical(layout, *_pruned(occ, amp * (1.0 / math.sqrt(nsq))))
+    return MultiModeState._from_canonical(layout, *_pruned(keys, occ, amp * (1.0 / math.sqrt(nsq))))
 
 
 def vacuum(labels: Sequence[str], cutoff: int = 0) -> MultiModeState:
@@ -394,7 +398,7 @@ def _ladder_state(layout: ModeLayout, alphas: Sequence[complex], log_start: floa
     alpha_mag = math.sqrt(_fsum(abs(a) * abs(a) for a in alphas))
     _check_tail(weight * norm_sq, cutoff, alpha_mag, what)
     amp /= math.sqrt(norm_sq)
-    return MultiModeState._from_canonical(layout, *_pruned(occ, amp))
+    return MultiModeState._from_canonical(layout, *_pruned(_pack_keys(occ, cutoff), occ, amp))
 
 
 def make_coherent(layout: ModeLayout, alphas: Sequence[complex]) -> MultiModeState:
@@ -437,15 +441,14 @@ def _permuted(layout: ModeLayout, new_labels: Sequence[str]) -> tuple[ModeLayout
 def reorder(state: MultiModeState, new_labels: Sequence[str]) -> MultiModeState:
     """Permute mode order (same physical state, relabeled axes)."""
     layout, perm = _permuted(state.layout, new_labels)
-    occ, amp = _canonicalize(layout, state._occ[:, perm], state._amp)
-    return MultiModeState._from_canonical(layout, occ, amp)
+    return MultiModeState._from_canonical(layout, *_canonicalize(layout, state._occ[:, perm], state._amp))
 
 
 def relabel(state: MultiModeState, mapping: Mapping[str, str]) -> MultiModeState:
     """Rename mode labels in place (no permutation)."""
     new_labels = tuple(mapping.get(lbl, lbl) for lbl in state.layout.labels)
     layout = ModeLayout(new_labels, state.layout.cutoff)
-    return MultiModeState._from_canonical(layout, state._occ, state._amp)
+    return MultiModeState._from_canonical(layout, state._keys, state._occ, state._amp)
 
 
 def inner_product(s1: MultiModeState, s2: MultiModeState) -> complex:

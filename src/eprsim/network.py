@@ -16,7 +16,8 @@ the inverse map used to transform kets is
     b^dag = (c^dag + d^dag) / sqrt(2)
 
 which is unitary and photon-number conserving, so a state inside the total
-cutoff stays inside it. ``_mix_sectors`` applies the splitter.
+cutoff stays inside it. ``beamsplitter`` applies the splitter ket by ket,
+its definition; ``_mix_sectors`` is the evolution backend's batched form.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .fock import (
     tensor,
     vacuum,
     _canonicalize,
-    _pack_keys,
     _product,
 )
 
@@ -72,7 +72,7 @@ def phase_shift(state: AnyState, mode: str, theta: float):
     _require_finite(theta=theta)
     phases = np.exp(1j * float(theta) * state._occ[:, col])
     # occupations are untouched, so canonical order is preserved
-    return MultiModeState._from_canonical(state.layout, state._occ, state._amp * phases)
+    return MultiModeState._from_canonical(state.layout, state._keys, state._occ, state._amp * phases)
 
 
 @lru_cache(maxsize=128)  # bounded; holds sectors 0-33 of every paper LO state
@@ -116,29 +116,6 @@ def _blocks(sector: np.ndarray, groups: np.ndarray):
     return start, tuple(zip(sector.tolist(), start.tolist(), groups.tolist()))
 
 
-def _pair_layout(occ: np.ndarray, cutoff: int, ia: int, ib: int):
-    """Rows (j = n_a) of the kets ``occ`` of a stored state for a splitter on
-    columns (ia, ib), the sectors and the occupation of every output row;
-    a group is one occupation of the other modes and of n = n_a + n_b."""
-    sector = occ[:, ia] + occ[:, ib]
-    # sector first, so that groups come out ordered sector by sector
-    key = _pack_keys(np.column_stack([sector, np.delete(occ, [ia, ib], axis=1)]), cutoff)
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    sec, rank = _occupied(sector[first])
-    groups = np.bincount(rank)
-    start, sectors = _blocks(sec, groups)
-    base = start[rank] + _runs(groups)               # row of each group at j = 0
-    rows = base[group] + occ[:, ia] * groups[rank][group]
-    # split j of sector n runs over the sector's groups in turn
-    run = np.arange(sec.shape[0]).repeat(sec + 1)
-    size = groups[run]
-    split = _runs(sec + 1).repeat(size)
-    out = occ.take(first[(groups.cumsum() - groups)[run].repeat(size) + _runs(size)], axis=0)
-    out[:, ia] = split
-    out[:, ib] = sec[run].repeat(size) - split
-    return rows, sectors, out
-
-
 def _mix_sectors(out: np.ndarray, sectors) -> None:
     """Push the (R,) or (R, K) amplitudes ``out`` (a state per column) through
     the 50:50 splitter in place. The splitter mixes only kets that agree on
@@ -159,8 +136,11 @@ def beamsplitter(state: AnyState, mode_a: str, mode_b: str):
     """Apply the 50:50 splitter to (mode_a, mode_b); outputs reuse the labels.
 
     mode_a carries the c output (symmetric combination on the ket side),
-    mode_b the d output. This is the one-column case of ``_mix_sectors``,
-    followed by the usual prune and canonical sort.
+    mode_b the d output. This is the splitter's definition, ket by ket: a
+    ket with k photons in mode_a and n - k in mode_b emits |j, n - j> for
+    j = 0..n, the other modes unchanged, with coefficient
+    ``_sector_matrix(n)[j, k]``; equal outputs are summed in ket order and
+    pruned. ``_mix_sectors`` is the evolution backend's batched form.
     """
     layout = state.layout
     ia, ib = layout.index(mode_a), layout.index(mode_b)
@@ -168,12 +148,18 @@ def beamsplitter(state: AnyState, mode_a: str, mode_b: str):
         raise StateError("beamsplitter needs two distinct modes")
     # total-photon cutoff: the pair sector n = n_a + n_b never exceeds it,
     # so every output occupation stays representable
-    rows, sectors, occ = _pair_layout(state._occ, layout.cutoff, ia, ib)
-    amp = np.zeros((occ.shape[0], 1), dtype=np.complex128)
-    amp[rows, 0] = state._amp
-    _mix_sectors(amp, sectors)
-    occ, amp = _canonicalize(layout, occ, amp[:, 0])
-    return MultiModeState._from_canonical(layout, occ, amp)
+    k = state._occ[:, ia]
+    n = k + state._occ[:, ib]
+    sec, rank = _occupied(n)
+    # entry (j, k) of sector n's matrix, the occupied sectors' matrices laid end to end
+    size = (sec + 1) ** 2
+    mats = np.concatenate([_sector_matrix(m).ravel() for m in sec.tolist()])
+    reps = n + 1                         # outputs of each ket
+    j, n = _runs(reps), n.repeat(reps)   # split and sector of each output
+    coef = mats[((size.cumsum() - size)[rank] + k).repeat(reps) + j * (n + 1)]
+    occ = state._occ.repeat(reps, axis=0)
+    occ[:, ia], occ[:, ib] = j, n - j
+    return MultiModeState._from_canonical(layout, *_canonicalize(layout, occ, coef * state._amp.repeat(reps)))
 
 
 @per_component

@@ -115,6 +115,30 @@ def test_splitter_layout_grows_with_the_occupied_sectors_not_the_cutoff():
     assert set(got) == set(want)
     for occ, amp in want.items():
         assert got[occ] == pytest.approx(amp, abs=1e-15)
+    # a lone ket in sector 300 builds that sector's matrix and no other
+    _sector_matrix.cache_clear()
+    lone = beamsplitter(make_pure(ModeLayout(("a", "b", "c"), 300), [((300, 0, 0), 1.0)]), "a", "b")
+    info = _sector_matrix.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    # (a^dag)^300 -> ((c^dag - d^dag) / sqrt(2))^300: binomial amplitudes
+    assert lone.amplitude((150, 150, 0)) == pytest.approx(math.sqrt(math.comb(300, 150) / 2 ** 300), abs=1e-13)
+    assert lone.norm_sq() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stored_state_splitter_never_reaches_the_batched_kernel(monkeypatch):
+    import eprsim.network as network
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the stored-state splitter reached the evolution backend's kernel")
+
+    monkeypatch.setattr(network, "_mix_sectors", forbidden)
+    monkeypatch.setattr(network, "_blocks", forbidden)
+    via_b = beamsplitter(make_pure(ModeLayout(("a", "b"), 1), [((0, 1), 1.0)]), "a", "b")
+    assert via_b.amplitudes() == pytest.approx({(0, 1): 1 / SQ2, (1, 0): 1 / SQ2})
+    gamma = 0.8
+    out = epr_split_network(make_coherent(ModeLayout(("in",), 16), [gamma]), input_mode="in")
+    want = make_coherent(out.layout, [gamma / 2, -gamma / 2, -gamma / 2, gamma / 2])
+    assert fidelity(out, want) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_single_photon_split_signs():
