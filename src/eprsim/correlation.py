@@ -235,11 +235,14 @@ def _station_layout(occ: np.ndarray) -> _StationLayout:
     pairs (n1, n2); at station 2 the groups of sector n2 are the (n1, c1).
     The pair grid spans the occupied sectors only: each adds at least n + 1
     station-2 rows, so the grid holds at most twice those rows, whatever
-    the cutoff.
+    the cutoff. Only the kets with photons at both stations get rows: each
+    rate counts a photon at each station, and each station's optics keep its
+    photon number, so a ket with an empty station adds 0 to every rate.
     """
     a1, b1, a2, b2 = occ.T
-    sec1, r1 = _occupied(a1 + b1)
-    sec2, r2 = _occupied(a2 + b2)
+    kets = ((a1 + b1 > 0) & (a2 + b2 > 0)).nonzero()[0]
+    sec1, r1 = _occupied((a1 + b1)[kets])
+    sec2, r2 = _occupied((a2 + b2)[kets])
     pair = np.bincount(r1 * sec2.shape[0] + r2, minlength=sec1.shape[0] * sec2.shape[0])
     pair = pair.reshape(sec1.shape[0], sec2.shape[0]) > 0
     w1 = pair * (sec2 + 1)             # station-1 groups (n2, a2) of each pair
@@ -264,13 +267,13 @@ def _station_layout(occ: np.ndarray) -> _StationLayout:
     order = gbase.take(np.arange(run_len.sum()) - shift.repeat(run_len))
     order += run_j.repeat(run_len)
     src = np.full(order.shape[0], occ.shape[0])   # rows of no ket read the zero row after the kets
-    src[base1[r1, r2] + a1 * g1[r1] + a2] = np.arange(occ.shape[0])
+    src[base1[r1, r2] + a1[kets] * g1[r1] + a2[kets]] = kets
     cd1 = np.array([gc1, sec1[gq1] - gc1], dtype=np.float64)
     cd2 = np.array([run_j, sec2[run_q2] - run_j], dtype=np.float64)
     # a kept layout is shared by every call on its support, so its arrays are read-only;
     # src, order and nb are views of writable contiguous owners, since np.take copies a
     # read-only or strided index array on every call
-    src, order, nb = src.view(), order.view(), occ[:, [1, 3]].T.copy().view()
+    src, order, nb = src.view(), order.view(), np.array([b1, b2]).view()
     for value in (src, order, cd1, cd2, nb):
         value.setflags(write=False)
     return _StationLayout(src, station1, order, station2, cd1, cd2, nb)
@@ -305,14 +308,17 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
     over the splits j with the weights (j, n2 - j), whose explicit n2 - j
     keeps a cancelled coincidence exactly 0. Each setting's sums then go
     back into group order, and the groups' (c1, d1) finish them. Mixtures
-    are weighted per component.
+    are weighted per component. Only kets with photons at both stations
+    have rows (``_station_layout`` says why), so a state with none has no
+    sectors and gets rates of exactly 0.
     """
     lay = _kept_layout(state)
     ladder = np.arange(int(lay.nb.max()) + 1)    # the b-arm photon counts
     src, order = lay.src.base, lay.order.base    # writable owners; see _station_layout
     groups = lay.cd1.shape[1]
-    # a chunk of settings holds its group sums and its largest station-2 sector within the budget
-    block = max(1, BLOCK_BYTES // (16 * (groups + max((n + 1) * g for n, _, g in lay.station2))))
+    # a chunk of settings holds its group sums and its largest station-2 sector within the budget;
+    # a layout of no sectors, which has neither, takes a run in one chunk
+    block = max(1, BLOCK_BYTES // (16 * (groups + max(((n + 1) * g for n, _, g in lay.station2), default=0) or 1)))
     rates = np.empty((4, theta1.shape[0]))
     first = theta1.tolist()
     starts = [k for k in range(len(first)) if k == 0 or first[k] != first[k - 1]]
@@ -339,7 +345,7 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
                 prob *= prob > PRUNE_TOL ** 2    # branch-free: a masked store at scattered cuts is slower
                 np.matmul(lay.cd2[:, j0:j0 + n + 1], prob, out=sums[:, g0 * k:(g0 + g) * k])
                 g0, j0 = g0 + g, j0 + n + 1
-            if k > 1:   # each sector's sums are setting-major: put every setting's back in group order
+            if k > 1 and groups:   # each sector's sums are setting-major: put every setting's back in group order
                 ends = np.cumsum([g * k for _, _, g in lay.station2]).tolist()
                 sums = np.concatenate([sums[:, a:b].reshape(2, k, -1) for a, b in zip([0] + ends, ends)], axis=2)
             # one contiguous (groups, 1) product per setting, as a one-setting call makes:

@@ -85,17 +85,20 @@ class ModeLayout:
             raise UnknownModeError(f"mode {label!r} not in layout {self.labels}") from None
 
 
+@functools.lru_cache(maxsize=64)
 def _key_strides(n_modes: int, cutoff: int) -> np.ndarray:
-    """Place value of each mode in a packed key (base cutoff+1, first mode highest)."""
+    """Place value of each mode in a packed key (base cutoff+1, first mode highest), read-only."""
     base = cutoff + 1
     if base ** n_modes > 2 ** 62:
         raise StateError(f"cutoff {_shown(cutoff)} with {n_modes} modes exceeds the packed-key range")
-    return (base ** np.arange(n_modes - 1, -1, -1)).astype(np.int64)
+    strides = (base ** np.arange(n_modes - 1, -1, -1)).astype(np.int64)
+    strides.setflags(write=False)   # every caller shares the cached array
+    return strides
 
 
 def _pack_keys(occ: np.ndarray, cutoff: int) -> np.ndarray:
     """Encode occupation rows as single integers (base cutoff+1)."""
-    return occ.astype(np.int64) @ _key_strides(occ.shape[1], cutoff)
+    return occ.astype(np.int64, copy=False) @ _key_strides(occ.shape[1], cutoff)
 
 
 def _find(keys: np.ndarray, targets):
@@ -142,7 +145,15 @@ class MultiModeState:
         return {tuple(row): a for row, a in zip(self._occ.tolist(), self._amp.tolist())}
 
     def amplitude(self, occ: Sequence[int]) -> complex:
-        pos, hit = _find(self._keys, _pack_keys(_checked_terms(self.layout, [occ], [1.0])[0], self.layout.cutoff))
+        """The amplitude of one occupation tuple, 0 where the state has none.
+
+        The row is checked in Python ints; a row that fails is handed to
+        ``_checked_terms``, so it is refused with ``make_pure``'s error."""
+        row = _numbers(occ, integral=True)
+        ints = row.tolist() if row is not None and row.shape == (self.layout.n_modes,) else [-1]
+        if not (min(ints) >= 0 and sum(ints) <= self.layout.cutoff):   # Python ints: the sum never wraps
+            row = _checked_terms(self.layout, [occ], [1.0])[0][0]
+        pos, hit = _find(self._keys, _pack_keys(row[None], self.layout.cutoff))
         return complex(self._amp[pos[0]]) if hit[0] else 0.0 + 0.0j
 
     def norm_sq(self) -> float:
@@ -166,12 +177,13 @@ def _checked_terms(layout: ModeLayout, occs: Sequence, values: Sequence):
     if occ is None or occ.shape != (len(occs), layout.n_modes):
         bad = [np.shape(_numbers(o, integral=True)) != (layout.n_modes,) for o in occs]
         raise StateError(f"occupation {first(bad)} must be one integer per mode of {layout.labels}")
-    negative = np.any(occ < 0, axis=1)
-    if np.any(negative):
-        raise StateError(f"negative occupation in {first(negative)}")
-    # a row whose int64 sum wraps has an entry beyond the cutoff, flagged on its own
-    over = np.any(occ > layout.cutoff, axis=1) | (occ.sum(axis=1) > layout.cutoff)
-    if np.any(over):
+    # three reductions pass every valid matrix; a failure looks for the first bad row.
+    # A row whose int64 sum wraps has an entry beyond the cutoff, flagged on its own
+    if occ.min() < 0 or occ.max() > layout.cutoff or occ.sum(axis=1).max() > layout.cutoff:
+        negative = np.any(occ < 0, axis=1)
+        if np.any(negative):
+            raise StateError(f"negative occupation in {first(negative)}")
+        over = np.any(occ > layout.cutoff, axis=1) | (occ.sum(axis=1) > layout.cutoff)
         raise StateError(f"occupation {first(over)} exceeds total-photon cutoff {_shown(layout.cutoff)}")
     if occ.dtype == object:  # ints past int64, within a cutoff past the packed-key range
         _key_strides(layout.n_modes, layout.cutoff)
@@ -181,7 +193,7 @@ def _checked_terms(layout: ModeLayout, occs: Sequence, values: Sequence):
     finite = np.isfinite(amp)
     if not np.all(finite):
         raise StateError(f"amplitude {complex(amp[~finite][0])!r} of occupation {first(~finite)} is not finite")
-    return occ.astype(np.int64), amp
+    return occ.astype(np.int64, copy=False), amp
 
 
 def _merged(layout: ModeLayout, occ: np.ndarray, amp: np.ndarray):

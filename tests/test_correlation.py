@@ -485,7 +485,7 @@ def test_evolution_layout_has_no_weight_per_row():
     signal = coherent_pair(1.0, 1.0, 18)
     state = homodyne_network_state(signal, LOConfig(*optimal_lo(signal)), lo_cutoff=18)
     rows = correlation._station_layout(state._occ).order.shape[0]
-    assert rows == 90_680
+    assert rows == 89_491
     peaks = []
     for call in (lambda: correlation._station_layout(state._occ),
                  lambda: output_correlators(state, PhaseSetting(0.4, -1.1), backend="evolution")):
@@ -689,6 +689,47 @@ def test_kept_plan_keeps_no_state_alive_and_is_read_only(monkeypatch):
     assert ref() is None
 
 
+def test_evolution_layout_has_rows_only_for_kets_at_both_stations():
+    """A ket with no photon at one station adds 0 to every rate, so it gets no row."""
+    import eprsim.correlation as correlation
+
+    state = make_pure(ModeLayout(STANDARD, 2), [((1, 0, 0, 0), 1.0), ((1, 0, 1, 0), 1.0), ((0, 0, 1, 1), 1.0)])
+    lay = correlation._station_layout(state._occ)
+    both = state._occ.tolist().index([1, 0, 1, 0])
+    # station 1 holds the groups (n2, a2) = (1, 0) and (1, 1) of sector n1 = 1; the rest read the zero row
+    assert lay.station1 == ((1, 0, 2),) and lay.station2 == ((1, 0, 2),)
+    assert sorted(lay.src.tolist()) == [both] + [state.n_terms] * 3
+    setting = PhaseSetting(0.4, -1.1)
+    got, want = (output_correlators(state, setting, backend=b) for b in ("evolution", "expansion"))
+    assert [got.cc, got.cd, got.dc, got.dd] == pytest.approx([want.cc, want.cd, want.dc, want.dd], abs=1e-15)
+    # a dense cutoff-3 scan state: its 16 kets at both stations fill the sector pairs
+    # (1, 1), (1, 2) and (2, 1), row for row, in sectors n = 1, 2 at each station
+    occ = random_four_mode(np.random.default_rng(8), cutoff=3)._occ
+    lay = correlation._station_layout(occ)
+    n1, n2 = occ[:, :2].sum(1), occ[:, 2:].sum(1)
+    assert sorted(lay.src.tolist()) == ((n1 > 0) & (n2 > 0)).nonzero()[0].tolist()
+    assert lay.src.shape == (16,) and [n for n, _, _ in lay.station1 + lay.station2] == [1, 2, 1, 2]
+
+
+def test_no_ket_at_both_stations_gives_an_empty_layout_and_zero_rates(monkeypatch):
+    import eprsim.correlation as correlation
+
+    state = make_pure(ModeLayout(STANDARD, 2), [((1, 0, 0, 0), 1.0), ((0, 0, 1, 1), 1.0j), ((0, 2, 0, 0), 0.5)])
+    lay = correlation._station_layout(state._occ)
+    assert lay.src.shape == lay.order.shape == (0,) and lay.station1 == lay.station2 == ()
+    # one setting, then runs of one theta1 in one chunk each, then a setting per chunk
+    theta1, theta2 = np.array([0.3, 0.3, 0.3, -1.0, 2.0, 2.0]), np.linspace(-3.0, 3.0, 6)
+    for t1, t2 in ((theta1[:1], theta2[:1]), (theta1, theta2)):
+        assert _evolution_rates(state, t1, t2).tolist() == [[0.0] * t1.shape[0]] * 4
+    monkeypatch.setattr(correlation, "BLOCK_BYTES", 1)
+    assert _evolution_rates(state, theta1, theta2).tolist() == [[0.0] * 6] * 4
+    for backend in ("evolution", "expansion"):
+        rates = output_correlators(state, PhaseSetting(0.4, -1.1), backend=backend)
+        assert rates.total == 0.0
+        with pytest.raises(ZeroCoincidence):
+            rates.E()
+
+
 def _count_layout_builds(monkeypatch):
     """Empty the kept station layout and patch its builder to log each build."""
     import eprsim.correlation as correlation
@@ -848,7 +889,7 @@ def test_kept_layout_gathers_copy_no_index(monkeypatch):
     correlation._evolution_rates(state, theta, -theta)
     lay = correlation._kept_layout(state)
     rows = lay.src.shape[0]
-    assert builds == [36_032] and rows == 90_680
+    assert builds == [36_032] and rows == 89_491
     tracemalloc.start()
     try:
         correlation._evolution_rates(state, theta, -theta)

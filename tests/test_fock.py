@@ -172,6 +172,33 @@ def test_tiny_amplitudes_are_pruned():
     assert s.amplitude((2,)) == 0.0
 
 
+# rows of two modes at cutoff 2 that make_pure refuses, one for each refusal
+BAD_ROWS = [(1,), (1, 0, 0), [[1, 0]], (0.5, 0), (1, 0.0), (True, False), ("1", 0), "ab", (-1, 0), (0, -3),
+            (3, 0), (1, 2), (2**62, 2**62), (2**63, 0), (10**30, 0), (-(10**30), 1)]
+
+
+@pytest.mark.parametrize("row", BAD_ROWS, ids=repr)
+def test_amplitude_lookup_refuses_a_row_as_make_pure_does(row):
+    layout = ModeLayout(("a", "b"), 2)
+    state = make_pure(layout, [((1, 0), 1.0), ((0, 2), 1.0j)])
+    with pytest.raises(StateError) as want:
+        make_pure(layout, [(row, 1.0)])
+    with pytest.raises(StateError) as got:
+        state.amplitude(row)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+def test_amplitude_lookup_reads_every_ket_and_nothing_else():
+    layout = ModeLayout(("a1", "b1", "a2", "b2"), 3)
+    rng = np.random.default_rng(9)
+    occs = [occ for occ in np.ndindex(4, 4, 4, 4) if sum(occ) <= 3]
+    state = make_pure(layout, [(occ, complex(*rng.normal(size=2))) for occ in occs[::2]])
+    stored = state.amplitudes()
+    for occ in occs:
+        assert state.amplitude(occ) == stored.get(occ, 0.0)
+        assert state.amplitude(np.array(occ, dtype=np.int8)) == stored.get(occ, 0.0)
+
+
 def test_packed_key_range_guard():
     layout = ModeLayout(tuple(f"m{i}" for i in range(8)), 250)
     with pytest.raises(StateError):

@@ -108,23 +108,34 @@ def run_cases(draw):
 
 
 class _SectorSpy:
-    """A station-2 sector matrix that logs (n, columns) of each block it mixes."""
+    """A station-2 sector matrix that logs (n, columns) of each block it mixes;
+    a ket with no photon at station 2 gets no row, so no block has n = 0."""
 
     def __init__(self, n, log):
         self.n, self.log = n, log
 
     def __matmul__(self, block):
+        assert self.n > 0, "station 2 mixed an n2 = 0 block"
         self.log.append((self.n, block.shape[1]))
         return _sector_matrix(self.n) @ block
 
 
 def _budget_width(lay):
-    """Bytes per setting of a station-2 chunk, over 16: its group sums and its largest sector."""
-    return lay.cd1.shape[1] + max((n + 1) * g for n, _, g in lay.station2)
+    """Bytes per setting of a station-2 chunk, over 16: its group sums and its
+    largest sector, both 0 for a layout of no sectors."""
+    return lay.cd1.shape[1] + max(((n + 1) * g for n, _, g in lay.station2), default=0)
+
+
+# a mixture whose first component has no ket with photons at both stations
+_EMPTY_LAYOUT_CASE = (MixedState((
+    (0.5, make_pure(ModeLayout(STANDARD, CUTOFF), [((1, 0, 0, 0), 1.0), ((0, 0, 2, 1), 1.0j)])),
+    (0.5, make_pure(ModeLayout(STANDARD, CUTOFF), [((1, 0, 1, 0), 1.0), ((0, 1, 2, 0), 1.0)])))),
+    2, [(0.5, -1.0), (0.5, 0.25), (0.5, 2.0), (-2.5, 1.0)])
 
 
 @settings(max_examples=60, deadline=None)
 @given(run_cases())
+@example(_EMPTY_LAYOUT_CASE)
 def test_settings_blocks_match_one_setting_at_a_time(case):
     state, block, pairs = case
     theta1 = np.array([t1 for t1, _ in pairs])
@@ -138,8 +149,8 @@ def test_settings_blocks_match_one_setting_at_a_time(case):
         passes.append(out.shape)
         _mix_sectors(out, sectors)
 
-    # the budget gives the component with the narrowest chunks b settings per chunk
-    budget = 16 * min(map(_budget_width, lays)) * block
+    # the budget gives the narrowest component that mixes a block b settings per chunk
+    budget = 16 * min((w for w in map(_budget_width, lays) if w), default=1) * block
     with mock.patch.object(correlation, "BLOCK_BYTES", budget), \
             mock.patch.object(correlation, "_mix_sectors", station1), \
             mock.patch.object(correlation, "_sector_matrix", lambda n: _SectorSpy(n, mixed)):
@@ -149,6 +160,8 @@ def test_settings_blocks_match_one_setting_at_a_time(case):
     # then each run in station-2 chunks of at most b settings, sector by sector
     chunks = []
     for lay in lays:
+        if not lay.station2:   # no ket with photons at both stations: no chunk
+            continue
         b = max(1, budget // (16 * _budget_width(lay)))
         assert b <= block
         for m in runs:
