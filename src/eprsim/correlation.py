@@ -313,12 +313,13 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
     sectors and gets rates of exactly 0.
     """
     lay = _kept_layout(state)
+    if not lay.station2:   # no ket with photons at both stations
+        return np.zeros((4, theta1.shape[0]))
     ladder = np.arange(int(lay.nb.max()) + 1)    # the b-arm photon counts
     src, order = lay.src.base, lay.order.base    # writable owners; see _station_layout
     groups = lay.cd1.shape[1]
-    # a chunk of settings holds its group sums and its largest station-2 sector within the budget;
-    # a layout of no sectors, which has neither, takes a run in one chunk
-    block = max(1, BLOCK_BYTES // (16 * (groups + max(((n + 1) * g for n, _, g in lay.station2), default=0) or 1)))
+    # a chunk of settings holds its group sums and its largest station-2 sector within the budget
+    block = max(1, BLOCK_BYTES // (16 * (groups + max((n + 1) * g for n, _, g in lay.station2))))
     rates = np.empty((4, theta1.shape[0]))
     first = theta1.tolist()
     starts = [k for k in range(len(first)) if k == 0 or first[k] != first[k - 1]]
@@ -345,7 +346,7 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
                 prob *= prob > PRUNE_TOL ** 2    # branch-free: a masked store at scattered cuts is slower
                 np.matmul(lay.cd2[:, j0:j0 + n + 1], prob, out=sums[:, g0 * k:(g0 + g) * k])
                 g0, j0 = g0 + g, j0 + n + 1
-            if k > 1 and groups:   # each sector's sums are setting-major: put every setting's back in group order
+            if k > 1:   # each sector's sums are setting-major: put every setting's back in group order
                 ends = np.cumsum([g * k for _, _, g in lay.station2]).tolist()
                 sums = np.concatenate([sums[:, a:b].reshape(2, k, -1) for a, b in zip([0] + ends, ends)], axis=2)
             # one contiguous (groups, 1) product per setting, as a one-setting call makes:

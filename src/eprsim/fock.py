@@ -145,15 +145,7 @@ class MultiModeState:
         return {tuple(row): a for row, a in zip(self._occ.tolist(), self._amp.tolist())}
 
     def amplitude(self, occ: Sequence[int]) -> complex:
-        """The amplitude of one occupation tuple, 0 where the state has none.
-
-        The row is checked in Python ints; a row that fails is handed to
-        ``_checked_terms``, so it is refused with ``make_pure``'s error."""
-        row = _numbers(occ, integral=True)
-        ints = row.tolist() if row is not None and row.shape == (self.layout.n_modes,) else [-1]
-        if not (min(ints) >= 0 and sum(ints) <= self.layout.cutoff):   # Python ints: the sum never wraps
-            row = _checked_terms(self.layout, [occ], [1.0])[0][0]
-        pos, hit = _find(self._keys, _pack_keys(row[None], self.layout.cutoff))
+        pos, hit = _find(self._keys, _pack_keys(_checked_terms(self.layout, [occ], [1.0])[0], self.layout.cutoff))
         return complex(self._amp[pos[0]]) if hit[0] else 0.0 + 0.0j
 
     def norm_sq(self) -> float:

@@ -121,9 +121,8 @@ class _SectorSpy:
 
 
 def _budget_width(lay):
-    """Bytes per setting of a station-2 chunk, over 16: its group sums and its
-    largest sector, both 0 for a layout of no sectors."""
-    return lay.cd1.shape[1] + max(((n + 1) * g for n, _, g in lay.station2), default=0)
+    """Bytes per setting of a station-2 chunk, over 16: its group sums and its largest sector."""
+    return lay.cd1.shape[1] + max((n + 1) * g for n, _, g in lay.station2)
 
 
 # a mixture whose first component has no ket with photons at both stations
@@ -149,19 +148,19 @@ def test_settings_blocks_match_one_setting_at_a_time(case):
         passes.append(out.shape)
         _mix_sectors(out, sectors)
 
-    # the budget gives the narrowest component that mixes a block b settings per chunk
-    budget = 16 * min((w for w in map(_budget_width, lays) if w), default=1) * block
+    # a component with no ket at both stations gets zeros before any pass
+    mixing = [lay for lay in lays if lay.station2]
+    # the budget gives the component with the narrowest chunks b settings per chunk
+    budget = 16 * min(map(_budget_width, mixing), default=1) * block
     with mock.patch.object(correlation, "BLOCK_BYTES", budget), \
             mock.patch.object(correlation, "_mix_sectors", station1), \
             mock.patch.object(correlation, "_sector_matrix", lambda n: _SectorSpy(n, mixed)):
         got = _evolution_rates(state, theta1, theta2)
     # one station-1 pass per run of each component, on one column
-    assert passes == [lay.src.shape for lay in lays for _ in runs]
+    assert passes == [lay.src.shape for lay in mixing for _ in runs]
     # then each run in station-2 chunks of at most b settings, sector by sector
     chunks = []
-    for lay in lays:
-        if not lay.station2:   # no ket with photons at both stations: no chunk
-            continue
+    for lay in mixing:
         b = max(1, budget // (16 * _budget_width(lay)))
         assert b <= block
         for m in runs:
