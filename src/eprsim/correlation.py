@@ -42,7 +42,7 @@ import numpy as np
 from .errors import EprSimError, StateError, ZeroCoincidence, _require_count, _require_finite
 from .fock import (PRUNE_TOL, ZERO_TOL, AnyState, MultiModeState, _partner_sum, _partners, mixture_average,
                    require_modes)
-from .network import STATION_MODES, PhaseSetting, _blocks, _mix_sectors, _occupied, _runs, _sector_matrix
+from .network import STATION_MODES, PhaseSetting, _occupied, _runs, _sector_matrix
 
 BOUND_TOL = 1e-9            # absolute slack on the bound lines, A1 + A2 = 1 among them
 NEGATIVE_RATE_TOL = 1e-12   # relative to the coincidence total
@@ -215,17 +215,41 @@ def _moment_vector(state: AnyState) -> np.ndarray:
     return vec
 
 
+def _blocks(sector: np.ndarray, groups: np.ndarray):
+    """Start row of each sector whose n + 1 splits hold ``groups`` rows each,
+    and the (n, start, groups) blocks that ``_mix_sectors`` takes."""
+    size = groups * (sector + 1)
+    start = size.cumsum() - size
+    return start, tuple(zip(sector.tolist(), start.tolist(), groups.tolist()))
+
+
+def _mix_sectors(out: np.ndarray, sectors) -> None:
+    """Push the (R,) or (R, K) amplitudes ``out`` (a state per column) through
+    the 50:50 splitter in place. The splitter mixes only kets that agree on
+    every other mode and on the pair sector n = n_a + n_b, so each of the
+    (n, start, groups) ``sectors`` is a dense (n+1, groups) block, ket j of
+    group g at row start + j*groups + g, mixed by one product with the
+    (n+1, n+1) ``_sector_matrix``.
+    """
+    for n, s0, g in sectors:
+        # the real sector matrix acts on the interleaved (re, im) pairs; a block
+        # that is no view of ``out`` raises rather than leaving ``out`` unmixed
+        block = out[s0:s0 + (n + 1) * g].view(np.float64).reshape(n + 1, -1, copy=False)
+        block[...] = _sector_matrix(n) @ block
+
+
 class _StationLayout(NamedTuple):
     """Rows of the evolution backend's two stations, and its rate weights per
     station-2 group and split, not per row; see ``_station_layout``."""
 
-    src: np.ndarray         # ket of each station-1 row; n_kets stands for the zero row
+    kets: np.ndarray        # the kets with photons at both stations
+    rows: np.ndarray        # station-1 row of each of those kets; every other row is zero
     station1: tuple         # (n1, start, groups) blocks of station 1
     order: np.ndarray       # station-1 row of each station-2 row
     station2: tuple         # (n2, start, groups) blocks of station 2
     cd1: np.ndarray         # (c1, d1) of each station-2 group, 2 x groups
     cd2: np.ndarray         # (c2, d2) = (j, n2 - j) of each station-2 split j, sector by sector
-    nb: np.ndarray          # (n_b1, n_b2) of each ket, one contiguous row each for the phase gathers
+    nb: np.ndarray          # (n_b1, n_b2) of each of those kets, one contiguous row each for the phase gathers
 
 
 def _station_layout(occ: np.ndarray) -> _StationLayout:
@@ -235,14 +259,15 @@ def _station_layout(occ: np.ndarray) -> _StationLayout:
     pairs (n1, n2); at station 2 the groups of sector n2 are the (n1, c1).
     The pair grid spans the occupied sectors only: each adds at least n + 1
     station-2 rows, so the grid holds at most twice those rows, whatever
-    the cutoff. Only the kets with photons at both stations get rows: each
-    rate counts a photon at each station, and each station's optics keep its
-    photon number, so a ket with an empty station adds 0 to every rate.
+    the cutoff. Only ``kets``, those with photons at both stations, get
+    station-1 ``rows``: each rate counts a photon at each station, and each
+    station's optics keep its photon number, so an empty station adds 0.
     """
     a1, b1, a2, b2 = occ.T
     kets = ((a1 + b1 > 0) & (a2 + b2 > 0)).nonzero()[0]
-    sec1, r1 = _occupied((a1 + b1)[kets])
-    sec2, r2 = _occupied((a2 + b2)[kets])
+    a1, b1, a2, b2 = occ.take(kets, axis=0).T   # 4x faster than fancy indexing of the rows
+    sec1, r1 = _occupied(a1 + b1)
+    sec2, r2 = _occupied(a2 + b2)
     pair = np.bincount(r1 * sec2.shape[0] + r2, minlength=sec1.shape[0] * sec2.shape[0])
     pair = pair.reshape(sec1.shape[0], sec2.shape[0]) > 0
     w1 = pair * (sec2 + 1)             # station-1 groups (n2, a2) of each pair
@@ -258,25 +283,21 @@ def _station_layout(occ: np.ndarray) -> _StationLayout:
     gq1 = q1.repeat(splits1)
     gc1 = _runs(splits1)
     gbase = base1[gq1, q2.repeat(splits1)] + gc1 * g1[gq1]
-    # station-2 row block j of sector n2 runs over the groups of that sector in
-    # turn, and the station-1 row of group i at split j is gbase[i] + a2 = gbase[i] + j
-    run_q2 = np.arange(sec2.shape[0]).repeat(sec2 + 1)
-    run_j = _runs(sec2 + 1)
-    run_len = g2[run_q2]
-    shift = run_len.cumsum() - run_len - (g2.cumsum() - g2)[run_q2]   # first row - first group
-    order = gbase.take(np.arange(run_len.sum()) - shift.repeat(run_len))
-    order += run_j.repeat(run_len)
-    src = np.full(order.shape[0], occ.shape[0])   # rows of no ket read the zero row after the kets
-    src[base1[r1, r2] + a1[kets] * g1[r1] + a2[kets]] = kets
+    # station-2 row j * g + i of sector n2 is its group i at split j, whose
+    # station-1 row is gbase[i] + a2 = gbase[i] + j
+    order = np.concatenate([np.empty(0, np.intp)] + [(base + np.arange(n + 1)[:, None]).ravel()
+                            for n, base in zip(sec2.tolist(), np.split(gbase, g2.cumsum()[:-1]))])
+    rows = base1[r1, r2] + a1 * g1[r1] + a2
+    j = _runs(sec2 + 1)
     cd1 = np.array([gc1, sec1[gq1] - gc1], dtype=np.float64)
-    cd2 = np.array([run_j, sec2[run_q2] - run_j], dtype=np.float64)
+    cd2 = np.array([j, sec2.repeat(sec2 + 1) - j], dtype=np.float64)
     # a kept layout is shared by every call on its support, so its arrays are read-only;
-    # src, order and nb are views of writable contiguous owners, since np.take copies a
-    # read-only or strided index array on every call
-    src, order, nb = src.view(), order.view(), np.array([b1, b2]).view()
-    for value in (src, order, cd1, cd2, nb):
+    # order and nb are views of writable contiguous owners, which np.take reads, since it
+    # copies a read-only or strided index array on every call (fancy indexing does not)
+    order, nb = order.view(), np.array([b1, b2]).view()
+    for value in (kets, rows, order, cd1, cd2, nb):
         value.setflags(write=False)
-    return _StationLayout(src, station1, order, station2, cd1, cd2, nb)
+    return _StationLayout(kets, rows, station1, order, station2, cd1, cd2, nb)
 
 
 _LAYOUT_KEPT = (None, None, None)   # (cutoff, packed keys, layout) of the last state laid out
@@ -294,29 +315,30 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
     """Rates (cc, cd, dc, dd) x K settings from the analyzer optics.
 
     e^{i t2 n_b2} is constant on each station-1 group (n2, a2), so each run
-    of consecutive settings with equal theta1 phases the kets once, at the
-    run's first t2, and pushes them through station 1 as one column on the
-    rows of ``_kept_layout``. Station 2 takes the run in chunks of settings
-    within ``BLOCK_BYTES``, one sector n2 at a time: it gathers the sector's
-    rows from that column and, in a longer run, turns split j by
-    e^{i(t2 - t2_first)(n2 - j)} for each setting, setting-major, so every
-    setting's groups stay contiguous. It mixes, squares, and multiplies
-    each |amp|^2 by (|amp|^2 > ``PRUNE_TOL**2``): as in a stored state, a
-    cancelled probability is exactly +0, and every other value keeps its
-    bits. The rates are sum |amp|^2 n_x1 n_x2, with c = a and d = b after
-    each splitter: one product per sector sums each group's probabilities
-    over the splits j with the weights (j, n2 - j), whose explicit n2 - j
-    keeps a cancelled coincidence exactly 0. Each setting's sums then go
-    back into group order, and the groups' (c1, d1) finish them. Mixtures
-    are weighted per component. Only kets with photons at both stations
-    have rows (``_station_layout`` says why), so a state with none has no
-    sectors and gets rates of exactly 0.
+    of consecutive settings with equal theta1 phases the laid-out kets once,
+    at the run's first t2, scatters them into a zeroed column on the
+    station-1 rows of ``_kept_layout`` and pushes it through station 1.
+    Station 2 takes the run in chunks of settings within ``BLOCK_BYTES``,
+    one sector n2 at a time: it gathers the sector's rows from that column
+    and, in a longer run, turns split j by e^{i(t2 - t2_first)(n2 - j)} for
+    each setting, setting-major, so every setting's groups stay contiguous.
+    It mixes, squares, and multiplies each |amp|^2 by (|amp|^2 >
+    ``PRUNE_TOL**2``): as in a stored state, a cancelled probability is
+    exactly +0, and every other value keeps its bits. The rates are
+    sum |amp|^2 n_x1 n_x2, with c = a and d = b after each splitter: one
+    product per sector sums each group's probabilities over the splits j
+    with the weights (j, n2 - j), whose explicit n2 - j keeps a cancelled
+    coincidence exactly 0, into each setting's groups, and the groups'
+    (c1, d1) finish them. Mixtures are weighted per component. Only kets
+    with photons at both stations have rows (``_station_layout`` says
+    why), so a state with none has no sectors and gets rates of exactly 0.
     """
     lay = _kept_layout(state)
     if not lay.station2:   # no ket with photons at both stations
         return np.zeros((4, theta1.shape[0]))
     ladder = np.arange(int(lay.nb.max()) + 1)    # the b-arm photon counts
-    src, order = lay.src.base, lay.order.base    # writable owners; see _station_layout
+    nb, order = lay.nb.base, lay.order.base      # writable owners; see _station_layout
+    amp = state._amp[lay.kets]
     groups = lay.cd1.shape[1]
     # a chunk of settings holds its group sums and its largest station-2 sector within the budget
     block = max(1, BLOCK_BYTES // (16 * (groups + max((n + 1) * g for n, _, g in lay.station2))))
@@ -324,34 +346,30 @@ def _evolution_rates(state: AnyState, theta1: np.ndarray, theta2: np.ndarray) ->
     first = theta1.tolist()
     starts = [k for k in range(len(first)) if k == 0 or first[k] != first[k - 1]]
     for lo, hi in zip(starts, starts[1:] + [len(first)]):
-        col = np.zeros(state._amp.shape[0] + 1, dtype=np.complex128)
-        col[:-1] = (state._amp * np.take(np.exp(1j * ladder * theta1[lo]), lay.nb.base[0])
-                    * np.take(np.exp(1j * ladder * theta2[lo]), lay.nb.base[1]))
-        col = np.take(col, src)            # station-1 rows; frees the phased kets
+        col = np.zeros(order.shape[0], dtype=np.complex128)   # station-1 rows
+        col[lay.rows] = (amp * np.take(np.exp(1j * ladder * theta1[lo]), nb[0])
+                         * np.take(np.exp(1j * ladder * theta2[lo]), nb[1]))
         _mix_sectors(col, lay.station1)    # a1, b1 -> c1, d1
         for c0 in range(lo, hi, block):
             k = min(hi - c0, block)
             # cd2[1] holds n_b2 = n2 - j of each station-2 split j
             turn = np.exp(1j * np.outer(lay.cd2[1], theta2[c0:c0 + k] - theta2[lo])) if hi - lo > 1 else None
-            sums = np.empty((2, groups * k))   # (c2, d2)-weighted sums, sector by sector, setting-major in each
+            sums = np.empty((2, k, groups))   # (c2, d2)-weighted sums of each setting's groups
             g0 = j0 = 0
             for n, s0, g in lay.station2:
-                amp = np.take(col, order[s0:s0 + (n + 1) * g])
+                sector = np.take(col, order[s0:s0 + (n + 1) * g])
                 if turn is not None:
-                    amp = amp.reshape(n + 1, 1, g) * turn[j0:j0 + n + 1, :, None]
+                    sector = sector.reshape(n + 1, 1, g) * turn[j0:j0 + n + 1, :, None]
                 # a2, b2 -> c2, d2 on the interleaved (re, im) pairs, then re^2, im^2 in place
-                out = _sector_matrix(n) @ amp.view(np.float64).reshape(n + 1, -1)
+                out = _sector_matrix(n) @ sector.view(np.float64).reshape(n + 1, -1)
                 np.square(out, out=out)
                 prob = out[:, 0::2] + out[:, 1::2]
                 prob *= prob > PRUNE_TOL ** 2    # branch-free: a masked store at scattered cuts is slower
-                np.matmul(lay.cd2[:, j0:j0 + n + 1], prob, out=sums[:, g0 * k:(g0 + g) * k])
+                sums[:, :, g0:g0 + g] = (lay.cd2[:, j0:j0 + n + 1] @ prob).reshape(2, k, g)
                 g0, j0 = g0 + g, j0 + n + 1
-            if k > 1:   # each sector's sums are setting-major: put every setting's back in group order
-                ends = np.cumsum([g * k for _, _, g in lay.station2]).tolist()
-                sums = np.concatenate([sums[:, a:b].reshape(2, k, -1) for a, b in zip([0] + ends, ends)], axis=2)
             # one contiguous (groups, 1) product per setting, as a one-setting call makes:
             # BLAS sums a wider product's groups in another order, 1e-14 of the total apart
-            rates[:, c0:c0 + k] = (lay.cd1 @ sums.reshape(2, k, groups, 1)).transpose(2, 0, 1, 3).reshape(4, k)
+            rates[:, c0:c0 + k] = (lay.cd1 @ sums[..., None]).transpose(2, 0, 1, 3).reshape(4, k)
     return rates
 
 

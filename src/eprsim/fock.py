@@ -85,15 +85,12 @@ class ModeLayout:
             raise UnknownModeError(f"mode {label!r} not in layout {self.labels}") from None
 
 
-@functools.lru_cache(maxsize=64)
 def _key_strides(n_modes: int, cutoff: int) -> np.ndarray:
-    """Place value of each mode in a packed key (base cutoff+1, first mode highest), read-only."""
+    """Place value of each mode in a packed key (base cutoff+1, first mode highest)."""
     base = cutoff + 1
     if base ** n_modes > 2 ** 62:
         raise StateError(f"cutoff {_shown(cutoff)} with {n_modes} modes exceeds the packed-key range")
-    strides = (base ** np.arange(n_modes - 1, -1, -1)).astype(np.int64)
-    strides.setflags(write=False)   # every caller shares the cached array
-    return strides
+    return (base ** np.arange(n_modes - 1, -1, -1)).astype(np.int64)
 
 
 def _pack_keys(occ: np.ndarray, cutoff: int) -> np.ndarray:

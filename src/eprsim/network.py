@@ -16,8 +16,8 @@ the inverse map used to transform kets is
     b^dag = (c^dag + d^dag) / sqrt(2)
 
 which is unitary and photon-number conserving, so a state inside the total
-cutoff stays inside it. ``beamsplitter`` applies the splitter ket by ket,
-its definition; ``_mix_sectors`` is the evolution backend's batched form.
+cutoff stays inside it. ``beamsplitter`` is the splitter's definition, ket
+by ket; ``correlation._mix_sectors`` is the evolution backend's batched form.
 """
 
 from __future__ import annotations
@@ -108,29 +108,6 @@ def _runs(lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) - (lengths.cumsum() - lengths).repeat(lengths)
 
 
-def _blocks(sector: np.ndarray, groups: np.ndarray):
-    """Start row of each sector whose n + 1 splits hold ``groups`` rows each,
-    and the (n, start, groups) blocks that ``_mix_sectors`` takes."""
-    size = groups * (sector + 1)
-    start = size.cumsum() - size
-    return start, tuple(zip(sector.tolist(), start.tolist(), groups.tolist()))
-
-
-def _mix_sectors(out: np.ndarray, sectors) -> None:
-    """Push the (R,) or (R, K) amplitudes ``out`` (a state per column) through
-    the 50:50 splitter in place. The splitter mixes only kets that agree on
-    every other mode and on the pair sector n = n_a + n_b, so each of the
-    (n, start, groups) ``sectors`` is a dense (n+1, groups) block, ket j of
-    group g at row start + j*groups + g, mixed by one product with the
-    (n+1, n+1) ``_sector_matrix``.
-    """
-    for n, s0, g in sectors:
-        # the real sector matrix acts on the interleaved (re, im) pairs; a block
-        # that is no view of ``out`` raises rather than leaving ``out`` unmixed
-        block = out[s0:s0 + (n + 1) * g].view(np.float64).reshape(n + 1, -1, copy=False)
-        block[...] = _sector_matrix(n) @ block
-
-
 @per_component
 def beamsplitter(state: AnyState, mode_a: str, mode_b: str):
     """Apply the 50:50 splitter to (mode_a, mode_b); outputs reuse the labels.
@@ -140,7 +117,8 @@ def beamsplitter(state: AnyState, mode_a: str, mode_b: str):
     ket with k photons in mode_a and n - k in mode_b emits |j, n - j> for
     j = 0..n, the other modes unchanged, with coefficient
     ``_sector_matrix(n)[j, k]``; equal outputs are summed in ket order and
-    pruned. ``_mix_sectors`` is the evolution backend's batched form.
+    pruned. The evolution backend's batched form is
+    ``correlation._mix_sectors``.
     """
     layout = state.layout
     ia, ib = layout.index(mode_a), layout.index(mode_b)

@@ -89,6 +89,10 @@ def test_each_checkout_records_its_source_lines(tmp_path, monkeypatch):
                                 "change": {"cli": 3, "fock": 2, "trace": 1, "total": 6}}
     assert doc["src_code_lines"] == {"parent": {"cli": 2, "fock": 3, "total": 5},
                                      "change": {"cli": 3, "fock": 2, "trace": 1, "total": 6}}
+    # change minus parent, a module on one side only counted as 0 on the other
+    assert doc["src_lines_delta"] == {"cli": 2, "fock": -1, "trace": 1, "total": 2}
+    assert doc["src_code_lines_delta"] == {"cli": 1, "fock": -1, "trace": 1, "total": 1}
+    assert bench_pairs.line_delta({"zoo": 2, "total": 2}, {"total": 0}) == {"zoo": -2, "total": -2}
     assert doc["workloads"]["w"]["pairs_won"]["round_s"] == {"change": 2, "parent": 0, "pairs": 2}
 
 

@@ -696,9 +696,9 @@ def test_evolution_layout_has_rows_only_for_kets_at_both_stations():
     state = make_pure(ModeLayout(STANDARD, 2), [((1, 0, 0, 0), 1.0), ((1, 0, 1, 0), 1.0), ((0, 0, 1, 1), 1.0)])
     lay = correlation._station_layout(state._occ)
     both = state._occ.tolist().index([1, 0, 1, 0])
-    # station 1 holds the groups (n2, a2) = (1, 0) and (1, 1) of sector n1 = 1; the rest read the zero row
+    # station 1 holds the groups (n2, a2) = (1, 0) and (1, 1) of sector n1 = 1; the other rows are zero
     assert lay.station1 == ((1, 0, 2),) and lay.station2 == ((1, 0, 2),)
-    assert sorted(lay.src.tolist()) == [both] + [state.n_terms] * 3
+    assert lay.kets.tolist() == [both] and lay.order.shape == (4,)
     setting = PhaseSetting(0.4, -1.1)
     got, want = (output_correlators(state, setting, backend=b) for b in ("evolution", "expansion"))
     assert [got.cc, got.cd, got.dc, got.dd] == pytest.approx([want.cc, want.cd, want.dc, want.dd], abs=1e-15)
@@ -707,8 +707,9 @@ def test_evolution_layout_has_rows_only_for_kets_at_both_stations():
     occ = random_four_mode(np.random.default_rng(8), cutoff=3)._occ
     lay = correlation._station_layout(occ)
     n1, n2 = occ[:, :2].sum(1), occ[:, 2:].sum(1)
-    assert sorted(lay.src.tolist()) == ((n1 > 0) & (n2 > 0)).nonzero()[0].tolist()
-    assert lay.src.shape == (16,) and [n for n, _, _ in lay.station1 + lay.station2] == [1, 2, 1, 2]
+    assert lay.kets.tolist() == ((n1 > 0) & (n2 > 0)).nonzero()[0].tolist()
+    assert lay.order.shape == (16,) and [n for n, _, _ in lay.station1 + lay.station2] == [1, 2, 1, 2]
+    assert lay.nb.shape == (2, 16) and sorted(lay.rows.tolist()) == list(range(16))
 
 
 def test_no_ket_at_both_stations_gives_an_empty_layout_and_zero_rates(monkeypatch):
@@ -716,7 +717,7 @@ def test_no_ket_at_both_stations_gives_an_empty_layout_and_zero_rates(monkeypatc
 
     state = make_pure(ModeLayout(STANDARD, 2), [((1, 0, 0, 0), 1.0), ((0, 0, 1, 1), 1.0j), ((0, 2, 0, 0), 0.5)])
     lay = correlation._station_layout(state._occ)
-    assert lay.src.shape == lay.order.shape == (0,) and lay.station1 == lay.station2 == ()
+    assert lay.kets.shape == lay.rows.shape == lay.order.shape == (0,) and lay.station1 == lay.station2 == ()
     # one setting, then runs of one theta1 in one chunk each, then a setting per chunk
     theta1, theta2 = np.array([0.3, 0.3, 0.3, -1.0, 2.0, 2.0]), np.linspace(-3.0, 3.0, 6)
     for t1, t2 in ((theta1[:1], theta2[:1]), (theta1, theta2)):
@@ -820,7 +821,7 @@ def test_kept_layout_arrays_are_read_only(monkeypatch):
     state = random_four_mode(np.random.default_rng(5))
     lay = correlation._kept_layout(state)
     assert correlation._kept_layout(state) is lay
-    for name in ("src", "order", "cd1", "cd2"):
+    for name in ("kets", "rows", "order", "cd1", "cd2", "nb"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(lay, name)[...] = 0
 
@@ -888,7 +889,7 @@ def test_kept_layout_gathers_copy_no_index(monkeypatch):
     theta = np.array([0.4])
     correlation._evolution_rates(state, theta, -theta)
     lay = correlation._kept_layout(state)
-    rows = lay.src.shape[0]
+    rows = lay.order.shape[0]
     assert builds == [36_032] and rows == 89_491
     tracemalloc.start()
     try:
@@ -896,10 +897,10 @@ def test_kept_layout_gathers_copy_no_index(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the peak is the station-1 gather beside the phased kets, 16 B per row and
+    # the peak is the station-1 column beside the phased kets, 16 B per row and
     # per ket; station 2 gathers one sector at a time, never all rows at once
     assert peak <= 36 * rows
-    # every gather, per ket, per row and per station-2 sector, indexes with a
+    # every gather, per laid-out ket and per station-2 sector, indexes with a
     # writable contiguous array: a run of 3 settings at one theta1, then one more
     indices = []
     take = np.take
@@ -913,13 +914,12 @@ def test_kept_layout_gathers_copy_no_index(monkeypatch):
     correlation._evolution_rates(state, theta1, np.linspace(-3.0, 3.0, 4))
     for index in indices:
         assert index.flags.writeable and index.flags.c_contiguous
-    # per run: the two phase tables per ket, the station-1 rows and one slice
-    # of the station-2 rows per sector, all from the layout's owners
+    # per run: the two phase tables per laid-out ket and one slice of the
+    # station-2 rows per sector, all from the layout's owners; station 1 gathers nothing
     sectors = len(lay.station2)
-    assert len(indices) == 2 * (3 + sectors)
-    for run in (indices[:3 + sectors], indices[3 + sectors:]):
+    assert len(indices) == 2 * (2 + sectors)
+    for run in (indices[:2 + sectors], indices[2 + sectors:]):
         assert run[0].base is run[1].base is lay.nb.base
-        assert np.array_equal(run[0], state._occ[:, 1]) and np.array_equal(run[1], state._occ[:, 3])
-        assert run[2] is lay.src.base
-        assert all(index.base is lay.order.base for index in run[3:])
-        assert sum(index.shape[0] for index in run[3:]) == rows
+        assert np.array_equal(run[0], state._occ[lay.kets, 1]) and np.array_equal(run[1], state._occ[lay.kets, 3])
+        assert all(index.base is lay.order.base for index in run[2:])
+        assert sum(index.shape[0] for index in run[2:]) == rows

@@ -24,7 +24,8 @@ from eprsim import (
     tensor,
     vacuum,
 )
-from eprsim.network import _mix_sectors, _sector_matrix
+from eprsim.correlation import _mix_sectors
+from eprsim.network import _sector_matrix
 
 SQ2 = math.sqrt(2.0)
 
@@ -126,13 +127,16 @@ def test_splitter_layout_grows_with_the_occupied_sectors_not_the_cutoff():
 
 
 def test_stored_state_splitter_never_reaches_the_batched_kernel(monkeypatch):
+    import eprsim.correlation as correlation
     import eprsim.network as network
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the stored-state splitter reached the evolution backend's kernel")
 
-    monkeypatch.setattr(network, "_mix_sectors", forbidden)
-    monkeypatch.setattr(network, "_blocks", forbidden)
+    # the batched kernel and its block layout live beside their one caller
+    assert not hasattr(network, "_mix_sectors") and not hasattr(network, "_blocks")
+    monkeypatch.setattr(correlation, "_mix_sectors", forbidden)
+    monkeypatch.setattr(correlation, "_blocks", forbidden)
     via_b = beamsplitter(make_pure(ModeLayout(("a", "b"), 1), [((0, 1), 1.0)]), "a", "b")
     assert via_b.amplitudes() == pytest.approx({(0, 1): 1 / SQ2, (1, 0): 1 / SQ2})
     gamma = 0.8

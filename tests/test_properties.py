@@ -35,9 +35,9 @@ from eprsim import (
     phase_shift,
 )
 import eprsim.correlation as correlation
-from eprsim.correlation import _evolution_rates, _station_layout, _station_moments
+from eprsim.correlation import _evolution_rates, _mix_sectors, _station_layout, _station_moments
 from eprsim.fock import _canonicalize, _occupations
-from eprsim.network import _mix_sectors, _sector_matrix
+from eprsim.network import _sector_matrix
 
 STANDARD = ("a1", "b1", "a2", "b2")
 CUTOFF = 3
@@ -146,7 +146,9 @@ def test_settings_blocks_match_one_setting_at_a_time(case):
 
     def station1(out, sectors):
         passes.append(out.shape)
-        _mix_sectors(out, sectors)
+        # station 1 mixes under the real matrices, so the spy logs station 2 only
+        with mock.patch.object(correlation, "_sector_matrix", _sector_matrix):
+            _mix_sectors(out, sectors)
 
     # a component with no ket at both stations gets zeros before any pass
     mixing = [lay for lay in lays if lay.station2]
@@ -157,7 +159,7 @@ def test_settings_blocks_match_one_setting_at_a_time(case):
             mock.patch.object(correlation, "_sector_matrix", lambda n: _SectorSpy(n, mixed)):
         got = _evolution_rates(state, theta1, theta2)
     # one station-1 pass per run of each component, on one column
-    assert passes == [lay.src.shape for lay in mixing for _ in runs]
+    assert passes == [lay.order.shape for lay in mixing for _ in runs]
     # then each run in station-2 chunks of at most b settings, sector by sector
     chunks = []
     for lay in mixing:

@@ -19,9 +19,10 @@ two medians differ by more than the parent's quartile spread. Under
 "src_lines" it records each checkout's ``wc -l`` of ``src/eprsim/*.py`` by
 module, so the change's line delta is measured, and
 under "src_code_lines" the lines of each that hold code: not blank, not
-comment-only and not in a module, class or function docstring. It is
-rewritten after each pair, so an interrupted series keeps its finished
-pairs. Only the standard library and numpy are used.
+comment-only and not in a module, class or function docstring. Under
+"src_lines_delta" and "src_code_lines_delta" it gives change minus parent
+of each, by module and in total. It is rewritten after each pair, so an
+interrupted series keeps its finished pairs. Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -111,6 +112,11 @@ def src_code_lines(root: Path) -> dict:
     return {**lines, "total": sum(lines.values())}
 
 
+def line_delta(parent: dict, change: dict) -> dict:
+    """change - parent of each module's lines and of the total; a module missing on one side counts 0."""
+    return {m: change.get(m, 0) - parent.get(m, 0) for m in sorted(parent.keys() | change.keys())}
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"median": round(float(median), 4), "q1": round(float(q1), 4),
@@ -183,6 +189,8 @@ def main(argv=None) -> int:
     out = Path(f"BENCH_{args.pr}.json")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     seconds = run_seconds(roots["change"])
+    lines = {side: src_lines(root) for side, root in roots.items()}
+    code = {side: src_code_lines(root) for side, root in roots.items()}
 
     doc = {
         "change": args.title,
@@ -204,8 +212,10 @@ def main(argv=None) -> int:
             "seeds_not_used_in_development": args.seeds_note,
             "tool": "tools/bench_pairs.py",
         },
-        "src_lines": {side: src_lines(root) for side, root in roots.items()},
-        "src_code_lines": {side: src_code_lines(root) for side, root in roots.items()},
+        "src_lines": lines,
+        "src_lines_delta": line_delta(**lines),
+        "src_code_lines": code,
+        "src_code_lines_delta": line_delta(**code),
         "workloads": {},
     }
     for workload, seeds in args.workload:
