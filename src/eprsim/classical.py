@@ -13,9 +13,11 @@ fields,
 |a|^2 + |b|^2 >= 2|a b| forces a_k <= 1/2 for every such model, which the
 estimators here verify empirically with bootstrap standard errors.
 
-Read ``make_ensemble`` and ``ClassicalEnsemble`` for what an ensemble
-holds, ``_windows`` and ``_pass`` for the one pass over its samples, and
-``estimate_amplitudes`` for the estimates and their bootstrap.
+Every ensemble is a tuple of leaves, one per stratum of its samples:
+``ClassicalEnsemble`` makes given fields into leaves and ``make_ensemble``
+checks the leaves it will draw. Read ``_draw`` for how one chunk of a leaf
+of any kind is filled, ``_windows`` and ``_pass`` for the one walk over the
+leaves, and ``estimate_amplitudes`` for the estimates and their bootstrap.
 """
 
 from __future__ import annotations
@@ -51,11 +53,13 @@ class ClassicalEnsemble:
     """Weighted field samples (alpha_k for signals, beta_k for oscillators).
 
     ``strata`` are the contiguous (start, stop) blocks of independently drawn
-    samples, one per leaf draw of a mixture; empty means one block of all n.
-    ``weights`` has one float per stratum, the weight of each of its samples.
-    Fields given here are kept as complex128 arrays, copied only if they are
-    not. An ensemble from make_ensemble keeps its checked leaf draws instead
-    and draws its four fields whole, read-only, when one of them is first read.
+    samples, one per leaf; empty means one block of all n. ``weights`` has
+    one float per stratum, the weight of each of its samples. Fields given
+    here are kept as complex128 arrays, copied only if they are not, and each
+    stratum becomes one "given" leaf holding views of them. An ensemble from
+    make_ensemble holds its checked leaf draws and draws its four fields
+    whole, read-only, when one of them is first read. Either way the samples
+    are read through the leaves, chunk by chunk (``_windows``).
     Ensembles compare and hash by identity; the repr shows the recipe, not the fields.
     """
 
@@ -67,7 +71,6 @@ class ClassicalEnsemble:
     seed: int
     strata: tuple[tuple[int, int], ...] = ()
     n: int = field(init=False)
-    _leaves = None  # a made ensemble's checked leaf draws, for _windows
     _kept = None  # a made ensemble's _pass
 
     def __post_init__(self) -> None:
@@ -81,14 +84,19 @@ class ClassicalEnsemble:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "seed", _require_count("seed", self.seed, 0))
         _tile(self, n, self.weights, self.strata)
+        leaves = ((b - a, w, "given", tuple(getattr(self, f)[a:b] for f in _FIELDS), self.seed)
+                  for (a, b), w in zip(self.strata, self.weights))
+        object.__setattr__(self, "_leaves", tuple(leaves))
 
     def __getattr__(self, name: str):
-        # only a made ensemble lacks its fields: draw all four, once
-        if name not in _FIELDS or self._leaves is None:
+        # only a made ensemble lacks its fields: draw all four, once, each
+        # window of _windows straight into its place
+        if name not in _FIELDS:
             raise AttributeError(name)
         whole = np.empty((4, self.n), dtype=np.complex128)
-        for _ in _windows(self, whole):
-            pass
+        for (first, last), (_, _, kind, values, seed) in zip(self.strata, self._leaves):
+            for index, start in enumerate(range(first, last, CHUNK)):
+                _draw(kind, values, seed, index, whole[:, start : min(start + CHUNK, last)])
         whole.flags.writeable = False
         for field_name, row in zip(_FIELDS, whole):
             object.__setattr__(self, field_name, row)
@@ -100,12 +108,16 @@ _FIELDS = ("alpha1", "alpha2", "beta1", "beta2")
 
 def _tile(e: ClassicalEnsemble, n: int, weights, strata) -> None:
     """Check and set n, the strata tiling n samples and one weight per stratum."""
-    strata = tuple(tuple(_require_count("stratum bound", x) for x in ab) for ab in strata) or ((0, n),)
+    try:
+        strata = tuple(tuple(_require_count("stratum bound", x) for x in (a, b)) for a, b in strata) or ((0, n),)
+    except (TypeError, ValueError):
+        raise StateError(f"strata must be (start, stop) pairs, got {_shown(strata)}") from None
     starts = [a for a, _ in strata]
     stops = [b for _, b in strata]
     if starts != [0] + stops[:-1] or stops[-1] != n or any(b <= a for a, b in strata):
         raise StateError(f"strata {_shown(strata)} do not tile the {n} samples")
-    if len(weights) != len(strata) or not all(map(_nonnegative, weights)):
+    listed = isinstance(weights, Sequence) or isinstance(weights, np.ndarray) and weights.ndim == 1
+    if not listed or len(weights) != len(strata) or not all(map(_nonnegative, weights)):
         raise StateError(f"need one finite weight >= 0 per stratum, got {_shown(weights)}")
     weights = tuple(map(float, weights))
     total = _fsum(w * (b - a) for w, (a, b) in zip(weights, strata))
@@ -176,8 +188,9 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
 
 def _leaves(kind: str, params: dict, n: int, seed: int) -> list[tuple]:
     """The checked leaf draws of ``kind``, mixtures expanded in order: each is
-    (size, weight per sample, kind, values, seed), weights multiplied from the
-    innermost mixture out, values the delta point or (nbar, nbar_lo)."""
+    (size, weight per sample, kind, values, seed), as a "given" leaf is too,
+    weights multiplied from the innermost mixture out, values the delta point
+    or (nbar, nbar_lo)."""
     keys = {"delta": "point", "thermal": "nbar", "correlated_lo": "nbar", "mixture": "components"}
     key = keys.get(kind) if isinstance(kind, str) else None
     if key is None:
@@ -216,41 +229,37 @@ def _leaves(kind: str, params: dict, n: int, seed: int) -> list[tuple]:
 
 
 def _draw(kind: str, values: tuple, seed: int, index: int, out: np.ndarray) -> None:
-    """Draw chunk ``index`` of one leaf into ``out``, its (4, m) a1, a2, b1, b2."""
+    """Draw chunk ``index`` of one leaf into ``out``, its (4, m) a1, a2, b1, b2.
+
+    A given leaf's values are views of its stratum's four fields, and the
+    chunk is copied from them. A thermal leaf draws all four arms; a
+    correlated_lo leaf draws the signals and copies them to the oscillators.
+    """
+    if kind == "given":
+        for row, f in zip(out, values):
+            row[...] = f[index * CHUNK : index * CHUNK + row.shape[0]]
+        return
     if kind == "delta":
         out[:, 0] = values
         return
     nbar, nbar_lo = values
     rng = np.random.default_rng([seed, index])
-    a1, a2, b1, b2 = out
-    _thermal_field(rng, nbar, a1)
-    _thermal_field(rng, nbar, a2)
-    if kind == "thermal":
-        _thermal_field(rng, nbar_lo, b1)
-        _thermal_field(rng, nbar_lo, b2)
-    else:
-        b1[...] = a1
-        b2[...] = a2
+    for row, x in zip(out, (nbar, nbar, nbar_lo, nbar_lo) if kind == "thermal" else (nbar, nbar)):
+        _thermal_field(rng, x, row)
+    if kind == "correlated_lo":
+        out[2:] = out[:2]
 
 
-def _windows(e: ClassicalEnsemble, whole: np.ndarray | None = None):
+def _windows(e: ClassicalEnsemble):
     """(k, start, fields) for each CHUNK of each stratum: the index k of its
     stratum and the (4, m) a1, a2, b1, b2 of samples start .. start + m,
-    valid until the next window. No window crosses a stratum.
-
-    Given fields are sliced. A made leaf's chunk is drawn into one
-    (4, CHUNK) buffer, or at its sample position in ``whole``.
+    drawn from the stratum's leaf into one (4, CHUNK) buffer and valid until
+    the next window. No window crosses a stratum.
     """
-    if e._leaves is None:
-        for k, (first, last) in enumerate(e.strata):
-            for start in range(first, last, CHUNK):
-                yield k, start, [getattr(e, name)[start : min(start + CHUNK, last)] for name in _FIELDS]
-        return
-    buf = np.empty((4, CHUNK), dtype=np.complex128) if whole is None else None
+    buf = np.empty((4, CHUNK), dtype=np.complex128)
     for k, ((first, last), (_, _, kind, values, seed)) in enumerate(zip(e.strata, e._leaves)):
         for index, start in enumerate(range(first, last, CHUNK)):
-            m = min(CHUNK, last - start)
-            out = buf[:, :m] if whole is None else whole[:, start : start + m]
+            out = buf[:, : min(CHUNK, last - start)]
             _draw(kind, values, seed, index, out)
             yield k, start, out
 
@@ -316,8 +325,9 @@ def _pass(e: ClassicalEnsemble):
     overflow leaves the sums or the margin None, so each caller raises only
     its own error. lit is read only in windows whose den is all zero, as all
     are when the whole den sums to 0. A made ensemble keeps the result, so
-    both callers share one draw. No per-sample array outlives its window,
-    so memory is bounded by CHUNK, not by n.
+    both callers share one draw; given fields belong to the caller and are
+    read again on each pass. No per-sample array outlives its window, so
+    memory is bounded by CHUNK, not by n.
 
     A stratum of size m is cut into min(BOOTSTRAP_GROUPS, m) groups of
     near-equal size, and each window adds its partial group sums into its
@@ -355,7 +365,7 @@ def _pass(e: ClassicalEnsemble):
             lit = bool((((a1 != 0) | (b1 != 0)) & ((a2 != 0) | (b2 != 0))).any())
     sums = None if terms is None else [math.fsum(row_terms) for row_terms in terms]
     kept = (sums, groups, lit, margin)
-    if e._leaves is not None:
+    if e._leaves[0][2] != "given":
         object.__setattr__(e, "_kept", kept)
     return kept
 

@@ -104,6 +104,15 @@ def test_bound_report_flags_violations():
     assert rep.margin2 == pytest.approx(0.5 - 0.4, abs=1e-12)
 
 
+def test_bound_report_allows_three_standard_errors_of_slack():
+    from eprsim.classical import AmplitudeEstimate
+
+    se = 0.01
+    for a, b in ((2.9, 3.1), (3.1, 2.9)):
+        rep = bound_report(AmplitudeEstimate(0.5 + a * se, 0.5 + b * se, se, se, n=100, seed=0))
+        assert (rep.within_bound1, rep.within_bound2) == (a < 3.0, b < 3.0)
+
+
 def test_pointwise_inequality_on_every_sample():
     for kind, params in [("thermal", {"nbar": 2.0}), ("correlated_lo", {"nbar": 0.7})]:
         ens = make_ensemble(kind, params, n=30000, seed=21)
@@ -289,6 +298,12 @@ def test_ensemble_validates_strata_and_seed():
         ClassicalEnsemble((0.25,), **{**fields, "beta1": [1.0, math.nan, 1.0, 1.0]})
     with pytest.raises(StateError):
         make_ensemble("thermal", {"nbar": 1.0}, n=4, seed=-1)
+    # weights or strata of the wrong shape are named, not a TypeError or ValueError from inside
+    with pytest.raises(StateError, match="need one finite weight >= 0 per stratum, got 0.5$"):
+        ClassicalEnsemble(0.5, **fields)
+    for bad in (5, ((0, 1, 2),), ((0, 4), 4)):
+        with pytest.raises(StateError, match=r"strata must be \(start, stop\) pairs"):
+            ClassicalEnsemble((0.25,), **fields, strata=bad)
 
 
 def test_explicit_fields_are_complex_and_drawn_fields_are_not_copied():

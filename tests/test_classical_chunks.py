@@ -262,6 +262,25 @@ def test_each_chunk_is_drawn_once_for_estimate_and_margin(monkeypatch):
     assert len(drawn) == len(set(drawn)) == 2 * -(-n // CHUNK)
 
 
+def test_a_given_ensemble_is_read_again_on_each_call(monkeypatch):
+    # its arrays are the caller's, so no pass is kept, and each call of the
+    # chunk-size test above walks the arrays at its own CHUNK
+    drawn = []
+    draw = classical._draw
+
+    def spy(kind, values, seed, index, out):
+        drawn.append((kind, index))
+        draw(kind, values, seed, index, out)
+
+    monkeypatch.setattr(classical, "_draw", spy)
+    e = _two_strata()
+    walk = [("given", 0)] * 2  # each of the two strata fits in one window
+    est, margin = estimate_amplitudes(e), pointwise_margin(e)
+    assert drawn == walk * 2
+    assert estimate_amplitudes(e) == est and pointwise_margin(e) == margin
+    assert drawn == walk * 4
+
+
 @pytest.mark.parametrize("kind", ["thermal", "correlated_lo"])
 def test_fields_read_after_the_pass_are_the_reference_draw(kind):
     params = {"nbar": 0.7}

@@ -144,6 +144,28 @@ def test_direct_constructor_names_the_norm_without_a_warning():
                 MultiModeState(layout, {(1, 0): amp, (0, 1): amp})
 
 
+@pytest.mark.parametrize("off, refused", [(1e-6, True), (-1e-6, True), (1e-11, False), (-1e-11, False)])
+def test_every_norm_check_refuses_1e_6_and_keeps_1e_11(off, refused):
+    # a state's norm, a mixture's weights, a density matrix's trace and a
+    # classical ensemble's sample weights all sum to 1 within NORM_TOL
+    from eprsim import ClassicalEnsemble
+
+    amp = math.sqrt((1.0 + off) / 2.0)
+    s = vacuum(("a",), 1)
+    checks = [
+        lambda: MultiModeState(ModeLayout(("a", "b"), 1), {(1, 0): amp, (0, 1): amp}),
+        lambda: MixedState(((0.5 + off, s), (0.5, s))),
+        lambda: mixture_from_density(np.diag([0.5 + off, 0.5])),
+        lambda: ClassicalEnsemble((0.5 + off / 2,), [1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0], seed=0),
+    ]
+    for check in checks:
+        if refused:
+            with pytest.raises(StateError, match="sum to .*, not 1|deviates from 1"):
+                check()
+        else:
+            check()
+
+
 def test_state_is_immutable_and_canonical():
     layout = ModeLayout(("a", "b"), 2)
     s = make_pure(layout, [((1, 0), 1.0), ((0, 1), 1.0j), ((1, 0), 1.0)])

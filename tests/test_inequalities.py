@@ -85,6 +85,26 @@ def test_bell_max_grid_check_catches_wrong_settings(monkeypatch):
         bell_max(pair(0.3, 0.6, 0.4, 1.1))
 
 
+def test_bell_max_grid_check_resolves_a_closed_form_two_percent_low(monkeypatch):
+    from eprsim import inequalities
+
+    # whatever the amplitudes and phases, the grid comes within 2 % of the
+    # analytic maximum, so a closed form 2 % low, settings and value, is beaten
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        amps = pair(*rng.uniform(0.0, 0.7, 2), *rng.uniform(-math.pi, math.pi, 2))
+        analytic = 2 * SQ2 * math.hypot(amps.a1, amps.a2)
+        assert inequalities._b_grid(amps, inequalities.GRID_POINTS) > 0.98 * analytic
+    # settings 0.1 rad off give B 1.6 % short: the grid names that too
+    amps = pair(0.3, 0.6, 0.4, 1.1)
+    best = inequalities._optimal_settings(amps)
+    off = BellSettings(*(t + 0.1 for t in (best.theta1, best.theta1p, best.theta2, best.theta2p)))
+    assert 0.98 < bell_B(amps, off) / (2 * SQ2 * math.hypot(0.3, 0.6)) < 0.99
+    monkeypatch.setattr(inequalities, "_optimal_settings", lambda amps: off)
+    with pytest.raises(OptimizerShortfall, match="falls below the analytic maximum .* and is beaten by the"):
+        bell_max(amps)
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_b_grid_is_the_maximum_of_every_grid_point(n):
     import itertools

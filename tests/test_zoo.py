@@ -165,6 +165,16 @@ def test_cat_degenerate_cases():
         cat_predictions(CatParams(0.0, 0.0))  # g20 denominator 1 - E c -> 0
 
 
+def test_cat_closed_forms_hold_far_from_the_degeneracy():
+    # at alpha 1e-5 and phi 0, 1 - e^{-4 alpha^2} = 4e-10 is far above
+    # DEGENERACY_TOL; computed as a difference it keeps about 6 digits
+    alpha = 1e-5
+    pred = cat_predictions(CatParams(alpha, 0.0))
+    assert pred.a1 == pytest.approx(-math.expm1(-4.0 * alpha**2) / 2.0, rel=1e-6)
+    assert pred.a1 + pred.a2 == pytest.approx(1.0, abs=1e-15)
+    assert pred.g.g22 == pred.g.g20.real ** 2 and math.isfinite(pred.g.g22)
+
+
 def test_split_cat_rejects_thin_cutoff():
     with pytest.raises(CutoffError):
         split_cat(CatParams(1.0, 0.0), cutoff=8)
