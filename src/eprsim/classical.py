@@ -13,11 +13,10 @@ fields,
 |a|^2 + |b|^2 >= 2|a b| forces a_k <= 1/2 for every such model, which the
 estimators here verify empirically with bootstrap standard errors.
 
-Every ensemble is a tuple of leaves, one per stratum of its samples:
-``ClassicalEnsemble`` makes given fields into leaves and ``make_ensemble``
-checks the leaves it will draw. Read ``_draw`` for how one chunk of a leaf
-of any kind is filled, ``_windows`` and ``_pass`` for the one walk over the
-leaves, and ``estimate_amplitudes`` for the estimates and their bootstrap.
+Every ensemble is one leaf per stratum of its samples. Read
+``ClassicalEnsemble`` and ``make_ensemble`` for how the leaves are made,
+``_draw``, ``_windows`` and ``_pass`` for the one walk over them, and
+``estimate_amplitudes`` for the estimates and their bootstrap.
 """
 
 from __future__ import annotations
@@ -54,12 +53,10 @@ class ClassicalEnsemble:
 
     ``strata`` are the contiguous (start, stop) blocks of independently drawn
     samples, one per leaf; empty means one block of all n. ``weights`` has
-    one float per stratum, the weight of each of its samples. Fields given
-    here are kept as complex128 arrays, copied only if they are not, and each
-    stratum becomes one "given" leaf holding views of them. An ensemble from
-    make_ensemble holds its checked leaf draws and draws its four fields
-    whole, read-only, when one of them is first read. Either way the samples
-    are read through the leaves, chunk by chunk (``_windows``).
+    one float per stratum, the weight of each of its samples. Given fields
+    are kept as complex128 arrays, copied only if they are not, and each
+    stratum's "given" leaf holds views of them. A made ensemble's leaves are
+    draws: it draws its four fields whole, read-only, when one is first read.
     Ensembles compare and hash by identity; the repr shows the recipe, not the fields.
     """
 
@@ -89,8 +86,7 @@ class ClassicalEnsemble:
         object.__setattr__(self, "_leaves", tuple(leaves))
 
     def __getattr__(self, name: str):
-        # only a made ensemble lacks its fields: draw all four, once, each
-        # window of _windows straight into its place
+        # only a made ensemble lacks its fields: draw all four once, each chunk in place
         if name not in _FIELDS:
             raise AttributeError(name)
         whole = np.empty((4, self.n), dtype=np.complex128)
@@ -187,10 +183,9 @@ def make_ensemble(kind: str, params: dict, n: int, seed: int) -> ClassicalEnsemb
 
 
 def _leaves(kind: str, params: dict, n: int, seed: int) -> list[tuple]:
-    """The checked leaf draws of ``kind``, mixtures expanded in order: each is
-    (size, weight per sample, kind, values, seed), as a "given" leaf is too,
-    weights multiplied from the innermost mixture out, values the delta point
-    or (nbar, nbar_lo)."""
+    """The checked leaf draws of ``kind``, mixtures expanded in order, each
+    (size, weight per sample, kind, values, seed) like a given leaf: weights
+    multiplied from the innermost mixture out, values the point or (nbar, nbar_lo)."""
     keys = {"delta": "point", "thermal": "nbar", "correlated_lo": "nbar", "mixture": "components"}
     key = keys.get(kind) if isinstance(kind, str) else None
     if key is None:
@@ -229,12 +224,8 @@ def _leaves(kind: str, params: dict, n: int, seed: int) -> list[tuple]:
 
 
 def _draw(kind: str, values: tuple, seed: int, index: int, out: np.ndarray) -> None:
-    """Draw chunk ``index`` of one leaf into ``out``, its (4, m) a1, a2, b1, b2.
-
-    A given leaf's values are views of its stratum's four fields, and the
-    chunk is copied from them. A thermal leaf draws all four arms; a
-    correlated_lo leaf draws the signals and copies them to the oscillators.
-    """
+    """Draw chunk ``index`` of one leaf into ``out``, its (4, m) a1, a2, b1, b2:
+    copied from a given leaf's views; correlated_lo copies its signals to the oscillators."""
     if kind == "given":
         for row, f in zip(out, values):
             row[...] = f[index * CHUNK : index * CHUNK + row.shape[0]]
@@ -324,10 +315,9 @@ def _pass(e: ClassicalEnsemble):
     sample has a field at both stations, and the pointwise margin. An
     overflow leaves the sums or the margin None, so each caller raises only
     its own error. lit is read only in windows whose den is all zero, as all
-    are when the whole den sums to 0. A made ensemble keeps the result, so
-    both callers share one draw; given fields belong to the caller and are
-    read again on each pass. No per-sample array outlives its window, so
-    memory is bounded by CHUNK, not by n.
+    are when the whole den sums to 0. A made ensemble keeps the result for
+    both callers; given fields are the caller's and are read on every pass.
+    No per-sample array outlives its window, so memory is bounded by CHUNK.
 
     A stratum of size m is cut into min(BOOTSTRAP_GROUPS, m) groups of
     near-equal size, and each window adds its partial group sums into its
